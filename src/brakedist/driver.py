@@ -8,10 +8,10 @@ driver's coefficient offsets are predicted by empirical-Bayes shrinkage:
 
 together with the covariance of the predictor and the prediction-error
 covariance of (beta_hat + gamma_hat) - (beta + gamma), which feeds the
-conservative variance downstream. Each new event invalidates the cached
-result and the next query recomputes from scratch; the n x n solve is
-the dominant cost and n stays small (history is windowed), so no
-incremental covariance updates are attempted.
+conservative variance downstream. The push-through identity V^-1 X = X M^-1,
+M = sigma2 I + Sigma_gamma X'X, gives X' V^-1 [X | r] by one p x p solve, so
+no n x n matrix is formed. Each event invalidates the cached result; the next
+query rebuilds X'X from the windowed history, so no running sums are kept.
 """
 
 import json
@@ -130,14 +130,20 @@ def compute_blup(state, model):
 
     X, y = build_design(model.spec, state.observations)
     resid = y - X @ model.beta
-    V = X @ sg @ X.T + model.sigma2 * np.eye(state.n)
-    V = 0.5 * (V + V.T)
+    xtx = X.T @ X
+    # X' V^-1 [X | r] = M^-T [X'X | X'r]. M's eigenvalues are >= sigma2 and
+    # it needs no factor of Sigma_gamma, which may be singular.
+    m = sg @ xtx + model.sigma2 * np.eye(p)
+    try:
+        W = np.linalg.solve(m.T, np.column_stack([xtx, X.T @ resid]))
+        if not np.all(np.isfinite(W)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(f"marginal covariance of driver {state.driver_id!r}'s "
+                                  f"{state.n} events is singular or not finite") from None
+    gamma_hat = sg @ W[:, p]
 
-    # One factorization serves both solves: V^-1 [X | r].
-    W = spd_solve(V, np.column_stack([X, resid]))
-    gamma_hat = sg @ (X.T @ W[:, p])
-
-    info = X.T @ W[:, :p]  # X' V^-1 X
+    info = W[:, :p]  # X' V^-1 X
     info = 0.5 * (info + info.T)
     sg_info = sg @ info
     gamma_hat_cov = sg_info @ sg - sg_info @ model.beta_cov @ sg_info.T
@@ -158,8 +164,8 @@ def henderson_oracle(state, model):
 
     Solves ``(X'X / sigma2 + Sigma_gamma^-1) gamma = X' r / sigma2``
     restricted to the range space of Sigma_gamma (the pseudo-inverse
-    convention), which never forms the n x n marginal covariance, so it
-    exercises a different numerical path than compute_blup.
+    convention) by Cholesky in the eigenbasis of that range; compute_blup
+    never inverts Sigma_gamma and solves sigma2 I + X'X Sigma_gamma by LU.
 
     Requires at least one observation.
     """
@@ -186,7 +192,7 @@ def henderson_oracle(state, model):
 
 def state_to_dict(state, registry):
     """JSON-ready dict for a driver state file."""
-    doc = {
+    return {
         "driver_id": state.driver_id,
         "observations": [
             {
@@ -198,13 +204,6 @@ def state_to_dict(state, registry):
             for o in state.observations
         ],
     }
-    if state.cached is not None:
-        doc["cached"] = {
-            "gamma_hat": state.cached.gamma_hat.tolist(),
-            "gamma_hat_cov": state.cached.gamma_hat_cov.tolist(),
-            "pred_err_cov": state.cached.pred_err_cov.tolist(),
-        }
-    return doc
 
 
 def state_from_dict(doc, registry):
@@ -217,13 +216,6 @@ def state_from_dict(doc, registry):
             brt_s=float(rec["brt_s"]),
         )
         add_observation(state, obs)
-    cached = doc.get("cached")
-    if cached is not None:
-        state.cached = BlupResult(
-            gamma_hat=np.array(cached["gamma_hat"], dtype=float),
-            gamma_hat_cov=np.array(cached["gamma_hat_cov"], dtype=float),
-            pred_err_cov=np.array(cached["pred_err_cov"], dtype=float),
-        )
     return state
 
 

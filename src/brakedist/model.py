@@ -195,12 +195,19 @@ def build_design(spec, observations):
         (X, y): X is (n, p) with row i = feature_row(obs[i]) and
         y[i] = ln(brt_s) of obs[i]; input order is preserved.
     """
-    obs = list(observations)
-    if not obs:
-        return np.zeros((0, spec.p)), np.zeros(0)
-    X = np.vstack([feature_row(spec, o.stimulus, o.headway_s) for o in obs])
-    y = np.log(np.array([o.brt_s for o in obs], dtype=float))
-    return X, y
+    n = len(observations)
+    stimulus = np.fromiter((o.stimulus for o in observations), dtype=np.intp, count=n)
+    headway = np.fromiter((o.headway_s for o in observations), dtype=float, count=n)
+    brt = np.fromiter((o.brt_s for o in observations), dtype=float, count=n)
+    bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~(headway > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        # feature_row raises the error it would raise for this row.
+        feature_row(spec, int(stimulus[i]), float(headway[i]))
+    powers = np.arange(spec.degree + 1)
+    X = np.zeros((n, spec.p))
+    X[np.arange(n)[:, None], stimulus[:, None] * powers.size + powers] = headway[:, None] ** powers
+    return X, np.log(brt)
 
 
 def read_observations_csv(path, registry=None):

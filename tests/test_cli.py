@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brakedist import cli
-from brakedist.driver import DriverState, add_observation, compute_blup
+from brakedist.driver import DriverState, add_observation, compute_blup, load_driver_state
 from brakedist.model import Observation, read_observations_csv
 from brakedist.pbrt import estimate_pbrt, norm_quantile, percentile
 from brakedist.training import load_model
@@ -115,7 +115,7 @@ class TestUpdate:
         doc = json.loads(state.read_text())
         assert doc["driver_id"] == "alice"
         assert len(doc["observations"]) == 1
-        assert "cached" in doc
+        assert "cached" not in doc  # predictions are recomputed, never persisted
 
     def test_validation_errors(self, tmp_path, handmade_model_path):
         state = tmp_path / "s.json"
@@ -133,8 +133,8 @@ class TestUpdate:
                     "--event", "traffic_signal,1.0,0.8"]) == 2
 
     def test_incremental_matches_batch(self, tmp_path, handmade_model_path):
-        # 30 sequential updates, then compare the stored prediction with a
-        # from-scratch batch computation over the same 30 events.
+        # 30 sequential updates, then compare the prediction recomputed from
+        # the stored history with a batch computation over the same events.
         rng = np.random.default_rng(3)
         model = load_model(handmade_model_path)
         state_path = tmp_path / "bob.json"
@@ -147,13 +147,16 @@ class TestUpdate:
             assert run(["update", "--model", str(handmade_model_path),
                         "--state", str(state_path),
                         "--event", f"{name},{t!r},{brt!r}"]) == 0
-        doc = json.loads(state_path.read_text())
+        loaded = load_driver_state(state_path, model.stimuli)
+        assert loaded.cached is None
         batch = DriverState(driver_id="bob")
         for name, t, brt in events:
             add_observation(batch, Observation("bob", model.stimuli.id_of(name), t, brt))
+        assert loaded.observations == batch.observations
+        recomputed = compute_blup(loaded, model)
         expected = compute_blup(batch, model)
-        stored = np.array(doc["cached"]["gamma_hat"])
-        assert np.allclose(stored, expected.gamma_hat, atol=1e-12)
+        assert np.array_equal(recomputed.gamma_hat, expected.gamma_hat)
+        assert np.array_equal(recomputed.pred_err_cov, expected.pred_err_cov)
 
     def test_atomic_write_keeps_old_state_on_failure(self, tmp_path, handmade_model_path,
                                                      monkeypatch):
@@ -211,6 +214,40 @@ class TestPbrt:
         model = load_model(handmade_model_path)
         w = np.array([1.0, 2.0, 4.0, 0.0, 0.0, 0.0])
         assert float(line.split(",")[1]) == math.exp(float(w @ model.beta))
+
+    def test_stale_cache_in_state_file_is_ignored(self, tmp_path, handmade_model_path, capsys):
+        # State files once carried the last prediction, which pbrt reused
+        # with whatever model it was given. A wrong or wrongly shaped block
+        # in an old file must not change the output.
+        model = load_model(handmade_model_path)
+        state_path = tmp_path / "erin.json"
+        events = [("traffic_signal", 1.2, 0.8), ("lead_car_brake", 2.5, 1.1),
+                  ("traffic_signal", 0.9, 0.7)]
+        for name, t, brt in events:
+            run(["update", "--model", str(handmade_model_path), "--state", str(state_path),
+                 "--event", f"{name},{t!r},{brt!r}"])
+        doc = json.loads(state_path.read_text())
+        doc["cached"] = {
+            "gamma_hat": [0.5] * (model.spec.p + 3),
+            "gamma_hat_cov": [[0.0]],
+            "pred_err_cov": [[1.0]],
+        }
+        state_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state_path),
+                    "--stimulus", "traffic_signal"]) == 0
+        out = capsys.readouterr().out
+
+        state = DriverState(driver_id="erin")
+        for name, t, brt in events:
+            add_observation(state, Observation("erin", model.stimuli.id_of(name), t, brt))
+        est = estimate_pbrt(model, compute_blup(state, model), 0)
+        lines = ["q,percentile_naive,percentile_conservative"]
+        for q in (10, 50, 90):
+            naive = percentile(est, q / 100.0, conservative=False)
+            cons = percentile(est, q / 100.0, conservative=True)
+            lines.append(f"{q:g},{naive!r},{cons!r}")
+        assert out == "\n".join(lines) + "\n"
 
     def test_uses_state_when_present(self, tmp_path, handmade_model_path, capsys):
         state = tmp_path / "dave.json"

@@ -115,15 +115,24 @@ class TestBuildDesign:
 
     def test_rows_match_feature_row_oracle(self):
         rng = np.random.default_rng(13)
-        obs = [
-            Observation("d", int(rng.integers(0, 3)), float(rng.uniform(0.2, 9.0)),
-                        float(rng.uniform(0.3, 5.0)))
-            for _ in range(40)
-        ]
-        X, y = build_design(SPEC, obs)
-        for i, o in enumerate(obs):
-            assert np.array_equal(X[i], feature_row(SPEC, o.stimulus, o.headway_s))
-            assert y[i] == np.log(o.brt_s)
+        for degree in (0, 2, 3):
+            spec = ModelSpec(num_stimuli=3, degree=degree)
+            for n in (0, 1, 40):
+                obs = [
+                    Observation("d", int(rng.integers(0, 3)), float(rng.uniform(0.2, 9.0)),
+                                float(rng.uniform(0.3, 5.0)))
+                    for _ in range(n)
+                ]
+                X, y = build_design(spec, obs)
+                assert X.shape == (n, spec.p) and y.shape == (n,)
+                for i, o in enumerate(obs):
+                    assert np.array_equal(X[i], feature_row(spec, o.stimulus, o.headway_s))
+                    assert y[i] == np.log(o.brt_s)
+
+    def test_unknown_stimulus_mid_batch_is_named(self):
+        obs = [Observation("d", s, 1.0 + s, 1.0) for s in (0, 2, 7, 1, 9)]
+        with pytest.raises(UnknownStimulus, match=r"stimulus id 7 out of range \[0, 3\)"):
+            build_design(SPEC, obs)
 
     def test_full_column_rank_with_enough_distinct_headways(self):
         rng = np.random.default_rng(17)
