@@ -94,20 +94,20 @@ def cmd_update(args):
     return EXIT_OK
 
 
-def _load_blup(args, model):
-    """Driver BLUP from a state file, or the zero-data fallback."""
+def _load_estimate(args):
+    """PBRT estimate for ``--stimulus``; the population's without a state file."""
+    model = training.load_model(args.model)
+    stim_id = model.stimuli.id_of(args.stimulus)
     if args.state is not None and Path(args.state).exists():
         state = driver_mod.load_driver_state(args.state, model.stimuli)
     else:
         state = driver_mod.DriverState(driver_id="__no_data__")
-    return driver_mod.compute_blup(state, model)
+    blup = driver_mod.compute_blup(state, model)
+    return pbrt_mod.estimate_pbrt(model, blup, stim_id, t_star=args.t_star)
 
 
 def cmd_pbrt(args):
-    model = training.load_model(args.model)
-    stim_id = model.stimuli.id_of(args.stimulus)
-    blup = _load_blup(args, model)
-    est = pbrt_mod.estimate_pbrt(model, blup, stim_id, t_star=args.t_star)
+    est = _load_estimate(args)
     levels = [float(v) for v in args.percentiles.split(",") if v.strip()]
     if not levels or any(not 0.0 < q < 100.0 for q in levels):
         raise ValueError("percentile levels must lie in (0, 100)")
@@ -126,10 +126,7 @@ def cmd_pbrt(args):
 
 
 def cmd_curve(args):
-    model = training.load_model(args.model)
-    stim_id = model.stimuli.id_of(args.stimulus)
-    blup = _load_blup(args, model)
-    est = pbrt_mod.estimate_pbrt(model, blup, stim_id, t_star=args.t_star)
+    est = _load_estimate(args)
     parts = args.grid.split(",")
     if len(parts) != 3:
         raise ValueError('grid must be "min,max,steps"')

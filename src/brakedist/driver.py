@@ -58,6 +58,7 @@ class DriverState:
     observations: list = field(default_factory=list)
     max_history: int = DEFAULT_MAX_HISTORY
     cached: BlupResult | None = None
+    cached_model: object = field(default=None, repr=False)  # the model ``cached`` is for
 
     @property
     def n(self):
@@ -112,9 +113,10 @@ def compute_blup(state, model):
     (no numerical work is performed). With data, the plug-in formulas
     use the population estimates as-is; the population is never refit.
 
-    The result is cached on the state and reused until the next event.
+    The result is cached on the state and reused, for the same model
+    object, until the next event.
     """
-    if state.cached is not None:
+    if state.cached is not None and state.cached_model is model:
         return state.cached
 
     p = model.spec.p
@@ -125,7 +127,7 @@ def compute_blup(state, model):
             gamma_hat_cov=np.zeros((p, p)),
             pred_err_cov=sg.copy(),
         )
-        state.cached = result
+        state.cached, state.cached_model = result, model
         return result
 
     X, y = build_design(model.spec, state.observations)
@@ -154,7 +156,7 @@ def compute_blup(state, model):
     pred_err = _clip_to_psd(pred_err)
 
     result = BlupResult(gamma_hat=gamma_hat, gamma_hat_cov=gamma_hat_cov, pred_err_cov=pred_err)
-    state.cached = result
+    state.cached, state.cached_model = result, model
     return result
 
 

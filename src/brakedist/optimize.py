@@ -35,20 +35,18 @@ def initial_simplex(x0, step):
     return simplex
 
 
-def nelder_mead(fn, x0, step, tol=1e-6, max_iter=1000, simplex=None):
+def nelder_mead(fn, x0, step, tol=1e-6, max_iter=1000):
     """Minimize ``fn`` from ``x0`` with a Nelder-Mead simplex search.
 
     Args:
         fn: objective mapping a 1-d ndarray to a float; may return +inf
             for infeasible points.
         x0: starting point.
-        step: per-coordinate offsets used to build the initial simplex
-            (ignored when ``simplex`` is given).
+        step: per-coordinate offsets used to build the initial simplex.
         tol: converged when the spread of objective values across the
             simplex falls below this (absolute).
         max_iter: iteration cap; one iteration is one reflect /
             expand / contract / shrink step.
-        simplex: optional explicit (dim+1, dim) initial simplex.
 
     Returns:
         MinimizeResult with the best vertex. ``converged`` is True when
@@ -57,13 +55,8 @@ def nelder_mead(fn, x0, step, tol=1e-6, max_iter=1000, simplex=None):
         over the last full simplex cycle (dim+1 iterations); it is False
         only when the budget ran out mid-descent.
     """
-    if simplex is None:
-        simplex = initial_simplex(x0, step)
-    else:
-        simplex = np.array(simplex, dtype=float)
+    simplex = initial_simplex(x0, step)
     dim = simplex.shape[1]
-    if simplex.shape[0] != dim + 1:
-        raise ValueError("simplex must have dim+1 vertices")
 
     # Gao & Han adaptive coefficients.
     alpha = 1.0

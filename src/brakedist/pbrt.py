@@ -14,10 +14,12 @@ the coefficient estimates.
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 from .model import feature_row
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = NormalDist()
 
 
 class InvalidQuantile(ValueError):
@@ -69,50 +71,13 @@ def estimate_pbrt(model, blup, stimulus, t_star=None):
 
 
 def norm_quantile(q):
-    """Standard normal quantile by rational approximation.
+    """Standard normal quantile (Wichura's AS 241, from ``NormalDist``).
 
-    Wichura's algorithm AS 241 (PPND16): three rational functions cover
-    the central and tail regions with absolute error well below 1e-9,
-    so no special-function library is needed.
+    The range check is explicit because ``inv_cdf`` returns nan for nan.
     """
     if not 0.0 < q < 1.0:
         raise InvalidQuantile(f"quantile level must be in (0, 1), got {q}")
-    r = q - 0.5
-    if abs(r) <= 0.425:
-        s = 0.180625 - r * r
-        num = (((((((2.5090809287301226727e3 * s + 3.3430575583588128105e4) * s
-                    + 6.7265770927008700853e4) * s + 4.5921953931549871457e4) * s
-                  + 1.3731693765509461125e4) * s + 1.9715909503065514427e3) * s
-                + 1.3314166789178437745e2) * s + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * s + 2.8729085735721942674e4) * s
-                    + 3.9307895800092710610e4) * s + 2.1213794301586595867e4) * s
-                  + 5.3941960214247511077e3) * s + 6.8718700749205790830e2) * s
-                + 4.2313330701600911252e1) * s + 1.0)
-        return r * num / den
-    s = q if r < 0 else 1.0 - q
-    s = math.sqrt(-math.log(s))
-    if s <= 5.0:
-        s -= 1.6
-        num = (((((((7.74545014278341407640e-4 * s + 2.27238449892691845833e-2) * s
-                    + 2.41780725177450611770e-1) * s + 1.27045825245236838258e0) * s
-                  + 3.64784832476320460504e0) * s + 5.76949722146069140550e0) * s
-                + 4.63033784615654529590e0) * s + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * s + 5.47593808499534494600e-4) * s
-                    + 1.51986665636164571966e-2) * s + 1.48103976427480074590e-1) * s
-                  + 6.89767334985100004550e-1) * s + 1.67638483018380384940e0) * s
-                + 2.05319162663775882187e0) * s + 1.0)
-    else:
-        s -= 5.0
-        num = (((((((2.01033439929228813265e-7 * s + 2.71155556874348757815e-5) * s
-                    + 1.24266094738807843860e-3) * s + 2.65321895265761230930e-2) * s
-                  + 2.96560571828504891230e-1) * s + 1.78482653991729133580e0) * s
-                + 5.46378491116411436990e0) * s + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * s + 1.42151175831644588870e-7) * s
-                    + 1.84631831751005468180e-5) * s + 7.86869131145613259100e-4) * s
-                  + 1.48753612908506148525e-2) * s + 1.36929880922735805310e-1) * s
-                + 5.99832206555887937690e-1) * s + 1.0)
-    value = num / den
-    return -value if r < 0 else value
+    return _STANDARD_NORMAL.inv_cdf(q)
 
 
 def percentile(est, q, conservative=True):

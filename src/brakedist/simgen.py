@@ -249,12 +249,6 @@ def config_from_dict(doc):
     )
 
 
-def save_config(config, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
-
-
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_dict(json.load(fh))

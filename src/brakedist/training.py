@@ -4,11 +4,12 @@ The marginal covariance of one driver's log responses is
 ``V_d = X_d @ Sigma_gamma @ X_d.T + sigma2 * I``, block diagonal across
 drivers, so the Gaussian likelihood factors per driver and the full
 n x n covariance is never materialized. For fixed variance parameters
-the fixed effects have the closed-form GLS solution, so the numerical
-search runs only over (sigma, Sigma_gamma), with Sigma_gamma kept
-positive semidefinite by optimizing a Cholesky factor whose diagonal is
-stored in logs. The search itself is a Nelder-Mead simplex with seeded
-random restarts.
+the fixed effects have the closed-form GLS solution (``gls_beta`` over
+``marginal_cov`` blocks is its dense reference), so the numerical search
+runs only over (sigma, Sigma_gamma), with Sigma_gamma kept positive
+semidefinite by optimizing a Cholesky factor whose diagonal is stored in
+logs. The search is a Nelder-Mead simplex with seeded random restarts;
+the profile likelihood at its optimum also gives beta and its covariance.
 """
 
 import json
@@ -31,6 +32,8 @@ _PARAM_BOUND = 30.0
 _STEP_LOG_SIGMA = 0.25
 _STEP_CHOL_DIAG = 0.6
 _STEP_CHOL_OFFDIAG = 0.08
+
+_TOL = 1e-6  # -loglik spread or restart gain below which the search has settled
 
 
 @dataclass(eq=False)
@@ -133,7 +136,7 @@ class VarianceParams:
 
 
 def marginal_cov(spec, X_d, params):
-    """Marginal covariance of one driver's log responses.
+    """Marginal covariance of one driver's log responses (dense reference).
 
     Returns ``X_d @ Sigma_gamma @ X_d.T + sigma2 * I``, which is SPD for
     any parameter value since sigma2 > 0 by construction.
@@ -147,7 +150,7 @@ def marginal_cov(spec, X_d, params):
 
 
 def gls_beta(X, y, V_blocks):
-    """Generalized least squares with a block-diagonal covariance.
+    """Block-diagonal GLS, the dense reference for ``fit``'s beta and beta_cov.
 
     ``X`` and ``y`` are the stacked per-driver designs and responses;
     ``V_blocks`` holds one SPD covariance block per driver, conformal
@@ -275,7 +278,6 @@ class FitOptions:
     """Knobs for the maximum-likelihood search."""
 
     max_iter: int = 8000
-    tol: float = 1e-6
     restarts: int = 3
     seed: int = 42
     block_diagonal: bool = False
@@ -299,14 +301,9 @@ def _per_driver_ols(prepared):
     return np.array(coefs), sigma2
 
 
-def _pooled_ols_sigma2(prepared):
-    """Pooled residual variance from independent per-driver OLS fits."""
-    return _per_driver_ols(prepared)[1]
-
-
-def _moment_start(prepared, indices, sigma2_0):
-    """Second starting point: the sample covariance of per-driver OLS
-    coefficients, PSD-projected.
+def _moment_start(coefs, indices, sigma2_0):
+    """Second starting point: the sample covariance of the per-driver OLS
+    coefficients ``coefs`` (one row per driver), PSD-projected.
 
     The scale-only start (0.1 sigma I) sits many log-units below the
     individual-effect variances whenever drivers genuinely differ, and
@@ -314,7 +311,6 @@ def _moment_start(prepared, indices, sigma2_0):
     moment estimate starts it inside the right basin instead. Returns
     None when the estimate is unusable (too few drivers, non-finite).
     """
-    coefs, _ = _per_driver_ols(prepared)
     if coefs.shape[0] < 2:
         return None
     cov = np.cov(coefs.T)
@@ -338,15 +334,15 @@ def fit(ts, opts=None):
     """Fit the population model by maximum likelihood.
 
     Nelder-Mead over the variance parameters (profile likelihood in
-    beta). Two starting points are tried: the scale-only guess
-    (0.1 sigma I) and the sample covariance of per-driver OLS
-    coefficients; seeded random restarts then rebuild the simplex around
-    the best point found so far. The best point is always a vertex of
-    each restart simplex, so the objective never regresses.
+    beta), from two starts: the scale-only guess (0.1 sigma I) and the
+    sample covariance of per-driver OLS coefficients. Seeded random
+    restarts then rebuild the simplex around the best point so far, which
+    is a vertex of each restart simplex, so the objective never regresses.
+    beta and beta_cov are the profile likelihood's at the final best point.
 
     Returns:
         TrainedModel; ``fit_info.converged`` is False when the search
-        was still finding improvements larger than ``opts.tol`` when the
+        was still finding improvements larger than ``_TOL`` when the
         iteration budget ran out (the result is returned regardless).
     """
     if opts is None:
@@ -367,12 +363,12 @@ def fit(ts, opts=None):
             return np.inf
         return -loglik
 
-    sigma2_0 = _pooled_ols_sigma2(prepared)
+    coefs, sigma2_0 = _per_driver_ols(prepared)
     log_sigma0 = 0.5 * math.log(sigma2_0)
     chol0 = np.zeros((p, p))
     np.fill_diagonal(chol0, math.log(0.1) + log_sigma0)
     starts = [VarianceParams(log_sigma0, chol0).to_vector(indices)]
-    moment = _moment_start(prepared, indices, sigma2_0)
+    moment = _moment_start(coefs, indices, sigma2_0)
     if moment is not None:
         starts.append(moment.to_vector(indices))
 
@@ -384,7 +380,7 @@ def fit(ts, opts=None):
     best = None
     iterations = 0
     for x0 in starts:
-        result = nelder_mead(objective, x0, base_step, tol=opts.tol, max_iter=opts.max_iter)
+        result = nelder_mead(objective, x0, base_step, tol=_TOL, max_iter=opts.max_iter)
         iterations += result.iterations
         if best is None or result.fx <= best.fx:
             best = result
@@ -397,7 +393,7 @@ def fit(ts, opts=None):
             * rng.uniform(0.25, 1.0, size=base_step.size)
             * rng.choice([-1.0, 1.0], size=base_step.size)
         )
-        result = nelder_mead(objective, best.x, steps, tol=opts.tol, max_iter=opts.max_iter)
+        result = nelder_mead(objective, best.x, steps, tol=_TOL, max_iter=opts.max_iter)
         iterations += result.iterations
         final_gain = best.fx - result.fx
         if result.fx <= best.fx:
@@ -406,14 +402,12 @@ def fit(ts, opts=None):
     # Converged when the search settled: either the multistart stopped
     # producing objective improvement beyond the tolerance, or the last
     # simplex collapsed on its own.
-    converged = bool(best.converged or (opts.restarts > 0 and final_gain < opts.tol))
+    converged = bool(best.converged or (opts.restarts > 0 and final_gain < _TOL))
 
     params = VarianceParams.from_vector(p, best.x, indices)
-    loglik, _, _ = prepared.profile_loglik(params)
-    V_blocks = [marginal_cov(ts.spec, X, params) for X, _ in prepared.designs]
-    X_all = np.vstack([X for X, _ in prepared.designs])
-    y_all = np.concatenate([y for _, y in prepared.designs])
-    beta, beta_cov = gls_beta(X_all, y_all, V_blocks)
+    loglik, beta, info = prepared.profile_loglik(params)
+    beta_cov = generalized_inverse(info)
+    beta_cov = 0.5 * (beta_cov + beta_cov.T)
 
     return TrainedModel(
         spec=ts.spec,

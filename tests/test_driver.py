@@ -154,6 +154,20 @@ class TestComputeBlup:
         first = compute_blup(state, model)
         assert compute_blup(state, model) is first
 
+    def test_cache_not_reused_with_another_model(self):
+        # Same history, second model with Sigma_gamma four times larger: the
+        # second query must answer for that model, not return the first's.
+        a, b = scalar_model(sigma_gamma=0.25), scalar_model(sigma_gamma=1.0)
+        for n in (0, 3):
+            state = random_state(np.random.default_rng(4), a, n)
+            first = compute_blup(state, a)
+            got = compute_blup(state, b)
+            want = compute_blup(random_state(np.random.default_rng(4), b, n), b)
+            assert got is not first and state.cached is got
+            assert np.array_equal(got.gamma_hat, want.gamma_hat)
+            assert np.array_equal(got.pred_err_cov, want.pred_err_cov)
+            assert not np.array_equal(got.pred_err_cov, first.pred_err_cov)
+
     def test_shrinkage_with_growing_noise(self):
         rng = np.random.default_rng(2)
         norms = []

@@ -51,7 +51,7 @@ class TestNormQuantile:
             assert norm_quantile(q) == pytest.approx(-norm_quantile(1 - q), abs=1e-12)
 
     def test_rejects_out_of_range(self):
-        for q in [0.0, 1.0, -0.1, 1.5]:
+        for q in [0.0, 1.0, -0.1, 1.5, float("nan")]:
             with pytest.raises(InvalidQuantile):
                 norm_quantile(q)
 

@@ -336,6 +336,25 @@ class TestFit:
         model = fit(ts, FitOptions(max_iter=400, restarts=1, seed=3, block_diagonal=True))
         assert np.allclose(model.sigma_gamma[2:, :2], 0.0, atol=1e-30)
 
+    def test_beta_and_cov_match_dense_gls(self):
+        # fit reads beta and beta_cov off the profile likelihood; the dense
+        # per-driver GLS at the fitted variance parameters is the reference.
+        from brakedist.model import build_design
+
+        rng = np.random.default_rng(13)
+        spec = ModelSpec(2, 1)
+        ts = random_training_set(rng, spec, 10, 8)
+        model = fit(ts, FitOptions(max_iter=400, restarts=1, seed=3))
+        params = params_from(model.sigma2, model.sigma_gamma)
+        designs = [build_design(spec, obs) for obs in ts.drivers.values()]
+        beta, cov = gls_beta(
+            np.vstack([X for X, _ in designs]),
+            np.concatenate([y for _, y in designs]),
+            [marginal_cov(spec, X, params) for X, _ in designs],
+        )
+        assert np.linalg.norm(model.beta - beta) <= 1e-10 * np.linalg.norm(beta)
+        assert np.linalg.norm(model.beta_cov - cov) <= 1e-10 * np.linalg.norm(cov)
+
     def test_fit_info_populated(self):
         ts = make_identical_driver_data(10, 8, 5, 0.04, beta=(-0.3, 0.1, 0.0))
         model = fit(ts, FitOptions(max_iter=200, restarts=1, seed=2))
