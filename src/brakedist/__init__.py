@@ -14,13 +14,12 @@ from .model import (
     ModelSpec,
     Observation,
     StimulusRegistry,
-    StimulusType,
     TrainedModel,
     UnknownStimulus,
     build_design,
     feature_row,
 )
-from .numerics import NotPositiveDefinite, generalized_inverse, is_psd, log_det_spd, spd_solve
+from .numerics import NotPositiveDefinite, generalized_inverse, is_psd, spd_solve
 from .pbrt import InvalidQuantile, PbrtEstimate, density_curve, estimate_pbrt, norm_quantile, percentile
 from .simgen import SimConfig, default_config, generate
 from .training import (
@@ -49,7 +48,6 @@ __all__ = [
     "PbrtEstimate",
     "SimConfig",
     "StimulusRegistry",
-    "StimulusType",
     "TrainedModel",
     "TrainingSet",
     "UnknownStimulus",
@@ -67,7 +65,6 @@ __all__ = [
     "gls_beta",
     "is_psd",
     "load_model",
-    "log_det_spd",
     "log_likelihood",
     "marginal_cov",
     "norm_quantile",

@@ -6,6 +6,7 @@ still written). Data goes to stdout, diagnostics to stderr.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -139,12 +140,13 @@ def cmd_curve(args):
     lines = ["t_seconds,pdf_naive,pdf_conservative"]
     for (t, f_n), (_, f_c) in zip(naive, cons):
         lines.append(f"{t!r},{f_n!r},{f_c!r}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process; parsing does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="brakedist",
         description="Estimate per-driver brake response time distributions.",

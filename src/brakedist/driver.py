@@ -9,9 +9,12 @@ driver's coefficient offsets are predicted by empirical-Bayes shrinkage:
 together with the covariance of the predictor and the prediction-error
 covariance of (beta_hat + gamma_hat) - (beta + gamma), which feeds the
 conservative variance downstream. The push-through identity V^-1 X = X M^-1,
-M = sigma2 I + Sigma_gamma X'X, gives X' V^-1 [X | r] by one p x p solve, so
-no n x n matrix is formed. Each event invalidates the cached result; the next
-query rebuilds X'X from the windowed history, so no running sums are kept.
+M = sigma2 I + Sigma_gamma X'X, gives X' V^-1 [X | r] and M^-T by one p x p
+solve, so no n x n matrix is formed. It also makes the prediction-error
+covariance a sum of PSD terms, sigma2 Sigma_gamma M^-T + A beta_cov A' with
+A = I - Sigma_gamma X' V^-1 X, so nothing cancels and nothing is clipped.
+Each event invalidates the cached result; the next query rebuilds X'X from
+the windowed history, so no running sums are kept.
 """
 
 import json
@@ -23,10 +26,6 @@ from .model import Observation, build_design
 from .numerics import NotPositiveDefinite, spd_solve
 
 DEFAULT_MAX_HISTORY = 500
-
-# Prediction-error covariances this far below PSD are clipped; anything
-# worse is a genuine inconsistency in the supplied model and raises.
-_PSD_CLIP_FLOOR = -1e-8
 
 
 class DriverMismatch(ValueError):
@@ -85,25 +84,6 @@ def add_observation(state, obs):
     return state
 
 
-def _clip_to_psd(m):
-    """Symmetrize and clip tiny negative eigenvalues of a covariance.
-
-    Plug-in estimates can drift just below PSD through rounding; a
-    minimum eigenvalue in (_PSD_CLIP_FLOOR, 0) is clipped to zero, a
-    larger violation raises NotPositiveDefinite.
-    """
-    m = 0.5 * (m + m.T)
-    eigvals, eigvecs = np.linalg.eigh(m)
-    if eigvals[0] >= 0.0:
-        return m
-    if eigvals[0] <= _PSD_CLIP_FLOOR:
-        raise NotPositiveDefinite(
-            f"prediction-error covariance has eigenvalue {eigvals[0]:.3e}"
-        )
-    clipped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
-    return 0.5 * (clipped + clipped.T)
-
-
 def compute_blup(state, model):
     """Predict the driver's coefficient offsets from the current history.
 
@@ -112,9 +92,14 @@ def compute_blup(state, model):
     is zero, and the individual-effect uncertainty is Sigma_gamma itself
     (no numerical work is performed). With data, the plug-in formulas
     use the population estimates as-is; the population is never refit.
+    All three come from one LU solve of M' against [X'X | X'r | I], and the
+    prediction-error covariance is PSD by construction (module docstring).
 
     The result is cached on the state and reused, for the same model
     object, until the next event.
+
+    Raises:
+        NotPositiveDefinite: if that system is singular or not finite.
     """
     if state.cached is not None and state.cached_model is model:
         return state.cached
@@ -133,11 +118,12 @@ def compute_blup(state, model):
     X, y = build_design(model.spec, state.observations)
     resid = y - X @ model.beta
     xtx = X.T @ X
-    # X' V^-1 [X | r] = M^-T [X'X | X'r]. M's eigenvalues are >= sigma2 and
-    # it needs no factor of Sigma_gamma, which may be singular.
-    m = sg @ xtx + model.sigma2 * np.eye(p)
+    # M^-T [X'X | X'r | I] = [X' V^-1 X | X' V^-1 r | M^-T]. M's eigenvalues
+    # are >= sigma2 and it needs no factor of Sigma_gamma, which may be singular.
+    eye = np.eye(p)
+    m = sg @ xtx + model.sigma2 * eye
     try:
-        W = np.linalg.solve(m.T, np.column_stack([xtx, X.T @ resid]))
+        W = np.linalg.solve(m.T, np.column_stack([xtx, X.T @ resid, eye]))
         if not np.all(np.isfinite(W)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
@@ -151,9 +137,11 @@ def compute_blup(state, model):
     gamma_hat_cov = sg_info @ sg - sg_info @ model.beta_cov @ sg_info.T
     gamma_hat_cov = 0.5 * (gamma_hat_cov + gamma_hat_cov.T)
 
-    cross = model.beta_cov @ sg_info.T  # Cov(beta_hat, gamma')
-    pred_err = model.beta_cov + (sg - gamma_hat_cov) - cross - cross.T
-    pred_err = _clip_to_psd(pred_err)
+    # Sigma_gamma - Sigma_gamma info Sigma_gamma = sigma2 Sigma_gamma M^-T, and
+    # the beta_cov terms regroup as A beta_cov A': a sum of PSD terms.
+    a = eye - sg_info
+    pred_err = model.sigma2 * (sg @ W[:, p + 1:]) + a @ model.beta_cov @ a.T
+    pred_err = 0.5 * (pred_err + pred_err.T)
 
     result = BlupResult(gamma_hat=gamma_hat, gamma_hat_cov=gamma_hat_cov, pred_err_cov=pred_err)
     state.cached, state.cached_model = result, model

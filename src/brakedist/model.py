@@ -25,14 +25,6 @@ class UnknownStimulus(ValueError):
     """Raised for a stimulus id or name not present in the registry."""
 
 
-@dataclass(frozen=True)
-class StimulusType:
-    """One braking trigger category (index plus human-readable label)."""
-
-    id: int
-    name: str
-
-
 class StimulusRegistry:
     """Ordered set of stimulus names; ids are contiguous positions."""
 
@@ -62,9 +54,6 @@ class StimulusRegistry:
 
     def __len__(self):
         return len(self._names)
-
-    def __iter__(self):
-        return (StimulusType(i, n) for i, n in enumerate(self._names))
 
     def __eq__(self, other):
         return isinstance(other, StimulusRegistry) and self._names == other._names

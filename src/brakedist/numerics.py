@@ -87,13 +87,6 @@ def spd_solve(a, b):
     return np.linalg.solve(chol.T, y)
 
 
-def log_det_spd(a):
-    """log determinant of an SPD matrix via its Cholesky factor."""
-    a = check_symmetric(a)
-    chol = _cholesky_spd(a)
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
 def generalized_inverse(a):
     """Moore-Penrose generalized inverse via singular value decomposition.
 

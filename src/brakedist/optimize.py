@@ -49,11 +49,9 @@ def nelder_mead(fn, x0, step, tol=1e-6, max_iter=1000):
             expand / contract / shrink step.
 
     Returns:
-        MinimizeResult with the best vertex. ``converged`` is True when
-        the simplex spread collapsed below ``tol``, or when the cap was
-        reached while the best value had improved by less than ``tol``
-        over the last full simplex cycle (dim+1 iterations); it is False
-        only when the budget ran out mid-descent.
+        MinimizeResult with the best vertex. ``converged`` is True only
+        when the simplex spread fell below ``tol``; reaching ``max_iter``
+        first leaves it False, however little the best value still moves.
     """
     simplex = initial_simplex(x0, step)
     dim = simplex.shape[1]

@@ -8,7 +8,7 @@ import pytest
 from brakedist import cli
 from brakedist.driver import DriverState, add_observation, compute_blup, load_driver_state
 from brakedist.model import Observation, read_observations_csv
-from brakedist.pbrt import estimate_pbrt, norm_quantile, percentile
+from brakedist.pbrt import density_curve, estimate_pbrt, norm_quantile, percentile
 from brakedist.training import load_model
 
 
@@ -207,6 +207,17 @@ class TestPbrt:
         assert lines[0] == "q,percentile_naive"
         assert all(len(row.split(",")) == 2 for row in lines[1:])
 
+    def test_reused_parser_does_not_leak_options(self, handmade_model_path, capsys):
+        # The argparse tree is built once per process; a flag given to one
+        # call must not carry over into the next.
+        args = ["pbrt", "--model", str(handmade_model_path), "--stimulus", "traffic_signal"]
+        assert run(args + ["--no-conservative"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "q,percentile_naive"
+        assert run(args) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == "q,percentile_naive,percentile_conservative"
+        assert cli.build_parser() is cli.build_parser()
+
     def test_t_star_override(self, handmade_model_path, capsys):
         run(["pbrt", "--model", str(handmade_model_path), "--stimulus", "traffic_signal",
              "--t-star", "2.0", "--percentiles", "50"])
@@ -281,6 +292,22 @@ class TestCurve:
         assert len(lines) == 201
         vals = np.array([[float(x) for x in row.split(",")] for row in lines[1:]])
         assert np.all(vals[:, 1:] >= 0.0)
+
+    def test_written_whole_without_temp_file(self, tmp_path, handmade_model_path):
+        model = load_model(handmade_model_path)
+        est = estimate_pbrt(model, compute_blup(DriverState(driver_id="x"), model), 0)
+        grid = np.linspace(0.2, 3.0, 50)
+        rows = zip(density_curve(est, False, grid), density_curve(est, True, grid))
+        want = "t_seconds,pdf_naive,pdf_conservative\n" + "".join(
+            f"{t!r},{f_n!r},{f_c!r}\n" for (t, f_n), (_, f_c) in rows)
+        (tmp_path / "curves").mkdir()
+        out = tmp_path / "curves" / "curve.csv"
+        out.write_text("an older, longer curve file\n" * 200)
+        for _ in range(2):
+            assert run(["curve", "--model", str(handmade_model_path), "--stimulus",
+                        "traffic_signal", "--grid", "0.2,3.0,50", "--out", str(out)]) == 0
+            assert out.read_bytes() == want.encode("utf-8")
+        assert [p.name for p in out.parent.iterdir()] == ["curve.csv"]
 
     def test_density_integrates_to_one(self, tmp_path, handmade_model_path):
         model = load_model(handmade_model_path)

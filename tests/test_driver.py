@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from brakedist.driver import (
     DriverMismatch,
     DriverState,
-    _clip_to_psd,
     add_observation,
     compute_blup,
     henderson_oracle,
@@ -66,9 +66,10 @@ def rel_err(a, b):
 
 
 def dense_blup(state, model):
-    """Reference for compute_blup: the same plug-in formulas evaluated by
-    forming the n x n marginal covariance V = X Sg X' + s2 I and solving
-    V^-1 [X | r] with its Cholesky factor."""
+    """Reference for compute_blup: the plug-in formulas evaluated by forming
+    the n x n marginal covariance V = X Sg X' + s2 I, solving V^-1 [X | r]
+    with its Cholesky factor, and taking the prediction-error covariance
+    as the direct subtraction it is defined by."""
     p = model.spec.p
     sg = model.sigma_gamma
     X, y = build_design(model.spec, state.observations)
@@ -81,8 +82,25 @@ def dense_blup(state, model):
     gamma_hat_cov = sg_info @ sg - sg_info @ model.beta_cov @ sg_info.T
     gamma_hat_cov = 0.5 * (gamma_hat_cov + gamma_hat_cov.T)
     cross = model.beta_cov @ sg_info.T
-    pred_err = _clip_to_psd(model.beta_cov + (sg - gamma_hat_cov) - cross - cross.T)
-    return gamma_hat, gamma_hat_cov, pred_err
+    pred_err = model.beta_cov + (sg - gamma_hat_cov) - cross - cross.T
+    return gamma_hat, gamma_hat_cov, 0.5 * (pred_err + pred_err.T)
+
+
+def mp_pred_err_cov(state, model, dps=60):
+    """pred_err_cov at ``dps`` digits from the same float64 inputs, by the
+    defining subtraction beta_cov + Sg - Cov(gamma_hat) - cross - cross'
+    with info = X' V^-1 X = M^-T X'X, M = Sg X'X + s2 I (p x p)."""
+    X, _ = build_design(model.spec, state.observations)
+    with mpmath.workdps(dps):
+        xm = mpmath.matrix(X.tolist())
+        xtx = xm.T * xm
+        sg = mpmath.matrix(model.sigma_gamma.tolist())
+        bc = mpmath.matrix(model.beta_cov.tolist())
+        m = sg * xtx + mpmath.mpf(model.sigma2) * mpmath.eye(model.spec.p)
+        s_info = sg * (mpmath.inverse(m.T) * xtx)
+        cross = bc * s_info.T
+        want = bc + sg - (s_info * sg - s_info * bc * s_info.T) - cross - cross.T
+        return np.array(want.tolist(), dtype=float)
 
 
 class TestAddObservation:
@@ -202,6 +220,29 @@ class TestComputeBlup:
             state = random_state(rng, model, int(rng.integers(1, 25)))
             res = compute_blup(state, model)
             assert is_psd(res.pred_err_cov, 1e-8)
+        # Rank-deficient Sigma_gamma with a long history: where the covariance
+        # is smallest and a subtraction would cancel most. is_psd's floor is
+        # at least 1e-8 absolute, above the norm of these covariances, so
+        # the smallest eigenvalue is also held relative to the norm.
+        for trial in range(16):
+            model = random_model(np.random.default_rng(250 + trial), rank=1 + trial % 8,
+                                 beta_cov_scale=0.02 if trial % 2 else 0.0)
+            cov = compute_blup(random_state(rng, model, 500), model).pred_err_cov
+            assert is_psd(cov, 1e-8)
+            assert np.linalg.eigvalsh(cov)[0] >= -1e-10 * np.linalg.norm(cov)
+
+    def test_pred_err_cov_matches_high_precision_reference(self):
+        # Rank-deficient Sigma_gamma at n = 500: without beta_cov the
+        # covariance is ~1e-6 of Sigma_gamma, so a formula that subtracts
+        # in float64 loses most of its digits there.
+        for seed, rank, beta_cov_scale in ((0, 1, 0.0), (1, 2, 0.0), (2, 4, 0.0),
+                                           (3, 8, 0.0), (4, 1, 0.05), (5, 4, 0.05)):
+            rng = np.random.default_rng(600 + seed)
+            model = random_model(rng, rank=rank, beta_cov_scale=beta_cov_scale)
+            state = random_state(rng, model, 500)
+            got = compute_blup(state, model).pred_err_cov
+            want = mp_pred_err_cov(state, model)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), (seed, rank)
 
     def test_overflowing_design_is_a_domain_error(self):
         model = random_model(np.random.default_rng(11))

@@ -6,7 +6,6 @@ from brakedist.numerics import (
     check_symmetric,
     generalized_inverse,
     is_psd,
-    log_det_spd,
     spd_solve,
 )
 
@@ -114,29 +113,6 @@ class TestGeneralizedInverse:
         g = generalized_inverse(a)
         assert np.allclose(a @ g @ a, a, atol=1e-8)
         assert np.allclose(g[3:, :], 0.0, atol=1e-12)
-
-
-class TestLogDet:
-    def test_identity_is_zero(self):
-        assert log_det_spd(np.eye(5)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_diag_e(self):
-        assert log_det_spd(np.diag([np.e, np.e])) == pytest.approx(2.0, abs=1e-12)
-
-    def test_scaled_identity_exact(self):
-        for k in (0.5, 1.0, 2.0):
-            for n in (1, 4, 9):
-                assert log_det_spd(k * np.eye(n)) == pytest.approx(n * np.log(k), abs=1e-12)
-
-    def test_matches_eigenvalue_oracle(self):
-        rng = np.random.default_rng(31)
-        a = random_spd(rng, 5)
-        expected = float(np.sum(np.log(np.linalg.eigvalsh(a))))
-        assert log_det_spd(a) == pytest.approx(expected, abs=1e-9)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            log_det_spd(np.diag([1.0, -2.0]))
 
 
 class TestIsPsd:
