@@ -26,12 +26,21 @@ EXIT_NO_CONVERGENCE = 4
 
 
 def _atomic_write_text(path, text):
-    """Write via a temp file and rename so readers never see a torn file."""
+    """Write via a temp file and rename so readers never see a torn file.
+
+    The temp file sits beside ``path`` under a fresh random name, with the
+    mode ``open(path, "w")`` gives; a failed write or rename removes it.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_simulate(args):

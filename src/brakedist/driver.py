@@ -209,12 +209,6 @@ def state_from_dict(doc, registry):
     return state
 
 
-def save_driver_state(state, registry, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(state, registry), fh, indent=2)
-        fh.write("\n")
-
-
 def load_driver_state(path, registry):
     with open(path, "r", encoding="utf-8") as fh:
         return state_from_dict(json.load(fh), registry)

@@ -8,8 +8,9 @@ the fixed effects have the closed-form GLS solution (``gls_beta`` over
 ``marginal_cov`` blocks is its dense reference), so the numerical search
 runs only over (sigma, Sigma_gamma), with Sigma_gamma kept positive
 semidefinite by optimizing a Cholesky factor whose diagonal is stored in
-logs. The search is a Nelder-Mead simplex with seeded random restarts;
-the profile likelihood at its optimum also gives beta and its covariance.
+logs. The search is Nelder-Mead from the covariance of per-driver OLS
+coefficients, then seeded random restarts; the profile likelihood at its
+optimum also gives beta and its covariance.
 """
 
 import json
@@ -195,18 +196,27 @@ class _PreparedDesigns:
 
     which keeps the cost independent of the per-driver observation
     counts and never materializes any n x n matrix.
+
+    Raises:
+        ValueError: naming a driver whose cross products overflow.
     """
 
     def __init__(self, ts):
         self.spec = ts.spec
         self.driver_ids = list(ts.drivers.keys())
-        per_driver = [build_design(ts.spec, ts.drivers[d]) for d in self.driver_ids]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            per_driver = [build_design(ts.spec, ts.drivers[d]) for d in self.driver_ids]
+            self.xtx = np.stack([X.T @ X for X, _ in per_driver])
+            self.xty = np.stack([X.T @ y for X, y in per_driver])
+            self.yty = np.array([float(y @ y) for _, y in per_driver])
+        finite = np.isfinite(self.xtx).all(axis=(1, 2)) & np.isfinite(self.xty).all(axis=1)
+        finite &= np.isfinite(self.yty)
+        if not finite.all():
+            bad = self.driver_ids[int(np.argmin(finite))]
+            raise ValueError(f"driver {bad!r}: headway too large for a degree-{ts.spec.degree} design")
         self.designs = per_driver
         self.counts = np.array([X.shape[0] for X, _ in per_driver])
         self.total_n = int(self.counts.sum())
-        self.xtx = np.stack([X.T @ X for X, _ in per_driver])
-        self.xty = np.stack([X.T @ y for X, y in per_driver])
-        self.yty = np.array([float(y @ y) for _, y in per_driver])
 
     def profile_loglik(self, params):
         """Profile log-likelihood: GLS beta is computed for these
@@ -302,21 +312,18 @@ def _per_driver_ols(prepared):
 
 
 def _moment_start(coefs, indices, sigma2_0):
-    """Second starting point: the sample covariance of the per-driver OLS
-    coefficients ``coefs`` (one row per driver), PSD-projected.
+    """Starting point of the search: the sample covariance of the per-driver
+    OLS coefficients ``coefs`` (one row per driver), restricted to the free
+    entries of ``indices`` and PSD-projected, with residual variance
+    ``sigma2_0``. It puts the simplex inside the basin of the optimum, where
+    a scale-only guess (0.1 sigma I) can stall many log-units below it.
 
-    The scale-only start (0.1 sigma I) sits many log-units below the
-    individual-effect variances whenever drivers genuinely differ, and
-    the simplex search can stall in an inferior basin on the way up; the
-    moment estimate starts it inside the right basin instead. Returns
-    None when the estimate is unusable (too few drivers, non-finite).
+    Raises:
+        ValueError: if the coefficient covariance is not finite.
     """
-    if coefs.shape[0] < 2:
-        return None
-    cov = np.cov(coefs.T)
-    cov = np.atleast_2d(cov)
+    cov = np.atleast_2d(np.cov(coefs.T))
     if not np.all(np.isfinite(cov)):
-        return None
+        raise ValueError("per-driver OLS coefficients have a non-finite covariance")
     p = cov.shape[0]
     mask = np.zeros((p, p), dtype=bool)
     rows, cols = zip(*indices)
@@ -334,10 +341,10 @@ def fit(ts, opts=None):
     """Fit the population model by maximum likelihood.
 
     Nelder-Mead over the variance parameters (profile likelihood in
-    beta), from two starts: the scale-only guess (0.1 sigma I) and the
-    sample covariance of per-driver OLS coefficients. Seeded random
-    restarts then rebuild the simplex around the best point so far, which
-    is a vertex of each restart simplex, so the objective never regresses.
+    beta), started from the sample covariance of per-driver OLS
+    coefficients (``_moment_start``). Seeded random restarts then rebuild
+    the simplex around the best point so far, which is a vertex of each
+    restart simplex, so the objective never regresses.
     beta and beta_cov are the profile likelihood's at the final best point.
 
     Returns:
@@ -364,26 +371,15 @@ def fit(ts, opts=None):
         return -loglik
 
     coefs, sigma2_0 = _per_driver_ols(prepared)
-    log_sigma0 = 0.5 * math.log(sigma2_0)
-    chol0 = np.zeros((p, p))
-    np.fill_diagonal(chol0, math.log(0.1) + log_sigma0)
-    starts = [VarianceParams(log_sigma0, chol0).to_vector(indices)]
-    moment = _moment_start(coefs, indices, sigma2_0)
-    if moment is not None:
-        starts.append(moment.to_vector(indices))
+    x0 = _moment_start(coefs, indices, sigma2_0).to_vector(indices)
 
     base_step = np.array(
         [_STEP_LOG_SIGMA] + [_STEP_CHOL_DIAG if i == j else _STEP_CHOL_OFFDIAG for i, j in indices]
     )
 
     rng = np.random.Generator(np.random.Philox(key=opts.seed % (1 << 64)))
-    best = None
-    iterations = 0
-    for x0 in starts:
-        result = nelder_mead(objective, x0, base_step, tol=_TOL, max_iter=opts.max_iter)
-        iterations += result.iterations
-        if best is None or result.fx <= best.fx:
-            best = result
+    best = nelder_mead(objective, x0, base_step, tol=_TOL, max_iter=opts.max_iter)
+    iterations = best.iterations
     final_gain = np.inf
     for restart in range(opts.restarts):
         scale = 0.5**restart

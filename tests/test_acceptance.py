@@ -176,6 +176,8 @@ def test_criterion_5_conservatism():
             state = random_state(rng, model, int(rng.integers(0, 25)))
             blup = compute_blup(state, model)
             assert is_psd(blup.pred_err_cov, 1e-8)
+            cov = blup.pred_err_cov
+            assert np.linalg.eigvalsh(cov)[0] >= -1e-10 * np.linalg.norm(cov)
             s = int(rng.integers(0, model.spec.num_stimuli))
             est = estimate_pbrt(model, blup, s, t_star=float(rng.uniform(0.8, 2.5)))
             assert est.var_conservative >= est.var_naive

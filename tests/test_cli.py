@@ -89,6 +89,17 @@ class TestTrain:
         assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 3
         assert "at least 2 drivers" in capsys.readouterr().err
 
+    def test_overflowing_design_names_the_driver(self, tmp_path, capfd):
+        rows = ["driver_id,stimulus,headway_s,brt_s"]
+        rows += [f"d{d},stim,{1.0 + 0.5 * k!r},{0.5 + 0.1 * d!r}" for d in range(3) for k in range(4)]
+        rows.append("d1,stim,1e200,0.9")  # headway^2 overflows at degree 2
+        data = tmp_path / "big.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 3
+        err = capfd.readouterr().err
+        assert "driver 'd1'" in err
+        assert "DLASCL" not in err
+
     def test_malformed_row_reports_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text(
@@ -173,6 +184,17 @@ class TestUpdate:
                     "--event", "traffic_signal,2.0,0.9"])
         assert code == 2
         assert state.read_bytes() == before  # never a torn file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["carol.json", "model.json"]
+
+    def test_stale_temp_name_does_not_block_update(self, tmp_path, handmade_model_path):
+        state = tmp_path / "alice.json"
+        (tmp_path / "alice.json.tmp").mkdir()
+        for headway in ("1.2", "2.0"):
+            assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
+                        "--event", f"traffic_signal,{headway},0.8"]) == 0
+        assert len(load_driver_state(state, load_model(handmade_model_path).stimuli).observations) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "alice.json", "alice.json.tmp", "model.json"]
 
 
 class TestPbrt:

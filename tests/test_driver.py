@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -13,7 +14,7 @@ from brakedist.driver import (
     compute_blup,
     henderson_oracle,
     load_driver_state,
-    save_driver_state,
+    state_to_dict,
 )
 from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainedModel, build_design
 from brakedist.numerics import NotPositiveDefinite, spd_solve
@@ -212,18 +213,20 @@ class TestComputeBlup:
                 prev = remaining
 
     def test_pred_err_cov_psd(self):
+        # is_psd's floor is at least 1e-8 absolute, which is above the norm
+        # of many of these covariances, so the smallest eigenvalue is also
+        # held relative to the norm.
         rng = np.random.default_rng(4)
         from brakedist.numerics import is_psd
 
         for trial in range(20):
             model = random_model(np.random.default_rng(200 + trial), beta_cov_scale=0.02)
             state = random_state(rng, model, int(rng.integers(1, 25)))
-            res = compute_blup(state, model)
-            assert is_psd(res.pred_err_cov, 1e-8)
+            cov = compute_blup(state, model).pred_err_cov
+            assert is_psd(cov, 1e-8)
+            assert np.linalg.eigvalsh(cov)[0] >= -1e-10 * np.linalg.norm(cov)
         # Rank-deficient Sigma_gamma with a long history: where the covariance
-        # is smallest and a subtraction would cancel most. is_psd's floor is
-        # at least 1e-8 absolute, above the norm of these covariances, so
-        # the smallest eigenvalue is also held relative to the norm.
+        # is smallest and a subtraction would cancel most.
         for trial in range(16):
             model = random_model(np.random.default_rng(250 + trial), rank=1 + trial % 8,
                                  beta_cov_scale=0.02 if trial % 2 else 0.0)
@@ -351,7 +354,7 @@ class TestStateFile:
         state = random_state(rng, model, 7, driver_id="driver_x")
         compute_blup(state, model)
         path = tmp_path / "driver_x.json"
-        save_driver_state(state, model.stimuli, path)
+        path.write_text(json.dumps(state_to_dict(state, model.stimuli)))
         loaded = load_driver_state(path, model.stimuli)
         assert loaded.driver_id == "driver_x"
         assert loaded.observations == state.observations
@@ -365,6 +368,6 @@ class TestStateFile:
         model = random_model(np.random.default_rng(10))
         state = DriverState(driver_id="empty")
         path = tmp_path / "empty.json"
-        save_driver_state(state, model.stimuli, path)
+        path.write_text(json.dumps(state_to_dict(state, model.stimuli)))
         loaded = load_driver_state(path, model.stimuli)
         assert loaded.n == 0 and loaded.cached is None

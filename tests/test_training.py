@@ -355,6 +355,32 @@ class TestFit:
         assert np.linalg.norm(model.beta - beta) <= 1e-10 * np.linalg.norm(beta)
         assert np.linalg.norm(model.beta_cov - cov) <= 1e-10 * np.linalg.norm(cov)
 
+    def test_searches_from_the_moment_start_only(self, monkeypatch):
+        from brakedist import training
+
+        ts = random_training_set(np.random.default_rng(14), ModelSpec(1, 1), 8, 5)
+        starts = []
+        original = training.nelder_mead
+
+        def recorder(fn, x0, *args, **kwargs):
+            starts.append(np.array(x0))
+            return original(fn, x0, *args, **kwargs)
+
+        monkeypatch.setattr(training, "nelder_mead", recorder)
+        fit(ts, FitOptions(max_iter=100, restarts=2, seed=1))
+        assert len(starts) == 1 + 2
+        indices = chol_indices(ts.spec.p)
+        coefs, sigma2_0 = training._per_driver_ols(training._PreparedDesigns(ts))
+        moment = training._moment_start(coefs, indices, sigma2_0)
+        assert np.array_equal(starts[0], moment.to_vector(indices))
+
+    def test_overflowing_design_names_the_driver(self):
+        rng = np.random.default_rng(15)
+        ts = random_training_set(rng, ModelSpec(1, 2), 4, 5)
+        ts.drivers["d2"].append(Observation("d2", 0, 1e200, 1.0))  # headway^2 overflows
+        with pytest.raises(ValueError, match="driver 'd2'"):
+            fit(ts)
+
     def test_fit_info_populated(self):
         ts = make_identical_driver_data(10, 8, 5, 0.04, beta=(-0.3, 0.1, 0.0))
         model = fit(ts, FitOptions(max_iter=200, restarts=1, seed=2))
