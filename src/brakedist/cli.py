@@ -8,7 +8,6 @@ still written). Data goes to stdout, diagnostics to stderr.
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -18,29 +17,12 @@ from . import driver as driver_mod
 from . import pbrt as pbrt_mod
 from . import simgen, training
 from .model import ModelSpec, read_observations_csv, write_observations_csv
+from .model import atomic_write_text as _atomic_write_text
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_NO_CONVERGENCE = 4
-
-
-def _atomic_write_text(path, text):
-    """Write via a temp file and rename so readers never see a torn file.
-
-    The temp file sits beside ``path`` under a fresh random name, with the
-    mode ``open(path, "w")`` gives; a failed write or rename removes it.
-    """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def cmd_simulate(args):

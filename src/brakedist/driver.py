@@ -10,9 +10,11 @@ together with the covariance of the predictor and the prediction-error
 covariance of (beta_hat + gamma_hat) - (beta + gamma), which feeds the
 conservative variance downstream. The push-through identity V^-1 X = X M^-1,
 M = sigma2 I + Sigma_gamma X'X, gives X' V^-1 [X | r] and M^-T by one p x p
-solve, so no n x n matrix is formed. It also makes the prediction-error
-covariance a sum of PSD terms, sigma2 Sigma_gamma M^-T + A beta_cov A' with
-A = I - Sigma_gamma X' V^-1 X, so nothing cancels and nothing is clipped.
+solve (``reduced_solve``), so no n x n matrix is formed; training evaluates
+its likelihood with the same solve, batched over drivers. It also makes the
+prediction-error covariance a sum of PSD terms, sigma2 Sigma_gamma M^-T +
+A beta_cov A' with A = I - Sigma_gamma X' V^-1 X, so nothing cancels and
+nothing is clipped.
 Each event invalidates the cached result; the next query rebuilds X'X from
 the windowed history, so no running sums are kept.
 """
@@ -84,6 +86,26 @@ def add_observation(state, obs):
     return state
 
 
+def reduced_solve(xtx, sigma_gamma, sigma2, rhs):
+    """The push-through system M = sigma2 I + Sigma_gamma X'X and M^-T rhs.
+
+    Batched over leading axes of ``xtx`` and ``rhs``. With rhs = [X'X | X'r]
+    the solution is [X' V^-1 X | X' V^-1 r]. M's eigenvalues are >= sigma2
+    and it needs no factor of Sigma_gamma, which may be singular.
+
+    Raises:
+        NotPositiveDefinite: if M is singular or the solution not finite.
+    """
+    m = sigma_gamma @ xtx + sigma2 * np.eye(xtx.shape[-1])
+    try:
+        W = np.linalg.solve(m.swapaxes(-1, -2), rhs)
+        if not np.all(np.isfinite(W)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("reduced system is singular or not finite") from None
+    return m, W
+
+
 def compute_blup(state, model):
     """Predict the driver's coefficient offsets from the current history.
 
@@ -118,15 +140,11 @@ def compute_blup(state, model):
     X, y = build_design(model.spec, state.observations)
     resid = y - X @ model.beta
     xtx = X.T @ X
-    # M^-T [X'X | X'r | I] = [X' V^-1 X | X' V^-1 r | M^-T]. M's eigenvalues
-    # are >= sigma2 and it needs no factor of Sigma_gamma, which may be singular.
+    # W = [X' V^-1 X | X' V^-1 r | M^-T].
     eye = np.eye(p)
-    m = sg @ xtx + model.sigma2 * eye
     try:
-        W = np.linalg.solve(m.T, np.column_stack([xtx, X.T @ resid, eye]))
-        if not np.all(np.isfinite(W)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
+        _, W = reduced_solve(xtx, sg, model.sigma2, np.column_stack([xtx, X.T @ resid, eye]))
+    except NotPositiveDefinite:
         raise NotPositiveDefinite(f"marginal covariance of driver {state.driver_id!r}'s "
                                   f"{state.n} events is singular or not finite") from None
     gamma_hat = sg @ W[:, p]

@@ -8,7 +8,10 @@ block and holds (1, t, t^2, ..., t^degree) inside it.
 """
 
 import csv
+import io
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -141,15 +144,18 @@ class TrainedModel:
         p = self.spec.p
         if len(self.stimuli) != self.spec.num_stimuli:
             raise ValueError("registry size does not match spec.num_stimuli")
+        for name in ("beta", "sigma2", "sigma_gamma", "beta_cov", "t_star"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise ValueError(f"{name} must be finite")
         self.beta = np.asarray(self.beta, dtype=float)
         if self.beta.shape != (p,):
             raise ValueError(f"beta must have shape ({p},), got {self.beta.shape}")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
         self.sigma_gamma = check_symmetric(self.sigma_gamma)
         self.beta_cov = check_symmetric(self.beta_cov)
         if self.sigma_gamma.shape != (p, p) or self.beta_cov.shape != (p, p):
             raise ValueError("covariance matrices must be p x p")
+        if not self.sigma2 > 0:
+            raise ValueError("sigma2 must be positive")
         if not is_psd(self.sigma_gamma, 1e-8):
             raise ValueError("sigma_gamma is not positive semidefinite")
         if not is_psd(self.beta_cov, 1e-8):
@@ -252,8 +258,29 @@ def read_observations_csv(path, registry=None):
 
 def write_observations_csv(path, observations, registry):
     """Write observations as CSV with stimulus names from the registry."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OBSERVATION_CSV_HEADER)
-        for o in observations:
-            writer.writerow([o.driver_id, registry.name_of(o.stimulus), repr(o.headway_s), repr(o.brt_s)])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(OBSERVATION_CSV_HEADER)
+    for o in observations:
+        writer.writerow([o.driver_id, registry.name_of(o.stimulus), repr(o.headway_s), repr(o.brt_s)])
+    atomic_write_text(path, buf.getvalue())
+
+
+def atomic_write_text(path, text):
+    """Write ``text`` as UTF-8, verbatim, via a temp file and rename, so
+    readers never see a torn file. Every file the package writes goes
+    through here.
+
+    The temp file sits beside ``path`` under a fresh random name, with the
+    mode ``open(path, "w")`` gives; a failed write or rename removes it.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

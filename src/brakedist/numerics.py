@@ -42,26 +42,6 @@ def check_symmetric(a, tol=1e-12):
     return a
 
 
-def _cholesky_spd(a):
-    """Cholesky factor of ``a`` with an explicit near-singularity check.
-
-    The factorization pivot for row i equals L[i,i]**2; the matrix is
-    rejected when any pivot falls at or below dim * PIVOT_RTOL * max|diag|.
-    """
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-    dim = a.shape[0]
-    floor = dim * PIVOT_RTOL * np.max(np.abs(np.diag(a)))
-    pivots = np.diag(chol) ** 2
-    if np.min(pivots) <= floor:
-        raise NotPositiveDefinite(
-            f"factorization pivot {np.min(pivots):.3e} at or below floor {floor:.3e}"
-        )
-    return chol
-
-
 def spd_solve(a, b):
     """Solve ``a @ x = b`` for symmetric positive definite ``a``.
 
@@ -82,7 +62,15 @@ def spd_solve(a, b):
     b = np.asarray(b, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs has {b.shape[0]} rows, matrix is {a.shape[0]}x{a.shape[0]}")
-    chol = _cholesky_spd(a)
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from None
+    # The pivot for row i is chol[i, i]**2.
+    floor = a.shape[0] * PIVOT_RTOL * np.max(np.abs(np.diag(a)))
+    pivot = np.min(np.diag(chol)) ** 2
+    if pivot <= floor:
+        raise NotPositiveDefinite(f"factorization pivot {pivot:.3e} at or below floor {floor:.3e}")
     y = np.linalg.solve(chol, b)
     return np.linalg.solve(chol.T, y)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, Observation, StimulusRegistry
+from .model import ModelSpec, Observation, StimulusRegistry, atomic_write_text
 from .numerics import check_symmetric, is_psd
 from .training import TrainingSet
 
@@ -256,6 +256,4 @@ def load_config(path):
 
 def write_ground_truth(truth, path):
     """Sidecar JSON mapping driver_id to its generating gamma vector."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({k: v.tolist() for k, v in truth.items()}, fh, indent=2)
-        fh.write("\n")
+    atomic_write_text(path, json.dumps({k: v.tolist() for k, v in truth.items()}, indent=2) + "\n")

@@ -3,7 +3,10 @@
 The marginal covariance of one driver's log responses is
 ``V_d = X_d @ Sigma_gamma @ X_d.T + sigma2 * I``, block diagonal across
 drivers, so the Gaussian likelihood factors per driver and the full
-n x n covariance is never materialized. For fixed variance parameters
+n x n covariance is never materialized: each evaluation solves the same
+p x p push-through system as serving (``driver.reduced_solve``), for all
+drivers at once, and takes log det V_d from Sylvester's determinant
+identity (``_PreparedDesigns``). For fixed variance parameters
 the fixed effects have the closed-form GLS solution (``gls_beta`` over
 ``marginal_cov`` blocks is its dense reference), so the numerical search
 runs only over (sigma, Sigma_gamma), with Sigma_gamma kept positive
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FitInfo, ModelSpec, StimulusRegistry, TrainedModel, build_design
+from .driver import reduced_solve
+from .model import FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design
 from .numerics import NotPositiveDefinite, PIVOT_RTOL, generalized_inverse, spd_solve
 from .optimize import nelder_mead
 
@@ -110,14 +114,9 @@ class VarianceParams:
     def sigma2(self):
         return math.exp(2.0 * self.log_sigma)
 
-    def chol_lower(self):
-        """Lower-triangular factor with the log diagonal exponentiated."""
+    def sigma_gamma(self):
         L = self.chol_factor.copy()
         np.fill_diagonal(L, np.exp(np.diag(L)))
-        return L
-
-    def sigma_gamma(self):
-        L = self.chol_lower()
         sg = L @ L.T
         return 0.5 * (sg + sg.T)
 
@@ -188,11 +187,14 @@ class _PreparedDesigns:
 
     The cross products X'X, X'y, y'y per driver do not depend on the
     variance parameters, so they are accumulated once. Each likelihood
-    evaluation then works on batched p x p systems via the Woodbury
-    identity and the matrix determinant lemma,
+    evaluation then solves the serving path's batched p x p push-through
+    system (``driver.reduced_solve``), M = s2 I_p + Sigma_gamma X'X, and
+    uses Sylvester's determinant identity and V^-1 = (I - X Sigma_gamma X'
+    V^-1) / s2:
 
-        V^-1 = (1/s2) [I - U (s2 I_p + U'U)^-1 U'],    U = X L,
-        log det V = (n - p) log s2 + log det(s2 I_p + L'X'X L),
+        M^-T [X'X | X'y] = X' V^-1 [X | y],
+        log det V = (n - p) log s2 + log det M,
+        r' V^-1 r = (r'r - (X'r)' Sigma_gamma X' V^-1 r) / s2,
 
     which keeps the cost independent of the per-driver observation
     counts and never materializes any n x n matrix.
@@ -214,6 +216,7 @@ class _PreparedDesigns:
         if not finite.all():
             bad = self.driver_ids[int(np.argmin(finite))]
             raise ValueError(f"driver {bad!r}: headway too large for a degree-{ts.spec.degree} design")
+        self.xtxy = np.concatenate([self.xtx, self.xty[:, :, None]], axis=2)
         self.designs = per_driver
         self.counts = np.array([X.shape[0] for X, _ in per_driver])
         self.total_n = int(self.counts.sum())
@@ -226,46 +229,30 @@ class _PreparedDesigns:
         across drivers.
 
         Raises:
-            NotPositiveDefinite: if the reduced systems fail to factor
+            NotPositiveDefinite: if a reduced system is numerically singular
                 (possible only at numerically extreme parameters).
         """
         p = self.spec.p
         sigma2 = params.sigma2
-        L = params.chol_lower()
-
-        # K_d = s2 I + L' X'X L, shared by every Woodbury product below.
-        proj = self.xtx @ L  # (D, p, p): X'X L
-        K = L.T @ proj
-        K = 0.5 * (K + K.transpose(0, 2, 1))
-        idx = np.arange(p)
-        K[:, idx, idx] += sigma2
-        if not np.all(np.isfinite(K)):
-            raise NotPositiveDefinite("variance parameters overflow the reduced system")
-        try:
-            chol = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("reduced covariance system failed to factor") from None
-        diag = chol[:, idx, idx]
-        floors = p * PIVOT_RTOL * np.max(np.abs(K[:, idx, idx]), axis=1)
-        if np.any(diag**2 <= floors[:, None]):
+        sg = params.sigma_gamma()
+        m, W = reduced_solve(self.xtx, sg, sigma2, self.xtxy)
+        # M's eigenvalues are >= s2 and sum to tr M: once s2 is lost beside
+        # the trace, the solve and determinant have no accurate digits left.
+        sign, logdet_m = np.linalg.slogdet(m)
+        if sigma2 <= p * PIVOT_RTOL * np.max(np.trace(m, axis1=1, axis2=2)) or np.any(sign <= 0):
             raise NotPositiveDefinite("reduced covariance system is numerically singular")
-        logdet = float(np.sum(self.counts - p) * math.log(sigma2) + 2.0 * np.sum(np.log(diag)))
+        logdet = float(np.sum(self.counts - p) * math.log(sigma2) + np.sum(logdet_m))
 
         # info = sum_d X'V^-1 X, score = sum_d X'V^-1 y.
-        u = self.xty @ L  # (D, p): L' X'y  (L' x = (x' L)' for vectors)
-        rhs = np.concatenate([proj.transpose(0, 2, 1), u[:, :, None]], axis=2)
-        H = np.linalg.solve(K, rhs)
-        info = (self.xtx.sum(axis=0) - np.einsum("dij,djk->ik", proj, H[:, :, :p])) / sigma2
+        info = W[:, :, :p].sum(axis=0)
         info = 0.5 * (info + info.T)
-        score = (self.xty.sum(axis=0) - np.einsum("dij,dj->i", proj, H[:, :, p])) / sigma2
-        beta = generalized_inverse(info) @ score
+        beta = generalized_inverse(info) @ W[:, :, p].sum(axis=0)
 
         # Residual quadratic form from exact residual cross products.
         xtr = self.xty - self.xtx @ beta
         rtr = self.yty - 2.0 * self.xty @ beta + (self.xtx @ beta) @ beta
-        v = xtr @ L
-        w = np.linalg.solve(K, v[:, :, None])[:, :, 0]
-        quad = float(np.sum(rtr - np.einsum("di,di->d", v, w)) / sigma2)
+        xtvr = W[:, :, p] - W[:, :, :p] @ beta  # X'V^-1 r
+        quad = float(np.sum(rtr - np.einsum("di,di->d", xtr @ sg, xtvr)) / sigma2)
 
         loglik = -0.5 * (self.total_n * LOG2PI + logdet + quad)
         return loglik, beta, info
@@ -471,11 +458,9 @@ def model_from_dict(doc):
 
 
 def save_model(model, path):
-    """Write a model file. Python's repr of floats keeps 17 significant
-    digits, so values round-trip exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    """Write a model file atomically. Python's repr of floats keeps 17
+    significant digits, so values round-trip exactly."""
+    atomic_write_text(path, json.dumps(model_to_dict(model), indent=2) + "\n")
 
 
 def load_model(path):

@@ -114,6 +114,44 @@ class TestTrain:
         assert run(["train", "--data", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("failure", ["write", "rename"])
+    def test_failed_write_keeps_old_model(self, tmp_path, tiny_sim_config_path,
+                                          handmade_model_path, monkeypatch, failure):
+        data = tmp_path / "data.csv"
+        run(["simulate", "--out", str(data), "--config", str(tiny_sim_config_path)])
+        before = handmade_model_path.read_bytes()
+        real_fdopen = os.fdopen
+
+        class TornFile:
+            """Writes half of what it is given, then reports a full disk."""
+
+            def __init__(self, fd, mode):
+                self.fh = real_fdopen(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        def no_rename(src, dst):
+            raise OSError("injected failure before rename")
+
+        if failure == "write":
+            monkeypatch.setattr(os, "fdopen", TornFile)
+        else:
+            monkeypatch.setattr(os, "replace", no_rename)
+        code = run(["train", "--data", str(data), "--out", str(handmade_model_path),
+                    "--restarts", "0"])
+        assert code == 2
+        assert handmade_model_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.csv", "data.truth.json", "model.json", "sim_config.json"]
+
 
 class TestUpdate:
     def test_fresh_state_created(self, tmp_path, handmade_model_path, capsys):
@@ -179,7 +217,7 @@ class TestUpdate:
         def boom(src, dst):
             raise OSError("injected failure before rename")
 
-        monkeypatch.setattr(cli.os, "replace", boom)
+        monkeypatch.setattr(os, "replace", boom)
         code = run(["update", "--model", str(handmade_model_path), "--state", str(state),
                     "--event", "traffic_signal,2.0,0.9"])
         assert code == 2
@@ -297,6 +335,30 @@ class TestPbrt:
 
     def test_unknown_stimulus(self, handmade_model_path):
         assert run(["pbrt", "--model", str(handmade_model_path), "--stimulus", "mystery"]) == 3
+
+    @pytest.mark.parametrize("field, path, value", [
+        ("beta", (0,), "nan"),
+        ("sigma2", (), "inf"),
+        ("t_star", (), "inf"),
+        ("sigma_gamma", (1, 1), "nan"),
+        ("beta_cov", (0, 0), "nan"),
+    ], ids=["beta", "sigma2", "t_star", "sigma_gamma", "beta_cov"])
+    def test_non_finite_model_field_is_named(self, handmade_model_path, capsys,
+                                             field, path, value):
+        doc = json.loads(handmade_model_path.read_text())
+        if path:
+            target = doc[field]
+            for i in path[:-1]:
+                target = target[i]
+            target[path[-1]] = float(value)
+        else:
+            doc[field] = float(value)
+        handmade_model_path.write_text(json.dumps(doc))  # writes NaN / Infinity
+        assert run(["pbrt", "--model", str(handmade_model_path),
+                    "--stimulus", "traffic_signal"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must be finite" in captured.err
 
     def test_bad_percentiles(self, handmade_model_path):
         assert run(["pbrt", "--model", str(handmade_model_path),

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from brakedist.model import ModelSpec, Observation, StimulusRegistry
-from brakedist.numerics import is_psd
+from brakedist.numerics import NotPositiveDefinite, is_psd
 from brakedist.training import (
     FitOptions,
     TrainingSet,
@@ -243,6 +245,67 @@ class TestLogLikelihood:
             beta = beta_hat + rng.normal(scale=0.05, size=spec.p)
             assert dense_mvn_loglik(ts, params, beta=beta) <= base + 1e-9
 
+    def test_raises_where_sigma2_is_lost_beside_sigma_gamma(self):
+        # log sigma = -30 beside an identity factor: sigma2 ~ 1e-26 against
+        # Sigma_gamma X'X of order 1, so no digit of sigma2 survives in M,
+        # although every X'X here has full rank and M itself solves.
+        from brakedist.training import _PreparedDesigns
+
+        ts = random_training_set(np.random.default_rng(12), ModelSpec(1, 1), 4, 5)
+        params = VarianceParams(log_sigma=-30.0, chol_factor=np.zeros((2, 2)))
+        with pytest.raises(NotPositiveDefinite, match="numerically singular"):
+            _PreparedDesigns(ts).profile_loglik(params)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        num_stimuli=st.integers(2, 3),
+        degree=st.integers(0, 2),
+        n_drivers=st.integers(2, 6),
+        nobody_sees_last=st.booleans(),
+        rank_share=st.floats(0.0, 1.0),
+        log10_ridge=st.floats(-12.0, -2.0),
+        log_sigma=st.floats(-2.5, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_finite_values_match_dense_oracle(self, num_stimuli, degree, n_drivers,
+                                              nobody_sees_last, rank_share, log10_ridge,
+                                              log_sigma, seed):
+        # Driver d0 (or every driver) never sees the last stimulus, and
+        # Sigma_gamma is a low-rank product plus a tiny ridge.
+        from brakedist.model import build_design
+
+        spec = ModelSpec(num_stimuli, degree)
+        rng = np.random.default_rng(seed)
+        registry = StimulusRegistry([f"s{i}" for i in range(num_stimuli)])
+        drivers = {}
+        for d in range(n_drivers):
+            seen = num_stimuli - 1 if d == 0 or nobody_sees_last else num_stimuli
+            drivers[f"d{d}"] = [
+                Observation(f"d{d}", int(rng.integers(0, seen)), float(rng.uniform(0.3, 9.0)),
+                            float(rng.uniform(0.3, 5.0)))
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+        ts = TrainingSet(spec=spec, stimuli=registry, drivers=drivers)
+        a = rng.standard_normal((spec.p, round(rank_share * spec.p))) * 0.3
+        sg = a @ a.T + 10.0**log10_ridge * np.eye(spec.p)
+        params = params_from(math.exp(2.0 * log_sigma), sg)
+        try:
+            got = log_likelihood(ts, params)
+        except NotPositiveDefinite:
+            return
+        designs = [build_design(spec, obs) for obs in drivers.values()]
+        X = np.vstack([X_d for X_d, _ in designs])
+        y = np.concatenate([y_d for _, y_d in designs])
+        blocks = [marginal_cov(spec, X_d, params) for X_d, _ in designs]
+        beta, _ = gls_beta(X, y, blocks)
+        V = np.zeros((len(y), len(y)))
+        off = 0
+        for block in blocks:
+            V[off : off + len(block), off : off + len(block)] = block
+            off += len(block)
+        want = float(multivariate_normal.logpdf(y, mean=X @ beta, cov=V))
+        assert got == pytest.approx(want, abs=1e-8)
+
 
 def dense_mvn_loglik(ts, params, beta=None):
     """Oracle: materialize the full block-diagonal covariance and evaluate
@@ -373,6 +436,27 @@ class TestFit:
         coefs, sigma2_0 = training._per_driver_ols(training._PreparedDesigns(ts))
         moment = training._moment_start(coefs, indices, sigma2_0)
         assert np.array_equal(starts[0], moment.to_vector(indices))
+
+    def test_objective_is_infinite_beyond_the_parameter_bound(self, monkeypatch):
+        from brakedist import training
+
+        ts = random_training_set(np.random.default_rng(16), ModelSpec(1, 1), 6, 4)
+        runs = []
+        original = training.nelder_mead
+
+        def recorder(fn, x0, *args, **kwargs):
+            runs.append((fn, np.array(x0)))
+            return original(fn, x0, *args, **kwargs)
+
+        monkeypatch.setattr(training, "nelder_mead", recorder)
+        fit(ts, FitOptions(max_iter=20, restarts=0))
+        objective, x0 = runs[0]
+        assert np.isfinite(objective(x0))
+        for i in range(x0.size):
+            for sign in (1.0, -1.0):
+                vec = x0.copy()
+                vec[i] = sign * np.nextafter(training._PARAM_BOUND, np.inf)
+                assert objective(vec) == np.inf
 
     def test_overflowing_design_names_the_driver(self):
         rng = np.random.default_rng(15)
