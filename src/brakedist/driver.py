@@ -6,25 +6,24 @@ driver's coefficient offsets are predicted by empirical-Bayes shrinkage:
     gamma_hat = Sigma_gamma @ X' @ V^-1 @ (y - X beta),
     V = X @ Sigma_gamma @ X' + sigma2 * I,
 
-together with the covariance of the predictor and the prediction-error
-covariance of (beta_hat + gamma_hat) - (beta + gamma), which feeds the
-conservative variance downstream. The push-through identity V^-1 X = X M^-1,
+together with the prediction-error covariance of
+(beta_hat + gamma_hat) - (beta + gamma), which feeds the conservative
+variance downstream. The push-through identity V^-1 X = X M^-1,
 M = sigma2 I + Sigma_gamma X'X, gives X' V^-1 [X | r] and M^-T by one p x p
 solve (``reduced_solve``), so no n x n matrix is formed; training evaluates
 its likelihood with the same solve, batched over drivers. It also makes the
 prediction-error covariance a sum of PSD terms, sigma2 Sigma_gamma M^-T +
 A beta_cov A' with A = I - Sigma_gamma X' V^-1 X, so nothing cancels and
 nothing is clipped.
-Each event invalidates the cached result; the next query rebuilds X'X from
-the windowed history, so no running sums are kept.
+Every query rebuilds X'X from the windowed history: no running sums and
+no prediction are kept, so ``compute_blup`` only reads the state.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Observation, build_design
+from .model import Observation, build_design, read_json
 from .numerics import NotPositiveDefinite, spd_solve
 
 DEFAULT_MAX_HISTORY = 500
@@ -38,28 +37,27 @@ class DriverMismatch(ValueError):
 class BlupResult:
     """Predicted individual offsets with their uncertainty.
 
-    ``gamma_hat_cov`` estimates Cov of the predictor itself;
     ``pred_err_cov`` estimates Cov((beta_hat + gamma_hat) - (beta + gamma)).
     """
 
     gamma_hat: np.ndarray
-    gamma_hat_cov: np.ndarray
     pred_err_cov: np.ndarray
 
 
 @dataclass(eq=False)
 class DriverState:
-    """One driver's accumulated events plus a cached prediction.
+    """One driver's accumulated event window.
 
-    Single writer: callers must serialize add_observation/compute_blup
-    on the same state. Distinct drivers are independent.
+    Single writer: callers must serialize add_observation on the same
+    state; compute_blup only reads it. Distinct drivers are independent.
     """
 
     driver_id: str
     observations: list = field(default_factory=list)
     max_history: int = DEFAULT_MAX_HISTORY
-    cached: BlupResult | None = None
-    cached_model: object = field(default=None, repr=False)  # the model ``cached`` is for
+    # Always None; not a field. Kept only because the benchmark's tracer
+    # reads it to report a cache-hit share.
+    cached = None
 
     @property
     def n(self):
@@ -69,8 +67,8 @@ class DriverState:
 def add_observation(state, obs):
     """Append an event to the driver's history.
 
-    Invalidates any cached prediction. When the history exceeds the
-    window, the oldest events are evicted first.
+    When the history exceeds the window, the oldest events are evicted
+    first.
 
     Raises:
         DriverMismatch: if obs.driver_id differs from the state's.
@@ -82,7 +80,6 @@ def add_observation(state, obs):
     state.observations.append(obs)
     if len(state.observations) > state.max_history:
         del state.observations[: len(state.observations) - state.max_history]
-    state.cached = None
     return state
 
 
@@ -110,32 +107,23 @@ def compute_blup(state, model):
     """Predict the driver's coefficient offsets from the current history.
 
     With no data the prediction is the zero vector: the individual's
-    estimated mean equals the population mean, the predictor covariance
-    is zero, and the individual-effect uncertainty is Sigma_gamma itself
-    (no numerical work is performed). With data, the plug-in formulas
-    use the population estimates as-is; the population is never refit.
-    All three come from one LU solve of M' against [X'X | X'r | I], and the
-    prediction-error covariance is PSD by construction (module docstring).
+    estimated mean equals the population mean and the individual-effect
+    uncertainty is Sigma_gamma itself (no numerical work is performed).
+    With data, the plug-in formulas use the population estimates as-is;
+    the population is never refit. Both come from one LU solve of M'
+    against [X'X | X'r | I], and the prediction-error covariance is PSD
+    by construction (module docstring).
 
-    The result is cached on the state and reused, for the same model
-    object, until the next event.
+    A pure function of the state's event window and the model: nothing is
+    cached, and the state is not written.
 
     Raises:
         NotPositiveDefinite: if that system is singular or not finite.
     """
-    if state.cached is not None and state.cached_model is model:
-        return state.cached
-
     p = model.spec.p
     sg = model.sigma_gamma
     if state.n == 0:
-        result = BlupResult(
-            gamma_hat=np.zeros(p),
-            gamma_hat_cov=np.zeros((p, p)),
-            pred_err_cov=sg.copy(),
-        )
-        state.cached, state.cached_model = result, model
-        return result
+        return BlupResult(gamma_hat=np.zeros(p), pred_err_cov=sg.copy())
 
     X, y = build_design(model.spec, state.observations)
     resid = y - X @ model.beta
@@ -150,20 +138,13 @@ def compute_blup(state, model):
     gamma_hat = sg @ W[:, p]
 
     info = W[:, :p]  # X' V^-1 X
-    info = 0.5 * (info + info.T)
-    sg_info = sg @ info
-    gamma_hat_cov = sg_info @ sg - sg_info @ model.beta_cov @ sg_info.T
-    gamma_hat_cov = 0.5 * (gamma_hat_cov + gamma_hat_cov.T)
+    sg_info = sg @ (0.5 * (info + info.T))
 
     # Sigma_gamma - Sigma_gamma info Sigma_gamma = sigma2 Sigma_gamma M^-T, and
     # the beta_cov terms regroup as A beta_cov A': a sum of PSD terms.
     a = eye - sg_info
     pred_err = model.sigma2 * (sg @ W[:, p + 1:]) + a @ model.beta_cov @ a.T
-    pred_err = 0.5 * (pred_err + pred_err.T)
-
-    result = BlupResult(gamma_hat=gamma_hat, gamma_hat_cov=gamma_hat_cov, pred_err_cov=pred_err)
-    state.cached, state.cached_model = result, model
-    return result
+    return BlupResult(gamma_hat=gamma_hat, pred_err_cov=0.5 * (pred_err + pred_err.T))
 
 
 def henderson_oracle(state, model):
@@ -228,5 +209,4 @@ def state_from_dict(doc, registry):
 
 
 def load_driver_state(path, registry):
-    with open(path, "r", encoding="utf-8") as fh:
-        return state_from_dict(json.load(fh), registry)
+    return read_json(path, lambda doc: state_from_dict(doc, registry), "state file")

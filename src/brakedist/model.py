@@ -9,6 +9,8 @@ block and holds (1, t, t^2, ..., t^degree) inside it.
 
 import csv
 import io
+import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -172,11 +174,19 @@ def feature_row(spec, stimulus, headway_s):
 
     Raises:
         UnknownStimulus: if the stimulus id is outside [0, num_stimuli).
+        ValueError: if the headway is not positive, or is not finite or
+            overflows a power up to the degree.
     """
     if not 0 <= stimulus < spec.num_stimuli:
         raise UnknownStimulus(f"stimulus id {stimulus} out of range [0, {spec.num_stimuli})")
     if not headway_s > 0:
         raise ValueError(f"headway_s must be positive, got {headway_s}")
+    try:
+        finite = math.isfinite(headway_s) and math.isfinite(float(headway_s) ** spec.degree)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"headway_s {headway_s} too large for a degree-{spec.degree} design")
     row = np.zeros(spec.p)
     start = stimulus * (spec.degree + 1)
     row[start : start + spec.degree + 1] = float(headway_s) ** np.arange(spec.degree + 1)
@@ -284,3 +294,18 @@ def atomic_write_text(path, text):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_json(path, from_dict, kind):
+    """``from_dict`` of the JSON document in the ``kind`` file at ``path``.
+
+    A document of the wrong shape (``from_dict`` raises TypeError: a list
+    where an object belongs, null where a number does) is a ValueError
+    naming the file. A missing key stays a KeyError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        return from_dict(doc)
+    except TypeError as exc:
+        raise ValueError(f"{kind} {path} has the wrong shape: {exc}") from None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, Observation, StimulusRegistry, atomic_write_text
+from .model import ModelSpec, Observation, StimulusRegistry, atomic_write_text, read_json
 from .numerics import check_symmetric, is_psd
 from .training import TrainingSet
 
@@ -250,8 +250,7 @@ def config_from_dict(doc):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return read_json(path, config_from_dict, "config file")
 
 
 def write_ground_truth(truth, path):

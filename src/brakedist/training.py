@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import reduced_solve
-from .model import FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design
+from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design,
+                    read_json)
 from .numerics import NotPositiveDefinite, PIVOT_RTOL, generalized_inverse, spd_solve
 from .optimize import nelder_mead
 
@@ -464,5 +465,4 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return read_json(path, model_from_dict, "model file")

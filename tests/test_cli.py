@@ -364,6 +364,24 @@ class TestPbrt:
         assert run(["pbrt", "--model", str(handmade_model_path),
                     "--stimulus", "traffic_signal", "--percentiles", "0,50"]) == 3
 
+    @pytest.mark.parametrize("t_star", ["inf", "1e308", "1e200"])
+    @pytest.mark.parametrize("command", ["pbrt", "curve"])
+    def test_overflowing_t_star_is_a_validation_error(self, tmp_path, handmade_model_path, capfd,
+                                                      command, t_star):
+        # Non-finite or overflowing headway powers once gave inf/nan rows
+        # and numpy warnings with exit 0.
+        out = tmp_path / "curve.csv"
+        args = [command, "--model", str(handmade_model_path), "--stimulus", "traffic_signal",
+                "--t-star", t_star]
+        if command == "curve":
+            args += ["--grid", "0.2,3.0,5", "--out", str(out)]
+        assert run(args) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: headway_s {float(t_star)} too large for a degree-2 design"]
+        assert not out.exists()
+
 
 class TestCurve:
     def test_writes_grid_rows(self, tmp_path, handmade_model_path):
@@ -425,6 +443,37 @@ class TestCurve:
             assert run(["curve", "--model", str(handmade_model_path),
                         "--stimulus", "traffic_signal", "--grid", grid,
                         "--out", str(tmp_path / "c.csv")]) == 3
+
+
+EVENT = {"driver_id": "x", "stimulus": "traffic_signal", "headway_s": 1.2, "brt_s": 0.8}
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("kind, doc", [
+        ("model", []),
+        ("model", {"spec": {"num_stimuli": 2, "degree": 2, "stimuli": None}}),
+        ("state", []),
+        ("state", {"driver_id": "x", "observations": 5}),
+        ("state", {"driver_id": "x", "observations": [{**EVENT, "headway_s": None}]}),
+        ("config", []),
+    ], ids=["model-list", "model-null-stimuli", "state-list", "state-int-observations",
+            "state-null-headway", "config-list"])
+    def test_wrong_shape_is_a_validation_error(self, tmp_path, handmade_model_path, capfd,
+                                               kind, doc):
+        bad = tmp_path / f"bad-{kind}.json"
+        bad.write_text(json.dumps(doc))
+        if kind == "config":
+            args = ["simulate", "--out", str(tmp_path / "x.csv"), "--config", str(bad)]
+        else:
+            model = bad if kind == "model" else handmade_model_path
+            args = ["pbrt", "--model", str(model), "--stimulus", "traffic_signal"]
+            if kind == "state":
+                args += ["--state", str(bad)]
+        assert run(args) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {kind} file {bad} has the wrong shape: ")
 
 
 class TestRoundTrip:

@@ -84,7 +84,7 @@ def dense_blup(state, model):
     gamma_hat_cov = 0.5 * (gamma_hat_cov + gamma_hat_cov.T)
     cross = model.beta_cov @ sg_info.T
     pred_err = model.beta_cov + (sg - gamma_hat_cov) - cross - cross.T
-    return gamma_hat, gamma_hat_cov, 0.5 * (pred_err + pred_err.T)
+    return gamma_hat, 0.5 * (pred_err + pred_err.T)
 
 
 def mp_pred_err_cov(state, model, dps=60):
@@ -106,14 +106,11 @@ def mp_pred_err_cov(state, model, dps=60):
 
 class TestAddObservation:
     def test_append_and_cache_invalidation(self):
-        model = scalar_model()
         state = DriverState(driver_id="a")
         add_observation(state, Observation("a", 0, 1.0, 1.0))
-        assert state.n == 1 and state.cached is None
-        compute_blup(state, model)
-        assert state.cached is not None
+        assert state.n == 1
         add_observation(state, Observation("a", 0, 2.0, 1.2))
-        assert state.cached is None
+        assert state.n == 2
 
     def test_driver_mismatch(self):
         state = DriverState(driver_id="a")
@@ -142,11 +139,9 @@ class TestComputeBlup:
         state = DriverState(driver_id="a")
         res = compute_blup(state, model)
         assert np.array_equal(res.gamma_hat, np.zeros(9))
-        assert np.array_equal(res.gamma_hat_cov, np.zeros((9, 9)))
         # Individual-effect uncertainty with no data is the population
         # covariance itself, exactly.
         assert np.array_equal(res.pred_err_cov, model.sigma_gamma)
-        assert state.cached is res
 
     def test_zero_prior_variance_pins_gamma_to_zero(self):
         model = scalar_model(sigma_gamma=0.0)
@@ -163,15 +158,17 @@ class TestComputeBlup:
         add_observation(state, Observation("a", 0, 1.0, math.exp(2.0)))
         res = compute_blup(state, model)
         assert res.gamma_hat[0] == pytest.approx(1.0, abs=1e-12)
-        assert res.gamma_hat_cov[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert res.pred_err_cov[0, 0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_cached_result_reused(self):
-        model = scalar_model()
-        state = DriverState(driver_id="a")
-        add_observation(state, Observation("a", 0, 1.0, 1.5))
-        first = compute_blup(state, model)
-        assert compute_blup(state, model) is first
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_leaves_state_unchanged(self, n):
+        model = random_model(np.random.default_rng(12), beta_cov_scale=0.05)
+        state = random_state(np.random.default_rng(13), model, n)
+        attrs, observations = dict(vars(state)), list(state.observations)
+        compute_blup(state, model)
+        assert vars(state) == attrs
+        assert state.observations is attrs["observations"]
+        assert state.observations == observations
 
     def test_cache_not_reused_with_another_model(self):
         # Same history, second model with Sigma_gamma four times larger: the
@@ -182,7 +179,6 @@ class TestComputeBlup:
             first = compute_blup(state, a)
             got = compute_blup(state, b)
             want = compute_blup(random_state(np.random.default_rng(4), b, n), b)
-            assert got is not first and state.cached is got
             assert np.array_equal(got.gamma_hat, want.gamma_hat)
             assert np.array_equal(got.pred_err_cov, want.pred_err_cov)
             assert not np.array_equal(got.pred_err_cov, first.pred_err_cov)
@@ -207,7 +203,7 @@ class TestComputeBlup:
                 add_observation(state, Observation("d", s, float(rng.uniform(0.3, 9.0)),
                                                    float(rng.uniform(0.3, 5.0))))
                 res = compute_blup(state, model)
-                remaining = float(np.trace(model.sigma_gamma - res.gamma_hat_cov))
+                remaining = float(np.trace(res.pred_err_cov))
                 if prev is not None:
                     assert remaining <= prev + 1e-10
                 prev = remaining
@@ -283,11 +279,10 @@ class TestDenseOracle:
                              beta_cov_scale=0.05 if with_beta_cov else 0.0)
         state = random_state(rng, model, n)
         got = compute_blup(state, model)
-        want_gamma, want_cov, want_err = dense_blup(state, model)
+        want_gamma, want_err = dense_blup(state, model)
         cov_scale = np.linalg.norm(model.sigma_gamma) + np.linalg.norm(model.beta_cov)
         for value, want, scale in (
             (got.gamma_hat, want_gamma, np.sqrt(np.linalg.norm(model.sigma_gamma))),
-            (got.gamma_hat_cov, want_cov, cov_scale),
             (got.pred_err_cov, want_err, cov_scale),
         ):
             assert np.linalg.norm(value - want) <= 1e-10 * (np.linalg.norm(want) + scale)
@@ -338,7 +333,6 @@ class TestComputeCost:
             state = random_state(rng, model, n)
             runs = []
             for _ in range(5):
-                state.cached = None
                 t0 = time.perf_counter()
                 compute_blup(state, model)
                 runs.append(time.perf_counter() - t0)
@@ -352,17 +346,16 @@ class TestStateFile:
         rng = np.random.default_rng(8)
         model = random_model(np.random.default_rng(9))
         state = random_state(rng, model, 7, driver_id="driver_x")
-        compute_blup(state, model)
+        before = compute_blup(state, model)
         path = tmp_path / "driver_x.json"
         path.write_text(json.dumps(state_to_dict(state, model.stimuli)))
         loaded = load_driver_state(path, model.stimuli)
         assert loaded.driver_id == "driver_x"
         assert loaded.observations == state.observations
         # The prediction is not persisted; the loaded history reproduces it.
-        assert loaded.cached is None
         again = compute_blup(loaded, model)
-        assert np.array_equal(again.gamma_hat, state.cached.gamma_hat)
-        assert np.array_equal(again.pred_err_cov, state.cached.pred_err_cov)
+        assert np.array_equal(again.gamma_hat, before.gamma_hat)
+        assert np.array_equal(again.pred_err_cov, before.pred_err_cov)
 
     def test_round_trip_without_cache(self, tmp_path):
         model = random_model(np.random.default_rng(10))

@@ -32,7 +32,6 @@ def make_model(beta, sigma2=0.04, sigma_gamma=None, beta_cov=None, spec=None):
 def zero_blup(p, pred_err=None):
     return BlupResult(
         gamma_hat=np.zeros(p),
-        gamma_hat_cov=np.zeros((p, p)),
         pred_err_cov=pred_err if pred_err is not None else np.zeros((p, p)),
     )
 
@@ -88,7 +87,6 @@ class TestEstimatePbrt:
         blup = zero_blup(3)
         shifted = BlupResult(
             gamma_hat=np.array([0.2, 0.0, 0.0]),
-            gamma_hat_cov=np.zeros((3, 3)),
             pred_err_cov=np.zeros((3, 3)),
         )
         base = estimate_pbrt(model, blup, 0)
