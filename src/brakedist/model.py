@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -204,9 +205,11 @@ def build_design(spec, observations):
     stimulus = np.fromiter((o.stimulus for o in observations), dtype=np.intp, count=n)
     headway = np.fromiter((o.headway_s for o in observations), dtype=float, count=n)
     brt = np.fromiter((o.brt_s for o in observations), dtype=float, count=n)
-    bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~(headway > 0)
-    if bad.any():
-        i = int(np.argmax(bad))
+    # Slightly below the headway whose top power overflows, so every row
+    # that overflows is flagged; feature_row has the last word on each.
+    limit = 0.999 * sys.float_info.max ** (1.0 / max(spec.degree, 1))
+    bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~((headway > 0) & (headway <= limit))
+    for i in bad.nonzero()[0]:
         # feature_row raises the error it would raise for this row.
         feature_row(spec, int(stimulus[i]), float(headway[i]))
     powers = np.arange(spec.degree + 1)
@@ -300,11 +303,15 @@ def read_json(path, from_dict, kind):
     """``from_dict`` of the JSON document in the ``kind`` file at ``path``.
 
     A document of the wrong shape (``from_dict`` raises TypeError: a list
-    where an object belongs, null where a number does) is a ValueError
-    naming the file. A missing key stays a KeyError.
+    where an object belongs, null where a number does) or one nested too
+    deeply for the parser is a ValueError naming the file. A missing key
+    stays a KeyError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{kind} {path} is nested too deeply to read") from None
     try:
         return from_dict(doc)
     except TypeError as exc:

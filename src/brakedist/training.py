@@ -1,21 +1,23 @@
 """Population model fitting by numerical maximum likelihood.
 
 The marginal covariance of one driver's log responses is
-``V_d = X_d @ Sigma_gamma @ X_d.T + sigma2 * I``, block diagonal across
-drivers, so the Gaussian likelihood factors per driver and the full
-n x n covariance is never materialized: each evaluation solves the same
-p x p push-through system as serving (``driver.reduced_solve``), for all
-drivers at once, and takes log det V_d from Sylvester's determinant
-identity (``_PreparedDesigns``). For fixed variance parameters
-the fixed effects have the closed-form GLS solution (``gls_beta`` over
-``marginal_cov`` blocks is its dense reference), so the numerical search
-runs only over (sigma, Sigma_gamma), with Sigma_gamma kept positive
-semidefinite by optimizing a Cholesky factor whose diagonal is stored in
-logs. The search is Nelder-Mead from the covariance of per-driver OLS
-coefficients, then seeded random restarts; the profile likelihood at its
-optimum also gives beta and its covariance.
+``V_d = sigma2 * (I + X_d @ Lambda @ X_d.T)`` with ``Lambda = Sigma_gamma /
+sigma2``, block diagonal across drivers, so the Gaussian likelihood
+factors per driver and the full n x n covariance is never materialized:
+each evaluation solves the same p x p push-through system as serving
+(``driver.reduced_solve``), for all drivers at once, and takes log det V_d
+from Sylvester's determinant identity (``_PreparedDesigns``). For a fixed
+Lambda, beta has the closed-form GLS solution (``gls_beta`` over
+``marginal_cov`` blocks is its dense reference) and sigma2 the closed form
+r'(V / sigma2)^-1 r / N, so the search runs over Lambda alone, on lme4's
+profiled deviance (Bates et al. 2015, JSS 67(1), sec. 3.4). Lambda is kept
+positive semidefinite by searching its Cholesky factor, whose diagonal is
+stored in logs. The search is BFGS on the deviance's analytic gradient,
+from the covariance of per-driver OLS coefficients; the solve at its
+optimum also gives beta, sigma2 and beta's covariance.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -25,21 +27,19 @@ import numpy as np
 from .driver import reduced_solve
 from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design,
                     read_json)
-from .numerics import NotPositiveDefinite, PIVOT_RTOL, generalized_inverse, spd_solve
-from .optimize import nelder_mead
+from .numerics import NotPositiveDefinite, generalized_inverse, spd_solve
 
 LOG2PI = math.log(2.0 * math.pi)
 
 # Parameter-vector entries beyond this magnitude would overflow exp();
-# the objective treats such points as infeasible.
+# the deviance treats such points as infeasible.
 _PARAM_BOUND = 30.0
 
-# Initial-simplex offsets, per parameter kind.
-_STEP_LOG_SIGMA = 0.25
-_STEP_CHOL_DIAG = 0.6
-_STEP_CHOL_OFFDIAG = 0.08
+# BFGS stops once the predicted decrease g'Hg/2 is this small.
+_PREDICTED_DECREASE_TOL = 1e-10
 
-_TOL = 1e-6  # -loglik spread or restart gain below which the search has settled
+# Nothing calls this any more; the name stays for tools that look it up.
+nelder_mead = None
 
 
 @dataclass(eq=False)
@@ -77,17 +77,10 @@ def chol_indices(p, num_blocks=None):
     diagonal blocks are free (the block-diagonal reduction); otherwise
     the whole lower triangle is free.
     """
-    if num_blocks:
-        if p % num_blocks:
-            raise ValueError("p must be divisible by the block count")
-        width = p // num_blocks
-        return [
-            (i, j)
-            for i in range(p)
-            for j in range(p)
-            if j <= i and i // width == j // width
-        ]
-    return [(i, j) for i in range(p) for j in range(i + 1)]
+    if num_blocks and p % num_blocks:
+        raise ValueError("p must be divisible by the block count")
+    width = p // num_blocks if num_blocks else p
+    return [(i, j) for i in range(p) for j in range(i + 1) if i // width == j // width]
 
 
 @dataclass(eq=False)
@@ -97,7 +90,7 @@ class VarianceParams:
     ``sigma = exp(log_sigma)``. ``chol_factor`` is lower triangular with
     its diagonal stored as logs, so ``Sigma_gamma = L @ L.T`` (with the
     diagonal exponentiated) is positive semidefinite for every parameter
-    value the optimizer can visit.
+    value.
     """
 
     log_sigma: float
@@ -120,20 +113,6 @@ class VarianceParams:
         np.fill_diagonal(L, np.exp(np.diag(L)))
         sg = L @ L.T
         return 0.5 * (sg + sg.T)
-
-    def to_vector(self, indices):
-        rows, cols = zip(*indices)
-        return np.concatenate(([self.log_sigma], self.chol_factor[rows, cols]))
-
-    @classmethod
-    def from_vector(cls, p, vec, indices):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (1 + len(indices),):
-            raise ValueError(f"expected vector of length {1 + len(indices)}")
-        chol = np.zeros((p, p))
-        rows, cols = zip(*indices)
-        chol[rows, cols] = vec[1:]
-        return cls(log_sigma=float(vec[0]), chol_factor=chol)
 
 
 def marginal_cov(spec, X_d, params):
@@ -183,68 +162,72 @@ def gls_beta(X, y, V_blocks):
     return beta_cov @ score, beta_cov
 
 
+def _factor(p, theta, indices):
+    """Lower-triangular factor holding ``theta`` on ``indices``, with the
+    diagonal entries (stored as logs) exponentiated."""
+    L = np.zeros((p, p))
+    L[tuple(zip(*indices))] = theta
+    np.fill_diagonal(L, np.exp(np.diag(L)))
+    return L
+
+
 class _PreparedDesigns:
     """Per-driver sufficient statistics for fast likelihood evaluation.
 
     The cross products X'X, X'y, y'y per driver do not depend on the
     variance parameters, so they are accumulated once. Each likelihood
     evaluation then solves the serving path's batched p x p push-through
-    system (``driver.reduced_solve``), M = s2 I_p + Sigma_gamma X'X, and
-    uses Sylvester's determinant identity and V^-1 = (I - X Sigma_gamma X'
-    V^-1) / s2:
+    system (``driver.reduced_solve``) at sigma2 = 1, M = I_p + Lambda X'X,
+    whose eigenvalues are >= 1, and uses Sylvester's determinant identity
+    and (V / sigma2)^-1 = I - X Lambda X' (V / sigma2)^-1:
 
-        M^-T [X'X | X'y] = X' V^-1 [X | y],
-        log det V = (n - p) log s2 + log det M,
-        r' V^-1 r = (r'r - (X'r)' Sigma_gamma X' V^-1 r) / s2,
+        M^-T [X'X | X'y] = X' (V / sigma2)^-1 [X | y],
+        log det (V / sigma2) = log det M,
+        r' (V / sigma2)^-1 r = r'r - (X'r)' Lambda X' (V / sigma2)^-1 r,
 
     which keeps the cost independent of the per-driver observation
     counts and never materializes any n x n matrix.
 
     Raises:
-        ValueError: naming a driver whose cross products overflow.
+        ValueError: naming a driver whose design or cross products overflow.
     """
 
     def __init__(self, ts):
         self.spec = ts.spec
-        self.driver_ids = list(ts.drivers.keys())
+        per_driver = []
+        for driver_id, observations in ts.drivers.items():
+            try:
+                per_driver.append(build_design(ts.spec, observations))
+            except ValueError as exc:
+                raise ValueError(f"driver {driver_id!r}: {exc}") from None
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            per_driver = [build_design(ts.spec, ts.drivers[d]) for d in self.driver_ids]
             self.xtx = np.stack([X.T @ X for X, _ in per_driver])
             self.xty = np.stack([X.T @ y for X, y in per_driver])
             self.yty = np.array([float(y @ y) for _, y in per_driver])
-        finite = np.isfinite(self.xtx).all(axis=(1, 2)) & np.isfinite(self.xty).all(axis=1)
-        finite &= np.isfinite(self.yty)
-        if not finite.all():
-            bad = self.driver_ids[int(np.argmin(finite))]
-            raise ValueError(f"driver {bad!r}: headway too large for a degree-{ts.spec.degree} design")
         self.xtxy = np.concatenate([self.xtx, self.xty[:, :, None]], axis=2)
+        finite = np.isfinite(self.xtxy).all(axis=(1, 2)) & np.isfinite(self.yty)
+        if not finite.all():
+            bad = list(ts.drivers)[int(np.argmin(finite))]
+            raise ValueError(f"driver {bad!r}: headway too large for a degree-{ts.spec.degree} design")
         self.designs = per_driver
-        self.counts = np.array([X.shape[0] for X, _ in per_driver])
-        self.total_n = int(self.counts.sum())
+        self.total_n = sum(X.shape[0] for X, _ in per_driver)
 
-    def profile_loglik(self, params):
-        """Profile log-likelihood: GLS beta is computed for these
-        variance parameters and plugged into the Gaussian density.
+    def solve(self, lam):
+        """The GLS fit at Lambda = Sigma_gamma / sigma2, by one batched solve.
 
-        Returns (loglik, beta, info) with info = X' V^-1 X accumulated
-        across drivers.
+        Returns (logdet, q, beta, info, u): sum_d log det (V_d / sigma2),
+        q = sum_d r_d' (V_d / sigma2)^-1 r_d at the GLS beta, beta,
+        info = sum_d X_d' (V_d / sigma2)^-1 X_d, and the rows
+        u_d = X_d' (V_d / sigma2)^-1 r_d.
 
         Raises:
-            NotPositiveDefinite: if a reduced system is numerically singular
-                (possible only at numerically extreme parameters).
+            NotPositiveDefinite: if a reduced system is numerically singular.
         """
         p = self.spec.p
-        sigma2 = params.sigma2
-        sg = params.sigma_gamma()
-        m, W = reduced_solve(self.xtx, sg, sigma2, self.xtxy)
-        # M's eigenvalues are >= s2 and sum to tr M: once s2 is lost beside
-        # the trace, the solve and determinant have no accurate digits left.
+        m, W = reduced_solve(self.xtx, lam, 1.0, self.xtxy)
         sign, logdet_m = np.linalg.slogdet(m)
-        if sigma2 <= p * PIVOT_RTOL * np.max(np.trace(m, axis1=1, axis2=2)) or np.any(sign <= 0):
+        if np.any(sign <= 0):
             raise NotPositiveDefinite("reduced covariance system is numerically singular")
-        logdet = float(np.sum(self.counts - p) * math.log(sigma2) + np.sum(logdet_m))
-
-        # info = sum_d X'V^-1 X, score = sum_d X'V^-1 y.
         info = W[:, :, :p].sum(axis=0)
         info = 0.5 * (info + info.T)
         beta = generalized_inverse(info) @ W[:, :, p].sum(axis=0)
@@ -252,11 +235,43 @@ class _PreparedDesigns:
         # Residual quadratic form from exact residual cross products.
         xtr = self.xty - self.xtx @ beta
         rtr = self.yty - 2.0 * self.xty @ beta + (self.xtx @ beta) @ beta
-        xtvr = W[:, :, p] - W[:, :, :p] @ beta  # X'V^-1 r
-        quad = float(np.sum(rtr - np.einsum("di,di->d", xtr @ sg, xtvr)) / sigma2)
+        u = W[:, :, p] - W[:, :, :p] @ beta
+        q = float(np.sum(rtr - np.einsum("di,di->d", xtr @ lam, u)))
+        return float(np.sum(logdet_m)), q, beta, info, u
 
-        loglik = -0.5 * (self.total_n * LOG2PI + logdet + quad)
-        return loglik, beta, info
+    def profile_loglik(self, params):
+        """Profile log-likelihood at these variance parameters (GLS beta
+        plugged into the Gaussian density), by ``solve`` at Lambda =
+        Sigma_gamma / sigma2. Returns (loglik, beta, info) with info =
+        sum_d X_d' V_d^-1 X_d; raises as ``solve`` does."""
+        sigma2 = params.sigma2
+        logdet, q, beta, info, _ = self.solve(params.sigma_gamma() / sigma2)
+        loglik = -0.5 * (self.total_n * (LOG2PI + math.log(sigma2)) + logdet + q / sigma2)
+        return loglik, beta, info / sigma2
+
+    def deviance(self, theta, indices):
+        """-loglik at the closed-form sigma2 = q / N, and its gradient in
+        ``theta``, the entries on ``indices`` of Lambda's Cholesky factor L
+        (diagonal in logs); (inf, None) where theta is infeasible.
+
+        The deviance is (N log 2pi + N log(q / N) + sum_d log det M_d + N) / 2.
+        beta and sigma2 sit at their optima, so the gradient in Lambda is
+        G = (info - (N / q) sum_d u_d u_d') / 2 (Pinheiro & Bates 1996),
+        2 G L in L, and L_ii times that on the log diagonal.
+        """
+        if np.max(np.abs(theta)) > _PARAM_BOUND:
+            return np.inf, None
+        L = _factor(self.spec.p, theta, indices)
+        try:
+            logdet, q, _, info, u = self.solve(L @ L.T)
+        except NotPositiveDefinite:
+            return np.inf, None
+        if not q > 0:  # cancelled to nothing, far from the optimum
+            return np.inf, None
+        n = self.total_n
+        grad = (info - (n / q) * (u.T @ u)) @ L
+        grad[np.diag_indices_from(grad)] *= np.diag(L)
+        return 0.5 * (n * (LOG2PI + math.log(q / n) + 1.0) + logdet), grad[tuple(zip(*indices))]
 
 
 def log_likelihood(ts, params):
@@ -273,7 +288,10 @@ def log_likelihood(ts, params):
 
 @dataclass
 class FitOptions:
-    """Knobs for the maximum-likelihood search."""
+    """Knobs for the maximum-likelihood search. ``max_iter`` caps the BFGS
+    iterations; ``restarts`` and ``seed`` change nothing (the search is
+    deterministic and has one start), and ``seed`` is echoed into the
+    model's ``fit_info``."""
 
     max_iter: int = 8000
     restarts: int = 3
@@ -281,64 +299,103 @@ class FitOptions:
     block_diagonal: bool = False
 
 
-def _per_driver_ols(prepared):
-    """Independent OLS per driver: coefficient matrix plus pooled residual
-    variance (rank-aware)."""
-    coefs = []
-    rss, dof = 0.0, 0
+def _moment_start(prepared, indices):
+    """Starting theta of the search: Lambda = C / s2, where C is the sample
+    covariance of independent per-driver OLS coefficients, restricted to
+    the free entries of ``indices`` and PSD-projected, and s2 the pooled
+    (rank-aware) OLS residual variance.
+
+    Raises:
+        ValueError: if the coefficient covariance is not finite.
+    """
+    coefs, rss, dof = [], 0.0, 0
     for X, y in prepared.designs:
         coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
         coefs.append(coef)
-        resid = y - X @ coef
-        rss += float(resid @ resid)
+        rss += float((y - X @ coef) @ (y - X @ coef))
         dof += max(X.shape[0] - int(rank), 0)
     if dof > 0 and rss > 0:
         sigma2 = rss / dof
     else:
         sigma2 = max(float(np.var(np.concatenate([y for _, y in prepared.designs]))), 1e-8)
-    return np.array(coefs), sigma2
-
-
-def _moment_start(coefs, indices, sigma2_0):
-    """Starting point of the search: the sample covariance of the per-driver
-    OLS coefficients ``coefs`` (one row per driver), restricted to the free
-    entries of ``indices`` and PSD-projected, with residual variance
-    ``sigma2_0``. It puts the simplex inside the basin of the optimum, where
-    a scale-only guess (0.1 sigma I) can stall many log-units below it.
-
-    Raises:
-        ValueError: if the coefficient covariance is not finite.
-    """
-    cov = np.atleast_2d(np.cov(coefs.T))
+    cov = np.atleast_2d(np.cov(np.array(coefs).T))
     if not np.all(np.isfinite(cov)):
         raise ValueError("per-driver OLS coefficients have a non-finite covariance")
     p = cov.shape[0]
+    free = tuple(zip(*indices))
     mask = np.zeros((p, p), dtype=bool)
-    rows, cols = zip(*indices)
-    mask[rows, cols] = True
+    mask[free] = True
     cov = cov * (mask | mask.T)  # honor the block-diagonal reduction
     eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
     floor = max(float(eigvals[-1]), 1e-6) * 1e-6
     cov = (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
-    chol = np.linalg.cholesky(cov + floor * np.eye(p))
+    chol = np.linalg.cholesky((cov + floor * np.eye(p)) / sigma2)
     np.fill_diagonal(chol, np.log(np.diag(chol)))
-    return VarianceParams(0.5 * math.log(sigma2_0), chol)
+    return chol[free]
+
+
+def bfgs(fn, x0, max_iter):
+    """Minimize ``fn``, which maps x to (value, gradient) and returns an
+    infinite value where x is infeasible, by BFGS on the inverse Hessian H
+    (Nocedal & Wright 2006, Algorithm 6.1) with backtracking to Armijo's
+    condition. No step moves a coordinate by more than 1: one early step
+    could otherwise throw a log-diagonal entry out to where its gradient
+    vanishes.
+
+    Converged means the predicted decrease g'Hg/2 is at most
+    ``_PREDICTED_DECREASE_TOL``, or no step along -Hg gains anything above
+    rounding, with H just reset to the identity: near a boundary optimum
+    g need not vanish, and a stale H can predict too little.
+
+    Returns:
+        (x, fx, iterations, converged)
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g = fn(x)
+    H = np.eye(x.size)
+    fresh = True  # H is the identity
+    for iteration in range(1, max_iter + 1):
+        d = -H @ g
+        step = None
+        if -0.5 * (g @ d) > _PREDICTED_DECREASE_TOL:
+            d /= max(1.0, np.max(np.abs(d)))
+            slope = g @ d
+            t = 1.0
+            while -t * slope > np.finfo(float).eps * abs(f):
+                f_new, g_new = fn(x + t * d)
+                if f_new <= f + 1e-4 * t * slope:
+                    step = t * d
+                    break
+                t *= 0.5
+        if step is None:
+            if fresh:
+                return x, f, iteration, True
+            H, fresh = np.eye(x.size), True
+            continue
+        dg = g_new - g
+        x, f, g, fresh = x + step, f_new, g_new, False
+        curvature = step @ dg
+        if curvature > 0:  # keeps H positive definite
+            v = np.eye(x.size) - np.outer(step, dg) / curvature
+            H = v @ H @ v.T + np.outer(step, step) / curvature
+    return x, f, max_iter, False
 
 
 def fit(ts, opts=None):
     """Fit the population model by maximum likelihood.
 
-    Nelder-Mead over the variance parameters (profile likelihood in
-    beta), started from the sample covariance of per-driver OLS
-    coefficients (``_moment_start``). Seeded random restarts then rebuild
-    the simplex around the best point so far, which is a vertex of each
-    restart simplex, so the objective never regresses.
-    beta and beta_cov are the profile likelihood's at the final best point.
+    ``bfgs`` on the profiled deviance over Lambda = Sigma_gamma / sigma2
+    (``_PreparedDesigns.deviance``) from ``_moment_start``, shrunk by 4
+    until the deviance there is finite. beta, sigma2 = q / N, Sigma_gamma
+    = sigma2 Lambda and beta_cov come from the solve at the optimum.
 
     Returns:
-        TrainedModel; ``fit_info.converged`` is False when the search
-        was still finding improvements larger than ``_TOL`` when the
-        iteration budget ran out (the result is returned regardless).
+        TrainedModel; ``fit_info.converged`` is False when the iteration
+        budget ran out first (the result is returned regardless).
+
+    Raises:
+        ValueError: if the deviance is not finite anywhere on the way
+            from the moment start towards Lambda = 0.
     """
     if opts is None:
         opts = FitOptions()
@@ -347,66 +404,30 @@ def fit(ts, opts=None):
     p = ts.spec.p
     prepared = _PreparedDesigns(ts)
     indices = chol_indices(p, ts.spec.num_stimuli if opts.block_diagonal else None)
+    deviance = functools.partial(prepared.deviance, indices=indices)
 
-    def objective(vec):
-        if np.max(np.abs(vec)) > _PARAM_BOUND:
-            return np.inf
-        params = VarianceParams.from_vector(p, vec, indices)
-        try:
-            loglik, _, _ = prepared.profile_loglik(params)
-        except NotPositiveDefinite:
-            return np.inf
-        return -loglik
+    theta = _moment_start(prepared, indices)
+    on_diag = np.array([i == j for i, j in indices])
+    for _ in range(64):
+        if np.isfinite(deviance(theta)[0]):
+            break
+        theta = np.where(on_diag, theta - math.log(2.0), 0.5 * theta)  # Lambda / 4
+    else:
+        raise ValueError("the likelihood is not finite near the moment start")
+    theta, neg_loglik, iterations, converged = bfgs(deviance, theta, opts.max_iter)
 
-    coefs, sigma2_0 = _per_driver_ols(prepared)
-    x0 = _moment_start(coefs, indices, sigma2_0).to_vector(indices)
-
-    base_step = np.array(
-        [_STEP_LOG_SIGMA] + [_STEP_CHOL_DIAG if i == j else _STEP_CHOL_OFFDIAG for i, j in indices]
-    )
-
-    rng = np.random.Generator(np.random.Philox(key=opts.seed % (1 << 64)))
-    best = nelder_mead(objective, x0, base_step, tol=_TOL, max_iter=opts.max_iter)
-    iterations = best.iterations
-    final_gain = np.inf
-    for restart in range(opts.restarts):
-        scale = 0.5**restart
-        steps = (
-            base_step
-            * scale
-            * rng.uniform(0.25, 1.0, size=base_step.size)
-            * rng.choice([-1.0, 1.0], size=base_step.size)
-        )
-        result = nelder_mead(objective, best.x, steps, tol=_TOL, max_iter=opts.max_iter)
-        iterations += result.iterations
-        final_gain = best.fx - result.fx
-        if result.fx <= best.fx:
-            best = result
-
-    # Converged when the search settled: either the multistart stopped
-    # producing objective improvement beyond the tolerance, or the last
-    # simplex collapsed on its own.
-    converged = bool(best.converged or (opts.restarts > 0 and final_gain < _TOL))
-
-    params = VarianceParams.from_vector(p, best.x, indices)
-    loglik, beta, info = prepared.profile_loglik(params)
-    beta_cov = generalized_inverse(info)
+    L = _factor(p, theta, indices)
+    lam = L @ L.T
+    _, q, beta, info, _ = prepared.solve(lam)
+    sigma2 = q / prepared.total_n
+    sigma_gamma = sigma2 * 0.5 * (lam + lam.T)
+    beta_cov = sigma2 * generalized_inverse(info)
     beta_cov = 0.5 * (beta_cov + beta_cov.T)
 
-    return TrainedModel(
-        spec=ts.spec,
-        stimuli=ts.stimuli,
-        beta=beta,
-        sigma2=params.sigma2,
-        sigma_gamma=params.sigma_gamma(),
-        beta_cov=beta_cov,
-        fit_info=FitInfo(
-            converged=converged,
-            loglik=float(loglik),
-            iterations=int(iterations),
-            seed=int(opts.seed),
-        ),
-    )
+    fit_info = FitInfo(converged=converged, loglik=-float(neg_loglik), iterations=int(iterations),
+                       seed=int(opts.seed))
+    return TrainedModel(spec=ts.spec, stimuli=ts.stimuli, beta=beta, sigma2=sigma2,
+                        sigma_gamma=sigma_gamma, beta_cov=beta_cov, fit_info=fit_info)
 
 
 def model_to_dict(model):

@@ -79,6 +79,17 @@ class TestTrain:
         run(["train", "--data", str(data), "--out", str(m2), "--restarts", "1", "--seed", "5"])
         assert m1.read_bytes() == m2.read_bytes()
 
+    def test_default_study_full_covariance_converges(self, tmp_path, capsys):
+        # The committed study with the default options: the full-covariance
+        # fit reaches its optimum, so the command exits 0.
+        data, model_path = tmp_path / "data.csv", tmp_path / "model.json"
+        assert run(["simulate", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert run(["train", "--data", str(data), "--out", str(model_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("loglik=") and out.rstrip().endswith("converged=True")
+        assert load_model(model_path).fit_info.converged
+
     def test_single_driver_rejected(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         data.write_text(
@@ -174,6 +185,19 @@ class TestUpdate:
                     "--event", "mystery,1.0,0.8"]) == 3
         assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
                     "--event", "traffic_signal,1.0"]) == 3
+        assert not state.exists()
+
+    def test_overflowing_headway_is_a_validation_error(self, tmp_path, handmade_model_path,
+                                                       capfd):
+        # The event once got stored, and the next prediction failed with
+        # numpy warnings and a "singular" message that did not name it.
+        state = tmp_path / "zz.json"
+        assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
+                    "--event", "traffic_signal,1e200,0.9"]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: headway_s 1e+200 too large for a degree-2 design"]
         assert not state.exists()
 
     def test_missing_model_is_io_error(self, tmp_path):
@@ -474,6 +498,15 @@ class TestMalformedJson:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: {kind} file {bad} has the wrong shape: ")
+
+    def test_deeply_nested_model_is_a_validation_error(self, tmp_path, capfd):
+        # json.load raised RecursionError here: exit 1 with a traceback.
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        assert run(["pbrt", "--model", str(bad), "--stimulus", "traffic_signal"]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: model file {bad} is nested too deeply to read"]
 
 
 class TestRoundTrip:
