@@ -17,9 +17,9 @@ from the covariance of per-driver OLS coefficients; the solve at its
 optimum also gives beta, sigma2 and beta's covariance.
 """
 
-import functools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +37,6 @@ _PARAM_BOUND = 30.0
 
 # BFGS stops once the predicted decrease g'Hg/2 is this small.
 _PREDICTED_DECREASE_TOL = 1e-10
-
-# Nothing calls this any more; the name stays for tools that look it up.
-nelder_mead = None
 
 
 @dataclass(eq=False)
@@ -334,13 +331,16 @@ def _moment_start(prepared, indices):
     return chol[free]
 
 
-def bfgs(fn, x0, max_iter):
-    """Minimize ``fn``, which maps x to (value, gradient) and returns an
-    infinite value where x is infeasible, by BFGS on the inverse Hessian H
-    (Nocedal & Wright 2006, Algorithm 6.1) with backtracking to Armijo's
-    condition. No step moves a coordinate by more than 1: one early step
-    could otherwise throw a log-diagonal entry out to where its gradient
-    vanishes.
+Search = namedtuple("Search", "x fun iterations nfev converged")
+
+
+def bfgs(fn, x0, max_iter, grad):
+    """Minimize ``fn``, which maps x to a value, infinite where x is
+    infeasible, with gradient ``grad(x)`` wherever ``fn(x)`` was finite, by
+    BFGS on the inverse Hessian H (Nocedal & Wright 2006, Algorithm 6.1)
+    with backtracking to Armijo's condition. No step moves a coordinate by
+    more than 1: one early step could otherwise throw a log-diagonal entry
+    out to where its gradient vanishes.
 
     Converged means the predicted decrease g'Hg/2 is at most
     ``_PREDICTED_DECREASE_TOL``, or no step along -Hg gains anything above
@@ -348,10 +348,10 @@ def bfgs(fn, x0, max_iter):
     g need not vanish, and a stale H can predict too little.
 
     Returns:
-        (x, fx, iterations, converged)
+        Search(x, fun, iterations, nfev, converged); nfev counts calls of fn.
     """
     x = np.asarray(x0, dtype=float)
-    f, g = fn(x)
+    f, g, nfev = fn(x), grad(x), 1
     H = np.eye(x.size)
     fresh = True  # H is the identity
     for iteration in range(1, max_iter + 1):
@@ -362,23 +362,29 @@ def bfgs(fn, x0, max_iter):
             slope = g @ d
             t = 1.0
             while -t * slope > np.finfo(float).eps * abs(f):
-                f_new, g_new = fn(x + t * d)
+                trial = x + t * d
+                f_new, nfev = fn(trial), nfev + 1
                 if f_new <= f + 1e-4 * t * slope:
-                    step = t * d
+                    step, g_new = t * d, grad(trial)
                     break
                 t *= 0.5
         if step is None:
             if fresh:
-                return x, f, iteration, True
+                return Search(x, f, iteration, nfev, True)
             H, fresh = np.eye(x.size), True
             continue
         dg = g_new - g
-        x, f, g, fresh = x + step, f_new, g_new, False
+        x, f, g, fresh = trial, f_new, g_new, False
         curvature = step @ dg
         if curvature > 0:  # keeps H positive definite
             v = np.eye(x.size) - np.outer(step, dg) / curvature
             H = v @ H @ v.T + np.outer(step, step) / curvature
-    return x, f, max_iter, False
+    return Search(x, f, max_iter, nfev, False)
+
+
+# ``fit`` calls ``bfgs`` by the name perfbench hooks, kept from the Nelder-Mead
+# search, to count deviance evaluations and time its host-speed kernel.
+nelder_mead = bfgs
 
 
 def fit(ts, opts=None):
@@ -404,17 +410,26 @@ def fit(ts, opts=None):
     p = ts.spec.p
     prepared = _PreparedDesigns(ts)
     indices = chol_indices(p, ts.spec.num_stimuli if opts.block_diagonal else None)
-    deviance = functools.partial(prepared.deviance, indices=indices)
+    solved = [None, None]  # the last theta evaluated, and the gradient there
+
+    def deviance(theta):
+        value, solved[1] = prepared.deviance(theta, indices)
+        solved[0] = theta
+        return value
+
+    def gradient(theta):
+        return solved[1] if theta is solved[0] else prepared.deviance(theta, indices)[1]
 
     theta = _moment_start(prepared, indices)
     on_diag = np.array([i == j for i, j in indices])
     for _ in range(64):
-        if np.isfinite(deviance(theta)[0]):
+        if np.isfinite(deviance(theta)):
             break
         theta = np.where(on_diag, theta - math.log(2.0), 0.5 * theta)  # Lambda / 4
     else:
         raise ValueError("the likelihood is not finite near the moment start")
-    theta, neg_loglik, iterations, converged = bfgs(deviance, theta, opts.max_iter)
+    theta, neg_loglik, iterations, _, converged = nelder_mead(deviance, theta, opts.max_iter,
+                                                              grad=gradient)
 
     L = _factor(p, theta, indices)
     lam = L @ L.T
