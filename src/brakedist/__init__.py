@@ -19,20 +19,10 @@ from .model import (
     build_design,
     feature_row,
 )
-from .numerics import NotPositiveDefinite, generalized_inverse, is_psd, spd_solve
+from .numerics import NotPositiveDefinite
 from .pbrt import InvalidQuantile, PbrtEstimate, density_curve, estimate_pbrt, norm_quantile, percentile
 from .simgen import SimConfig, default_config, generate
-from .training import (
-    FitOptions,
-    TrainingSet,
-    VarianceParams,
-    fit,
-    gls_beta,
-    load_model,
-    log_likelihood,
-    marginal_cov,
-    save_model,
-)
+from .training import FitOptions, TrainingSet, fit, load_model, log_likelihood, save_model
 
 __version__ = "0.1.0"
 
@@ -51,7 +41,6 @@ __all__ = [
     "TrainedModel",
     "TrainingSet",
     "UnknownStimulus",
-    "VarianceParams",
     "add_observation",
     "build_design",
     "compute_blup",
@@ -60,15 +49,10 @@ __all__ = [
     "estimate_pbrt",
     "feature_row",
     "fit",
-    "generalized_inverse",
     "generate",
-    "gls_beta",
-    "is_psd",
     "load_model",
     "log_likelihood",
-    "marginal_cov",
     "norm_quantile",
     "percentile",
     "save_model",
-    "spd_solve",
 ]

@@ -12,9 +12,12 @@ Lambda, beta has the closed-form GLS solution (``gls_beta`` over
 r'(V / sigma2)^-1 r / N, so the search runs over Lambda alone, on lme4's
 profiled deviance (Bates et al. 2015, JSS 67(1), sec. 3.4). Lambda is kept
 positive semidefinite by searching its Cholesky factor, whose diagonal is
-stored in logs. The search is BFGS on the deviance's analytic gradient,
+stored in logs: theta holds the factor's entries on a boolean mask
+(``chol_mask``). The search is BFGS on the deviance's analytic gradient,
 from the covariance of per-driver OLS coefficients; the solve at its
-optimum also gives beta, sigma2 and beta's covariance.
+optimum also gives beta, sigma2 and beta's covariance. Everything outside
+the search takes the variance parameters as the model stores them,
+(sigma2, Sigma_gamma): ``log_likelihood`` evaluates the same kernel there.
 """
 
 import json
@@ -27,7 +30,7 @@ import numpy as np
 from .driver import reduced_solve
 from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design,
                     read_json)
-from .numerics import NotPositiveDefinite, generalized_inverse, spd_solve
+from .numerics import NotPositiveDefinite, check_symmetric, generalized_inverse, is_psd, spd_solve
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -67,62 +70,28 @@ class TrainingSet:
         return sum(len(v) for v in self.drivers.values())
 
 
-def chol_indices(p, num_blocks=None):
-    """Row/column indices of the free lower-triangle entries.
-
-    With ``num_blocks`` set, only entries inside the per-stimulus
-    diagonal blocks are free (the block-diagonal reduction); otherwise
-    the whole lower triangle is free.
-    """
+def chol_mask(p, num_blocks=None):
+    """Free entries of Lambda's Cholesky factor as a boolean p x p mask: the
+    lower triangle, or only its per-stimulus diagonal blocks when
+    ``num_blocks`` is set (the block-diagonal reduction). Boolean indexing
+    walks it in row-major order, which fixes the order of theta's entries."""
     if num_blocks and p % num_blocks:
         raise ValueError("p must be divisible by the block count")
-    width = p // num_blocks if num_blocks else p
-    return [(i, j) for i in range(p) for j in range(i + 1) if i // width == j // width]
+    block = np.arange(p) // (p // num_blocks if num_blocks else p)
+    return np.tril(block[:, None] == block)
 
 
-@dataclass(eq=False)
-class VarianceParams:
-    """Unconstrained parameterization of (sigma, Sigma_gamma).
-
-    ``sigma = exp(log_sigma)``. ``chol_factor`` is lower triangular with
-    its diagonal stored as logs, so ``Sigma_gamma = L @ L.T`` (with the
-    diagonal exponentiated) is positive semidefinite for every parameter
-    value.
-    """
-
-    log_sigma: float
-    chol_factor: np.ndarray
-
-    def __post_init__(self):
-        self.chol_factor = np.asarray(self.chol_factor, dtype=float)
-        p = self.chol_factor.shape[0]
-        if self.chol_factor.shape != (p, p):
-            raise ValueError("chol_factor must be square")
-        if np.any(np.triu(self.chol_factor, k=1) != 0.0):
-            raise ValueError("chol_factor must be lower triangular")
-
-    @property
-    def sigma2(self):
-        return math.exp(2.0 * self.log_sigma)
-
-    def sigma_gamma(self):
-        L = self.chol_factor.copy()
-        np.fill_diagonal(L, np.exp(np.diag(L)))
-        sg = L @ L.T
-        return 0.5 * (sg + sg.T)
-
-
-def marginal_cov(spec, X_d, params):
+def marginal_cov(spec, X_d, sigma2, sigma_gamma):
     """Marginal covariance of one driver's log responses (dense reference).
 
-    Returns ``X_d @ Sigma_gamma @ X_d.T + sigma2 * I``, which is SPD for
-    any parameter value since sigma2 > 0 by construction.
+    Returns ``X_d @ sigma_gamma @ X_d.T + sigma2 * I``, which is SPD for
+    sigma2 > 0 and a PSD sigma_gamma.
     """
     X_d = np.asarray(X_d, dtype=float)
     if X_d.ndim != 2 or X_d.shape[1] != spec.p:
         raise ValueError(f"X_d must have {spec.p} columns")
     n = X_d.shape[0]
-    V = X_d @ params.sigma_gamma() @ X_d.T + params.sigma2 * np.eye(n)
+    V = X_d @ sigma_gamma @ X_d.T + sigma2 * np.eye(n)
     return 0.5 * (V + V.T)
 
 
@@ -159,11 +128,11 @@ def gls_beta(X, y, V_blocks):
     return beta_cov @ score, beta_cov
 
 
-def _factor(p, theta, indices):
-    """Lower-triangular factor holding ``theta`` on ``indices``, with the
-    diagonal entries (stored as logs) exponentiated."""
-    L = np.zeros((p, p))
-    L[tuple(zip(*indices))] = theta
+def _factor(theta, free):
+    """Lower-triangular factor holding ``theta`` on the mask ``free``, with
+    the diagonal entries (stored as logs) exponentiated."""
+    L = np.zeros(free.shape)
+    L[free] = theta
     np.fill_diagonal(L, np.exp(np.diag(L)))
     return L
 
@@ -190,7 +159,6 @@ class _PreparedDesigns:
     """
 
     def __init__(self, ts):
-        self.spec = ts.spec
         per_driver = []
         for driver_id, observations in ts.drivers.items():
             try:
@@ -220,7 +188,7 @@ class _PreparedDesigns:
         Raises:
             NotPositiveDefinite: if a reduced system is numerically singular.
         """
-        p = self.spec.p
+        p = self.xtx.shape[-1]
         m, W = reduced_solve(self.xtx, lam, 1.0, self.xtxy)
         sign, logdet_m = np.linalg.slogdet(m)
         if np.any(sign <= 0):
@@ -236,19 +204,9 @@ class _PreparedDesigns:
         q = float(np.sum(rtr - np.einsum("di,di->d", xtr @ lam, u)))
         return float(np.sum(logdet_m)), q, beta, info, u
 
-    def profile_loglik(self, params):
-        """Profile log-likelihood at these variance parameters (GLS beta
-        plugged into the Gaussian density), by ``solve`` at Lambda =
-        Sigma_gamma / sigma2. Returns (loglik, beta, info) with info =
-        sum_d X_d' V_d^-1 X_d; raises as ``solve`` does."""
-        sigma2 = params.sigma2
-        logdet, q, beta, info, _ = self.solve(params.sigma_gamma() / sigma2)
-        loglik = -0.5 * (self.total_n * (LOG2PI + math.log(sigma2)) + logdet + q / sigma2)
-        return loglik, beta, info / sigma2
-
-    def deviance(self, theta, indices):
+    def deviance(self, theta, free):
         """-loglik at the closed-form sigma2 = q / N, and its gradient in
-        ``theta``, the entries on ``indices`` of Lambda's Cholesky factor L
+        ``theta``, the entries on the mask ``free`` of Lambda's Cholesky factor L
         (diagonal in logs); (inf, None) where theta is infeasible.
 
         The deviance is (N log 2pi + N log(q / N) + sum_d log det M_d + N) / 2.
@@ -258,7 +216,7 @@ class _PreparedDesigns:
         """
         if np.max(np.abs(theta)) > _PARAM_BOUND:
             return np.inf, None
-        L = _factor(self.spec.p, theta, indices)
+        L = _factor(theta, free)
         try:
             logdet, q, _, info, u = self.solve(L @ L.T)
         except NotPositiveDefinite:
@@ -268,19 +226,36 @@ class _PreparedDesigns:
         n = self.total_n
         grad = (info - (n / q) * (u.T @ u)) @ L
         grad[np.diag_indices_from(grad)] *= np.diag(L)
-        return 0.5 * (n * (LOG2PI + math.log(q / n) + 1.0) + logdet), grad[tuple(zip(*indices))]
+        return 0.5 * (n * (LOG2PI + math.log(q / n) + 1.0) + logdet), grad[free]
 
 
-def log_likelihood(ts, params):
+def log_likelihood(ts, sigma2, sigma_gamma):
     """Marginal Gaussian log-likelihood of a training set.
 
     The fixed effects are profiled out: beta is set to its GLS estimate
     under these variance parameters, and the returned value is
     ``-0.5 * sum_d [n_d log 2pi + log det V_d + r_d' V_d^-1 r_d]`` with
     ``r_d = y_d - X_d beta``.
+
+    Raises:
+        ValueError: naming the argument, unless sigma2 is positive and
+            finite and sigma_gamma is a p x p symmetric PSD matrix.
+        NotPositiveDefinite: as ``_PreparedDesigns.solve`` does.
     """
-    loglik, _, _ = _PreparedDesigns(ts).profile_loglik(params)
-    return loglik
+    p = ts.spec.p
+    sigma_gamma = np.asarray(sigma_gamma, dtype=float)
+    if not 0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    if sigma_gamma.shape != (p, p) or not np.all(np.isfinite(sigma_gamma)):
+        raise ValueError(f"sigma_gamma must be a finite {p} x {p} matrix")
+    try:
+        psd = is_psd(check_symmetric(sigma_gamma), 1e-8)
+    except ValueError as exc:
+        raise ValueError(f"sigma_gamma: {exc}") from None
+    if not psd:
+        raise ValueError("sigma_gamma is not positive semidefinite")
+    logdet, q, _, _, _ = _PreparedDesigns(ts).solve(sigma_gamma / sigma2)
+    return -0.5 * (ts.num_observations * (LOG2PI + math.log(sigma2)) + logdet + q / sigma2)
 
 
 @dataclass
@@ -296,10 +271,10 @@ class FitOptions:
     block_diagonal: bool = False
 
 
-def _moment_start(prepared, indices):
+def _moment_start(prepared, free):
     """Starting theta of the search: Lambda = C / s2, where C is the sample
     covariance of independent per-driver OLS coefficients, restricted to
-    the free entries of ``indices`` and PSD-projected, and s2 the pooled
+    the free entries of the mask ``free`` and PSD-projected, and s2 the pooled
     (rank-aware) OLS residual variance.
 
     Raises:
@@ -318,15 +293,11 @@ def _moment_start(prepared, indices):
     cov = np.atleast_2d(np.cov(np.array(coefs).T))
     if not np.all(np.isfinite(cov)):
         raise ValueError("per-driver OLS coefficients have a non-finite covariance")
-    p = cov.shape[0]
-    free = tuple(zip(*indices))
-    mask = np.zeros((p, p), dtype=bool)
-    mask[free] = True
-    cov = cov * (mask | mask.T)  # honor the block-diagonal reduction
+    cov = cov * (free | free.T)  # honor the block-diagonal reduction
     eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
     floor = max(float(eigvals[-1]), 1e-6) * 1e-6
     cov = (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
-    chol = np.linalg.cholesky((cov + floor * np.eye(p)) / sigma2)
+    chol = np.linalg.cholesky((cov + floor * np.eye(len(cov))) / sigma2)
     np.fill_diagonal(chol, np.log(np.diag(chol)))
     return chol[free]
 
@@ -409,19 +380,19 @@ def fit(ts, opts=None):
         raise ValueError("at least 2 drivers required")
     p = ts.spec.p
     prepared = _PreparedDesigns(ts)
-    indices = chol_indices(p, ts.spec.num_stimuli if opts.block_diagonal else None)
+    free = chol_mask(p, ts.spec.num_stimuli if opts.block_diagonal else None)
     solved = [None, None]  # the last theta evaluated, and the gradient there
 
     def deviance(theta):
-        value, solved[1] = prepared.deviance(theta, indices)
+        value, solved[1] = prepared.deviance(theta, free)
         solved[0] = theta
         return value
 
     def gradient(theta):
-        return solved[1] if theta is solved[0] else prepared.deviance(theta, indices)[1]
+        return solved[1] if theta is solved[0] else prepared.deviance(theta, free)[1]
 
-    theta = _moment_start(prepared, indices)
-    on_diag = np.array([i == j for i, j in indices])
+    theta = _moment_start(prepared, free)
+    on_diag = np.eye(p, dtype=bool)[free]
     for _ in range(64):
         if np.isfinite(deviance(theta)):
             break
@@ -431,7 +402,7 @@ def fit(ts, opts=None):
     theta, neg_loglik, iterations, _, converged = nelder_mead(deviance, theta, opts.max_iter,
                                                               grad=gradient)
 
-    L = _factor(p, theta, indices)
+    L = _factor(theta, free)
     lam = L @ L.T
     _, q, beta, info, _ = prepared.solve(lam)
     sigma2 = q / prepared.total_n
@@ -470,26 +441,43 @@ def model_to_dict(model):
     return doc
 
 
+def _number(doc, *path, integral=False):
+    """The JSON number at ``path`` in ``doc``, as a float, or an int if
+    ``integral``; any other value (a bool, a string, a fraction where an
+    integer belongs) is a ValueError naming the field."""
+    value, name = doc, ".".join(path)
+    for key in path:
+        value = value[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if integral and not (isinstance(value, int) or value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value) if integral else float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
+
+
 def model_from_dict(doc):
-    spec = ModelSpec(num_stimuli=int(doc["spec"]["num_stimuli"]), degree=int(doc["spec"]["degree"]))
+    spec = ModelSpec(num_stimuli=_number(doc, "spec", "num_stimuli", integral=True),
+                     degree=_number(doc, "spec", "degree", integral=True))
     registry = StimulusRegistry(doc["spec"]["stimuli"])
     fit_info = None
     if doc.get("fit_info") is not None:
-        fi = doc["fit_info"]
         fit_info = FitInfo(
-            converged=bool(fi["converged"]),
-            loglik=float(fi["loglik"]),
-            iterations=int(fi["iterations"]),
-            seed=int(fi["seed"]),
+            converged=bool(doc["fit_info"]["converged"]),
+            loglik=_number(doc, "fit_info", "loglik"),
+            iterations=_number(doc, "fit_info", "iterations", integral=True),
+            seed=_number(doc, "fit_info", "seed", integral=True),
         )
     return TrainedModel(
         spec=spec,
         stimuli=registry,
         beta=np.array(doc["beta"], dtype=float),
-        sigma2=float(doc["sigma2"]),
+        sigma2=_number(doc, "sigma2"),
         sigma_gamma=np.array(doc["sigma_gamma"], dtype=float),
         beta_cov=np.array(doc["beta_cov"], dtype=float),
-        t_star=float(doc["t_star"]),
+        t_star=_number(doc, "t_star"),
         fit_info=fit_info,
     )
 

@@ -15,13 +15,14 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 import brakedist.cli as cli
-from brakedist.driver import DriverState, add_observation, compute_blup, henderson_oracle
+from brakedist.driver import DriverState, add_observation, compute_blup
 from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainedModel, feature_row
 from brakedist.numerics import is_psd
 from brakedist.pbrt import PbrtEstimate, estimate_pbrt, norm_quantile, percentile
 from brakedist.simgen import default_config, generate
-from brakedist.training import FitOptions, TrainingSet, fit, load_model, save_model
-from brakedist.training import log_likelihood, VarianceParams
+from brakedist.training import FitOptions, TrainingSet, fit, load_model, log_likelihood, save_model
+
+from reference import henderson_oracle
 
 
 @contextmanager
@@ -111,14 +112,11 @@ def test_criterion_2_likelihood_oracle():
             assert total <= 200
             ts = TrainingSet(spec=spec, stimuli=registry, drivers=drivers)
             sg = random_spd(rng, spec.p)
-            L = np.linalg.cholesky(sg)
-            chol = np.tril(L)
-            np.fill_diagonal(chol, np.log(np.diag(L)))
-            params = VarianceParams(0.5 * math.log(float(rng.uniform(0.02, 0.3))), chol)
+            sigma2 = float(rng.uniform(0.02, 0.3))
 
-            got = log_likelihood(ts, params)
+            got = log_likelihood(ts, sigma2, sg)
 
-            _, beta, _ = _PreparedDesigns(ts).profile_loglik(params)
+            beta = _PreparedDesigns(ts).solve(sg / sigma2)[2]
             Xs, ys = [], []
             for obs in drivers.values():
                 X, y = build_design(spec, obs)
@@ -128,7 +126,7 @@ def test_criterion_2_likelihood_oracle():
             V = np.zeros((n, n))
             off = 0
             for X in Xs:
-                V[off:off + X.shape[0], off:off + X.shape[0]] = marginal_cov(spec, X, params)
+                V[off:off + X.shape[0], off:off + X.shape[0]] = marginal_cov(spec, X, sigma2, sg)
                 off += X.shape[0]
             want = float(multivariate_normal.logpdf(
                 np.concatenate(ys), mean=np.vstack(Xs) @ beta, cov=V))

@@ -384,6 +384,32 @@ class TestPbrt:
         assert captured.out == ""
         assert f"{field} must be finite" in captured.err
 
+    FIT_INFO = {"converged": True, "loglik": -1.0, "iterations": 3, "seed": 42}
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("spec", "degree"), 1.5, "spec.degree must be an integer, got 1.5"),
+        (("spec", "degree"), "2", "spec.degree must be a number, got '2'"),
+        (("spec", "num_stimuli"), True, "spec.num_stimuli must be a number, got True"),
+        (("sigma2",), True, "sigma2 must be a number, got True"),
+        (("t_star",), "1.5", "t_star must be a number, got '1.5'"),
+        (("fit_info",), {**FIT_INFO, "loglik": "-1.0"}, "fit_info.loglik must be a number, got '-1.0'"),
+    ], ids=["degree-fraction", "degree-string", "num_stimuli-bool", "sigma2-bool", "t_star-string",
+            "loglik-string"])
+    def test_mistyped_model_field_is_named(self, handmade_model_path, capsys, path, value, message):
+        # Read with bare int() and float() these were truncated (degree 1.5,
+        # then a misleading beta-shape error) or accepted ("2", true).
+        doc = json.loads(handmade_model_path.read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        handmade_model_path.write_text(json.dumps(doc))
+        assert run(["pbrt", "--model", str(handmade_model_path),
+                    "--stimulus", "traffic_signal"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
     def test_bad_percentiles(self, handmade_model_path):
         assert run(["pbrt", "--model", str(handmade_model_path),
                     "--stimulus", "traffic_signal", "--percentiles", "0,50"]) == 3

@@ -12,12 +12,13 @@ from brakedist.driver import (
     DriverState,
     add_observation,
     compute_blup,
-    henderson_oracle,
     load_driver_state,
     state_to_dict,
 )
 from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainedModel, build_design
 from brakedist.numerics import spd_solve
+
+from reference import henderson_oracle
 
 
 def scalar_model(sigma_gamma=1.0, sigma2=1.0, beta=0.0, beta_cov=0.0):

@@ -11,8 +11,9 @@ from brakedist.numerics import NotPositiveDefinite, is_psd
 from brakedist.training import (
     FitOptions,
     TrainingSet,
-    VarianceParams,
-    chol_indices,
+    _factor,
+    _PreparedDesigns,
+    chol_mask,
     fit,
     gls_beta,
     load_model,
@@ -24,22 +25,6 @@ from brakedist.training import (
 )
 
 REG1 = StimulusRegistry(["stim"])
-
-
-def params_from(sigma2, sigma_gamma, jitter=0.0):
-    """VarianceParams reproducing (sigma2, sigma_gamma) exactly (or nearly,
-    via a ridge at rounding level and a log-diag floor, when sigma_gamma is
-    singular)."""
-    p = sigma_gamma.shape[0]
-    try:
-        L = np.linalg.cholesky(sigma_gamma)
-    except np.linalg.LinAlgError:
-        ridge = max(1e-30, 1e-15 * float(np.trace(sigma_gamma)))
-        L = np.linalg.cholesky(sigma_gamma + ridge * np.eye(p))
-    chol = np.tril(L)
-    diag = np.maximum(np.diag(L), 1e-30)
-    np.fill_diagonal(chol, np.log(diag))
-    return VarianceParams(log_sigma=0.5 * math.log(sigma2) + jitter, chol_factor=chol)
 
 
 def simple_obs(driver, stimulus, headway, log_y):
@@ -61,43 +46,42 @@ def random_training_set(rng, spec, n_drivers, n_per_driver, registry=None):
 
 class TestVarianceParams:
     def test_sigma_gamma_psd_for_any_vector(self):
+        # Any theta on a full or block-diagonal mask gives a lower-triangular
+        # factor L, zero off the mask, and a PSD Lambda = L L'.
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            chol = np.tril(rng.normal(scale=2.0, size=(9, 9)))
-            params = VarianceParams(log_sigma=float(rng.normal(scale=2.0)), chol_factor=chol)
-            assert is_psd(params.sigma_gamma(), 1e-8)
-            assert params.sigma2 > 0
+        for free in (chol_mask(9), chol_mask(9, num_blocks=3)):
+            for _ in range(20):
+                L = _factor(rng.normal(scale=2.0, size=int(free.sum())), free)
+                assert np.all(L[~free] == 0.0)
+                assert is_psd(L @ L.T, 1e-8)
 
     def test_block_diagonal_indices(self):
-        full = chol_indices(9)
-        blocked = chol_indices(9, num_blocks=3)
-        assert len(full) == 45
-        assert len(blocked) == 18  # 3 blocks x 6 lower-tri entries
-        assert all(i // 3 == j // 3 for i, j in blocked)
+        # nonzero() walks the mask row-major, as boolean indexing does: the
+        # order of theta's entries, on which every fit's arithmetic depends.
+        for num_blocks, count in ((None, 45), (3, 18)):  # 3 blocks x 6 lower-tri entries
+            width = 9 // (num_blocks or 1)
+            listed = [(i, j) for i in range(9) for j in range(i + 1) if i // width == j // width]
+            rows, cols = chol_mask(9, num_blocks).nonzero()
+            assert list(zip(rows.tolist(), cols.tolist())) == listed
+            assert len(listed) == count
 
-    def test_reconstructs_target_covariance(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((4, 4))
-        sg = a @ a.T + 0.1 * np.eye(4)
-        params = params_from(0.04, sg)
-        assert np.allclose(params.sigma_gamma(), sg, atol=1e-12)
-        assert params.sigma2 == pytest.approx(0.04, rel=1e-12)
+    def test_rejects_block_count_not_dividing_p(self):
+        with pytest.raises(ValueError, match="divisible by the block count"):
+            chol_mask(9, num_blocks=2)
 
 
 class TestMarginalCov:
     def test_zero_sigma_gamma_gives_identity_scale(self):
         spec = ModelSpec(3, 2)
-        params = params_from(1.0, np.zeros((9, 9)))
         X = np.random.default_rng(3).standard_normal((5, 9))
-        assert np.allclose(marginal_cov(spec, X, params), np.eye(5), atol=1e-12)
+        assert np.allclose(marginal_cov(spec, X, 1.0, np.zeros((9, 9))), np.eye(5), atol=1e-12)
 
     def test_identity_design(self):
         spec = ModelSpec(3, 2)
         rng = np.random.default_rng(4)
         a = rng.standard_normal((9, 9)) * 0.1
         sg = a @ a.T
-        params = params_from(0.5, sg)
-        assert np.allclose(marginal_cov(spec, np.eye(9), params), sg + 0.5 * np.eye(9), atol=1e-12)
+        assert np.allclose(marginal_cov(spec, np.eye(9), 0.5, sg), sg + 0.5 * np.eye(9), atol=1e-12)
 
     def test_matches_naive_triple_loop(self):
         spec = ModelSpec(3, 2)
@@ -105,8 +89,7 @@ class TestMarginalCov:
         X = rng.standard_normal((4, 9))
         a = rng.standard_normal((9, 9)) * 0.2
         sg = a @ a.T
-        params = params_from(0.07, sg)
-        V = marginal_cov(spec, X, params)
+        V = marginal_cov(spec, X, 0.07, sg)
         naive = np.zeros((4, 4))
         for i in range(4):
             for j in range(4):
@@ -161,7 +144,6 @@ class TestGlsBeta:
         rng = np.random.default_rng(8)
         spec = ModelSpec(2, 1)
         ts = random_training_set(rng, spec, 6, 5)
-        params = params_from(0.05, 0.01 * np.eye(spec.p))
         from brakedist.model import build_design
 
         def assemble(order):
@@ -170,7 +152,7 @@ class TestGlsBeta:
                 X, y = build_design(spec, ts.drivers[d])
                 Xs.append(X)
                 ys.append(y)
-                blocks.append(marginal_cov(spec, X, params))
+                blocks.append(marginal_cov(spec, X, 0.05, 0.01 * np.eye(spec.p)))
             return gls_beta(np.vstack(Xs), np.concatenate(ys), blocks)
 
         order = list(ts.drivers)
@@ -201,17 +183,35 @@ class TestLogLikelihood:
             stimuli=REG1,
             drivers={"d0": [simple_obs("d0", 0, 1.0, 0.7)]},
         )
-        params = params_from(1.0, np.zeros((1, 1)))
-        assert log_likelihood(ts, params) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-10)
+        assert log_likelihood(ts, 1.0, np.zeros((1, 1))) == pytest.approx(
+            -0.5 * math.log(2 * math.pi), abs=1e-10)
 
     def test_doubling_sigma_decreases_loglik_at_zero_residuals(self):
         # Identical responses: the profiled mean fits exactly, so only the
         # log-determinant term moves.
         drivers = {f"d{i}": [simple_obs(f"d{i}", 0, 1.0 + i, 0.3)] for i in range(4)}
         ts = TrainingSet(spec=ModelSpec(1, 0), stimuli=REG1, drivers=drivers)
-        ll1 = log_likelihood(ts, params_from(1.0, np.zeros((1, 1))))
-        ll2 = log_likelihood(ts, params_from(4.0, np.zeros((1, 1))))
+        ll1 = log_likelihood(ts, 1.0, np.zeros((1, 1)))
+        ll2 = log_likelihood(ts, 4.0, np.zeros((1, 1)))
         assert ll2 < ll1
+
+    @pytest.mark.parametrize("sigma2, sigma_gamma, message", [
+        (0.0, np.eye(2), "sigma2 must be positive and finite"),
+        (-0.04, np.eye(2), "sigma2 must be positive and finite"),
+        (math.nan, np.eye(2), "sigma2 must be positive and finite"),
+        (math.inf, np.eye(2), "sigma2 must be positive and finite"),
+        (0.04, np.eye(3), "sigma_gamma must be a finite 2 x 2 matrix"),
+        (0.04, np.array([[1.0, 0.5], [0.0, 1.0]]), "sigma_gamma: matrix is not symmetric"),
+        (0.04, np.diag([1.0, -1.0]), "sigma_gamma is not positive semidefinite"),
+    ], ids=["zero", "negative", "nan", "inf", "shape", "asymmetric", "not-psd"])
+    def test_rejects_invalid_variance_parameters(self, sigma2, sigma_gamma, message):
+        import warnings
+
+        ts = random_training_set(np.random.default_rng(17), ModelSpec(1, 1), 3, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                log_likelihood(ts, sigma2, sigma_gamma)
 
     def test_matches_dense_multivariate_normal_oracle(self):
         rng = np.random.default_rng(10)
@@ -219,9 +219,9 @@ class TestLogLikelihood:
             spec = ModelSpec(int(rng.integers(1, 4)), 2)
             ts = random_training_set(rng, spec, int(rng.integers(2, 7)), int(rng.integers(2, 9)))
             a = rng.standard_normal((spec.p, spec.p)) * 0.15
-            params = params_from(float(rng.uniform(0.02, 0.3)), a @ a.T + 0.001 * np.eye(spec.p))
-            assert log_likelihood(ts, params) == pytest.approx(
-                dense_mvn_loglik(ts, params), abs=1e-8
+            sigma2, sg = float(rng.uniform(0.02, 0.3)), a @ a.T + 0.001 * np.eye(spec.p)
+            assert log_likelihood(ts, sigma2, sg) == pytest.approx(
+                dense_mvn_loglik(ts, sigma2, sg), abs=1e-8
             )
 
     def test_profile_beta_maximizes_density(self):
@@ -230,17 +230,15 @@ class TestLogLikelihood:
         spec = ModelSpec(2, 1)
         ts = random_training_set(rng, spec, 5, 6)
         a = rng.standard_normal((spec.p, spec.p)) * 0.1
-        params = params_from(0.05, a @ a.T + 0.01 * np.eye(spec.p))
-        base = dense_mvn_loglik(ts, params)
-        from brakedist.training import _PreparedDesigns
-
-        _, beta_hat, _ = _PreparedDesigns(ts).profile_loglik(params)
+        sg = a @ a.T + 0.01 * np.eye(spec.p)
+        base = dense_mvn_loglik(ts, 0.05, sg)
+        beta_hat = _PreparedDesigns(ts).solve(sg / 0.05)[2]
         for _ in range(10):
             beta = beta_hat + rng.normal(scale=0.05, size=spec.p)
-            assert dense_mvn_loglik(ts, params, beta=beta) <= base + 1e-9
+            assert dense_mvn_loglik(ts, 0.05, sg, beta=beta) <= base + 1e-9
 
     def test_tiny_sigma2_beside_sigma_gamma_matches_extended_precision(self):
-        # log sigma = -30 beside an identity factor: sigma2 ~ 1e-26 against
+        # sigma2 = exp(-60) beside Sigma_gamma = I: sigma2 ~ 1e-26 against
         # Sigma_gamma X'X of order 1. The kernel solves at Lambda =
         # Sigma_gamma / sigma2, where M = I + Lambda X'X keeps every digit,
         # so the value agrees with a 60-digit dense evaluation.
@@ -248,8 +246,7 @@ class TestLogLikelihood:
         from brakedist.model import build_design
 
         ts = random_training_set(np.random.default_rng(12), ModelSpec(1, 1), 4, 5)
-        params = VarianceParams(log_sigma=-30.0, chol_factor=np.zeros((2, 2)))
-        got = log_likelihood(ts, params)
+        got = log_likelihood(ts, math.exp(-60.0), np.eye(2))
         with mpmath.workdps(60):
             designs = []
             info, score = mpmath.zeros(2, 2), mpmath.zeros(2, 1)
@@ -300,15 +297,15 @@ class TestLogLikelihood:
         ts = TrainingSet(spec=spec, stimuli=registry, drivers=drivers)
         a = rng.standard_normal((spec.p, round(rank_share * spec.p))) * 0.3
         sg = a @ a.T + 10.0**log10_ridge * np.eye(spec.p)
-        params = params_from(math.exp(2.0 * log_sigma), sg)
+        sigma2 = math.exp(2.0 * log_sigma)
         try:
-            got = log_likelihood(ts, params)
+            got = log_likelihood(ts, sigma2, sg)
         except NotPositiveDefinite:
             return
         designs = [build_design(spec, obs) for obs in drivers.values()]
         X = np.vstack([X_d for X_d, _ in designs])
         y = np.concatenate([y_d for _, y_d in designs])
-        blocks = [marginal_cov(spec, X_d, params) for X_d, _ in designs]
+        blocks = [marginal_cov(spec, X_d, sigma2, sg) for X_d, _ in designs]
         beta, _ = gls_beta(X, y, blocks)
         V = np.zeros((len(y), len(y)))
         off = 0
@@ -319,14 +316,13 @@ class TestLogLikelihood:
         assert got == pytest.approx(want, abs=1e-8)
 
 
-def dense_mvn_loglik(ts, params, beta=None):
+def dense_mvn_loglik(ts, sigma2, sigma_gamma, beta=None):
     """Oracle: materialize the full block-diagonal covariance and evaluate
     one joint Gaussian density (never used by the library itself)."""
     from brakedist.model import build_design
-    from brakedist.training import _PreparedDesigns
 
     if beta is None:
-        _, beta, _ = _PreparedDesigns(ts).profile_loglik(params)
+        beta = _PreparedDesigns(ts).solve(sigma_gamma / sigma2)[2]
     Xs, ys = [], []
     for d, obs in ts.drivers.items():
         X, y = build_design(ts.spec, obs)
@@ -339,7 +335,7 @@ def dense_mvn_loglik(ts, params, beta=None):
     off = 0
     for X in Xs:
         m = X.shape[0]
-        V[off : off + m, off : off + m] = marginal_cov(ts.spec, X, params)
+        V[off : off + m, off : off + m] = marginal_cov(ts.spec, X, sigma2, sigma_gamma)
         off += m
     return float(multivariate_normal.logpdf(y_all, mean=X_all @ beta, cov=V))
 
@@ -386,7 +382,7 @@ class TestFit:
             drivers[f"d{d}"] = obs
         ts = TrainingSet(spec=spec, stimuli=REG1, drivers=drivers)
         model = fit(ts, FitOptions(max_iter=1500, restarts=2, seed=5))
-        ll_true = log_likelihood(ts, params_from(0.04, sg_true))
+        ll_true = log_likelihood(ts, 0.04, sg_true)
         assert model.fit_info.loglik >= ll_true
 
     def test_deterministic_given_seed(self):
@@ -413,19 +409,19 @@ class TestFit:
 
     def test_beta_and_cov_match_dense_gls(self):
         # fit reads beta and beta_cov off the profile likelihood; the dense
-        # per-driver GLS at the fitted variance parameters is the reference.
+        # per-driver GLS at exactly the fitted (sigma2, Sigma_gamma), rank
+        # deficient or not, is the reference.
         from brakedist.model import build_design
 
         rng = np.random.default_rng(13)
         spec = ModelSpec(2, 1)
         ts = random_training_set(rng, spec, 10, 8)
         model = fit(ts, FitOptions(max_iter=400, restarts=1, seed=3))
-        params = params_from(model.sigma2, model.sigma_gamma)
         designs = [build_design(spec, obs) for obs in ts.drivers.values()]
         beta, cov = gls_beta(
             np.vstack([X for X, _ in designs]),
             np.concatenate([y for _, y in designs]),
-            [marginal_cov(spec, X, params) for X, _ in designs],
+            [marginal_cov(spec, X, model.sigma2, model.sigma_gamma) for X, _ in designs],
         )
         assert np.linalg.norm(model.beta - beta) <= 1e-10 * np.linalg.norm(beta)
         assert np.linalg.norm(model.beta_cov - cov) <= 1e-10 * np.linalg.norm(cov)
@@ -444,8 +440,7 @@ class TestFit:
         monkeypatch.setattr(training, "nelder_mead", recorder)
         fit(ts, FitOptions(max_iter=100, restarts=2, seed=1))
         assert len(starts) == 1
-        indices = chol_indices(ts.spec.p)
-        moment = training._moment_start(training._PreparedDesigns(ts), indices)
+        moment = training._moment_start(training._PreparedDesigns(ts), chol_mask(ts.spec.p))
         assert np.array_equal(starts[0], moment)
 
     def test_objective_is_infinite_beyond_the_parameter_bound(self, monkeypatch):
@@ -492,15 +487,15 @@ class TestFit:
         config.seed, config.num_drivers, config.obs_per_driver = seed, num_drivers, (obs,) * 3
         ts, _ = generate(config)
         prepared = training._PreparedDesigns(ts)
-        indices = chol_indices(ts.spec.p, ts.spec.num_stimuli if block_diagonal else None)
+        free = chol_mask(ts.spec.p, ts.spec.num_stimuli if block_diagonal else None)
         rng = np.random.default_rng(seed)
-        theta = training._moment_start(prepared, indices)
+        theta = training._moment_start(prepared, free)
         theta = theta + jitter * rng.standard_normal(theta.size)
-        value, grad = prepared.deviance(theta, indices)
+        value, grad = prepared.deviance(theta, free)
         assume(np.isfinite(value) and value < 4000.0)
 
         def deviance(t):
-            return prepared.deviance(t, indices)[0]
+            return prepared.deviance(t, free)[0]
 
         h = 1e-5
         noise = max(abs(deviance(theta + d) + deviance(theta - d) - 2.0 * value)
