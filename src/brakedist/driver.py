@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Observation, build_design, read_json
+from .model import Observation, build_design, json_number, read_json
 from .numerics import NotPositiveDefinite, spd_solve  # spd_solve: the benchmark's tracer wraps it
 
 DEFAULT_MAX_HISTORY = 500
@@ -165,16 +165,16 @@ def state_to_dict(state, registry):
 
 def state_from_dict(doc, registry):
     state = DriverState(driver_id=doc["driver_id"])
-    for rec in doc.get("observations", []):
+    for i, rec in enumerate(doc.get("observations", [])):
         obs = Observation(
             driver_id=rec["driver_id"],
             stimulus=registry.id_of(rec["stimulus"]),
-            headway_s=float(rec["headway_s"]),
-            brt_s=float(rec["brt_s"]),
+            headway_s=json_number(doc, "observations", i, "headway_s"),
+            brt_s=json_number(doc, "observations", i, "brt_s"),
         )
         add_observation(state, obs)
     return state
 
 
 def load_driver_state(path, registry):
-    return read_json(path, lambda doc: state_from_dict(doc, registry), "state file")
+    return read_json(path, lambda doc: state_from_dict(doc, registry), "state file", name_file=True)

@@ -299,13 +299,40 @@ def atomic_write_text(path, text):
         raise
 
 
-def read_json(path, from_dict, kind):
+def _field_name(path):
+    """A field's path as messages name it, e.g. ``observations[3].headway_s``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).removeprefix(".")
+
+
+def json_number(doc, *path, integral=False):
+    """The JSON number at ``path`` (keys and list indices) in ``doc``, as a
+    float, or an int if ``integral``. A bool, a string or a fraction where
+    an integer belongs is a ValueError naming the field; null, a list or an
+    object is a TypeError, which ``read_json`` reports as the wrong shape."""
+    value = doc
+    for key in path:
+        value = value[key]
+    if type(value) is float and not integral:  # every number a state file holds
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        error = TypeError if value is None or isinstance(value, (list, dict)) else ValueError
+        raise error(f"{_field_name(path)} must be a number, got {value!r}")
+    if integral and not (isinstance(value, int) or value.is_integer()):
+        raise ValueError(f"{_field_name(path)} must be an integer, got {value!r}")
+    try:
+        return int(value) if integral else float(value)
+    except OverflowError:
+        raise ValueError(f"{_field_name(path)} must be finite") from None
+
+
+def read_json(path, from_dict, kind, name_file=False):
     """``from_dict`` of the JSON document in the ``kind`` file at ``path``.
 
     A document of the wrong shape (``from_dict`` raises TypeError: a list
     where an object belongs, null where a number does) or one nested too
-    deeply for the parser is a ValueError naming the file. A missing key
-    stays a KeyError.
+    deeply for the parser is a ValueError naming the file; with
+    ``name_file``, so is every other ValueError of ``from_dict`` (a bad
+    field). A missing key stays a KeyError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -316,3 +343,7 @@ def read_json(path, from_dict, kind):
         return from_dict(doc)
     except TypeError as exc:
         raise ValueError(f"{kind} {path} has the wrong shape: {exc}") from None
+    except ValueError as exc:
+        if not name_file:
+            raise
+        raise ValueError(f"{kind} {path}: {exc}") from None

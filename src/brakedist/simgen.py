@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, Observation, StimulusRegistry, atomic_write_text, read_json
+from .model import ModelSpec, Observation, StimulusRegistry, atomic_write_text, json_number, read_json
 from .numerics import check_symmetric, is_psd
 from .training import TrainingSet
 
@@ -65,6 +65,8 @@ class SimConfig:
             raise ValueError("obs_per_driver needs one count per stimulus")
         if any(c < 0 for c in self.obs_per_driver):
             raise ValueError("observation counts must be >= 0")
+        if len(self.headway_range) != 2:
+            raise ValueError("headway_range must be [min, max]")
         lo, hi = self.headway_range
         if not (0 < lo < hi):
             raise ValueError("headway_range must satisfy 0 < min < max")
@@ -232,25 +234,29 @@ def config_to_dict(config):
 
 
 def config_from_dict(doc):
-    spec = ModelSpec(num_stimuli=int(doc["num_stimuli"]), degree=int(doc["degree"]))
+    spec = ModelSpec(num_stimuli=json_number(doc, "num_stimuli", integral=True),
+                     degree=json_number(doc, "degree", integral=True))
     counts = doc["obs_per_driver"]
-    if isinstance(counts, int):
-        counts = [counts] * spec.num_stimuli
+    if isinstance(counts, list):
+        counts = [json_number(doc, "obs_per_driver", i, integral=True) for i in range(len(counts))]
+    else:
+        counts = [json_number(doc, "obs_per_driver", integral=True)] * spec.num_stimuli
     return SimConfig(
         spec=spec,
         stimuli=StimulusRegistry(doc["stimuli"]),
         beta_true=np.array(doc["beta_true"], dtype=float),
-        sigma2_true=float(doc["sigma2_true"]),
+        sigma2_true=json_number(doc, "sigma2_true"),
         sigma_gamma_true=np.array(doc["sigma_gamma_true"], dtype=float),
-        num_drivers=int(doc["num_drivers"]),
+        num_drivers=json_number(doc, "num_drivers", integral=True),
         obs_per_driver=counts,
-        headway_range=tuple(doc["headway_range"]),
-        seed=int(doc["seed"]),
+        headway_range=tuple(json_number(doc, "headway_range", i)
+                            for i in range(len(doc["headway_range"]))),
+        seed=json_number(doc, "seed", integral=True),
     )
 
 
 def load_config(path):
-    return read_json(path, config_from_dict, "config file")
+    return read_json(path, config_from_dict, "config file", name_file=True)
 
 
 def write_ground_truth(truth, path):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .driver import reduced_solve
 from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design,
-                    read_json)
+                    json_number, read_json)
 from .numerics import NotPositiveDefinite, check_symmetric, generalized_inverse, is_psd, spd_solve
 
 LOG2PI = math.log(2.0 * math.pi)
@@ -308,10 +308,18 @@ Search = namedtuple("Search", "x fun iterations nfev converged")
 def bfgs(fn, x0, max_iter, grad):
     """Minimize ``fn``, which maps x to a value, infinite where x is
     infeasible, with gradient ``grad(x)`` wherever ``fn(x)`` was finite, by
-    BFGS on the inverse Hessian H (Nocedal & Wright 2006, Algorithm 6.1)
-    with backtracking to Armijo's condition. No step moves a coordinate by
-    more than 1: one early step could otherwise throw a log-diagonal entry
-    out to where its gradient vanishes.
+    BFGS on the inverse Hessian H (Nocedal & Wright 2006, Algorithm 6.1).
+    No step moves a coordinate by more than 1: one early step could
+    otherwise throw a log-diagonal entry out to where its gradient vanishes.
+
+    The line search tries t = 1 along d = -Hg and accepts the first t that
+    meets Armijo's condition f(x + t d) <= f + 1e-4 t g'd. A rejected
+    finite trial moves t to the minimizer of the quadratic through f, the
+    slope g'd and the trial's value, clipped to [t / 10, t / 2] (Nocedal &
+    Wright, sec. 3.5); an infinite trial halves t. The search gives up once
+    the most t could gain, -t g'd, is at most max(eps |f|,
+    ``_PREDICTED_DECREASE_TOL``): rounding, or a gain the stop rule below
+    would not count.
 
     Converged means the predicted decrease g'Hg/2 is at most
     ``_PREDICTED_DECREASE_TOL``, or no step along -Hg gains anything above
@@ -332,13 +340,18 @@ def bfgs(fn, x0, max_iter, grad):
             d /= max(1.0, np.max(np.abs(d)))
             slope = g @ d
             t = 1.0
-            while -t * slope > np.finfo(float).eps * abs(f):
+            while -t * slope > max(np.finfo(float).eps * abs(f), _PREDICTED_DECREASE_TOL):
                 trial = x + t * d
                 f_new, nfev = fn(trial), nfev + 1
                 if f_new <= f + 1e-4 * t * slope:
                     step, g_new = t * d, grad(trial)
                     break
-                t *= 0.5
+                if np.isfinite(f_new):
+                    # Minimizer of the quadratic through f, slope and f_new.
+                    t_min = -slope * t * t / (2.0 * (f_new - f - slope * t))
+                    t = min(max(t_min, 0.1 * t), 0.5 * t)
+                else:
+                    t *= 0.5
         if step is None:
             if fresh:
                 return Search(x, f, iteration, nfev, True)
@@ -441,43 +454,29 @@ def model_to_dict(model):
     return doc
 
 
-def _number(doc, *path, integral=False):
-    """The JSON number at ``path`` in ``doc``, as a float, or an int if
-    ``integral``; any other value (a bool, a string, a fraction where an
-    integer belongs) is a ValueError naming the field."""
-    value, name = doc, ".".join(path)
-    for key in path:
-        value = value[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if integral and not (isinstance(value, int) or value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        return int(value) if integral else float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite") from None
-
-
 def model_from_dict(doc):
-    spec = ModelSpec(num_stimuli=_number(doc, "spec", "num_stimuli", integral=True),
-                     degree=_number(doc, "spec", "degree", integral=True))
+    spec = ModelSpec(num_stimuli=json_number(doc, "spec", "num_stimuli", integral=True),
+                     degree=json_number(doc, "spec", "degree", integral=True))
     registry = StimulusRegistry(doc["spec"]["stimuli"])
     fit_info = None
     if doc.get("fit_info") is not None:
+        converged = doc["fit_info"]["converged"]
+        if not isinstance(converged, bool):
+            raise ValueError(f"fit_info.converged must be true or false, got {converged!r}")
         fit_info = FitInfo(
-            converged=bool(doc["fit_info"]["converged"]),
-            loglik=_number(doc, "fit_info", "loglik"),
-            iterations=_number(doc, "fit_info", "iterations", integral=True),
-            seed=_number(doc, "fit_info", "seed", integral=True),
+            converged=converged,
+            loglik=json_number(doc, "fit_info", "loglik"),
+            iterations=json_number(doc, "fit_info", "iterations", integral=True),
+            seed=json_number(doc, "fit_info", "seed", integral=True),
         )
     return TrainedModel(
         spec=spec,
         stimuli=registry,
         beta=np.array(doc["beta"], dtype=float),
-        sigma2=_number(doc, "sigma2"),
+        sigma2=json_number(doc, "sigma2"),
         sigma_gamma=np.array(doc["sigma_gamma"], dtype=float),
         beta_cov=np.array(doc["beta_cov"], dtype=float),
-        t_star=_number(doc, "t_star"),
+        t_star=json_number(doc, "t_star"),
         fit_info=fit_info,
     )
 

@@ -393,8 +393,10 @@ class TestPbrt:
         (("sigma2",), True, "sigma2 must be a number, got True"),
         (("t_star",), "1.5", "t_star must be a number, got '1.5'"),
         (("fit_info",), {**FIT_INFO, "loglik": "-1.0"}, "fit_info.loglik must be a number, got '-1.0'"),
+        (("fit_info",), {**FIT_INFO, "converged": "false"},
+         "fit_info.converged must be true or false, got 'false'"),
     ], ids=["degree-fraction", "degree-string", "num_stimuli-bool", "sigma2-bool", "t_star-string",
-            "loglik-string"])
+            "loglik-string", "converged-string"])
     def test_mistyped_model_field_is_named(self, handmade_model_path, capsys, path, value, message):
         # Read with bare int() and float() these were truncated (degree 1.5,
         # then a misleading beta-shape error) or accepted ("2", true).
@@ -533,6 +535,50 @@ class TestMalformedJson:
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: model file {bad} is nested too deeply to read"]
+
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("headway_s", True, "observations[1].headway_s must be a number, got True"),
+        ("brt_s", "0.8", "observations[1].brt_s must be a number, got '0.8'"),
+        ("stimulus", "mystery", "unknown stimulus name 'mystery'"),
+    ], ids=["headway-bool", "brt-string", "unknown-stimulus"])
+    def test_bad_state_field_names_file_and_field(self, tmp_path, handmade_model_path, capfd,
+                                                  field, value, message):
+        # Read with bare float(), "headway_s": true was stored as 1.0.
+        state = tmp_path / "x.json"
+        doc = {"driver_id": "x", "observations": [EVENT, {**EVENT, field: value}]}
+        state.write_text(json.dumps(doc))
+        assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
+                    "--stimulus", "traffic_signal"]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: state file {state}: {message}"]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("degree", 1.5, "degree must be an integer, got 1.5"),
+        ("num_stimuli", True, "num_stimuli must be a number, got True"),
+        ("num_drivers", "12", "num_drivers must be a number, got '12'"),
+        ("obs_per_driver", [6.5], "obs_per_driver[0] must be an integer, got 6.5"),
+        ("obs_per_driver", True, "obs_per_driver must be a number, got True"),
+        ("sigma2_true", "0.04", "sigma2_true must be a number, got '0.04'"),
+        ("headway_range", [0.3, "8.0"], "headway_range[1] must be a number, got '8.0'"),
+        ("headway_range", [0.3, 4.0, 8.0], "headway_range must be [min, max]"),
+        ("seed", 11.5, "seed must be an integer, got 11.5"),
+    ], ids=["degree-fraction", "num_stimuli-bool", "num_drivers-string", "count-fraction",
+            "count-bool", "sigma2-string", "headway-string", "headway-three", "seed-fraction"])
+    def test_bad_config_field_names_file_and_field(self, tmp_path, tiny_sim_config_path, capfd,
+                                                   field, value, message):
+        # Read with bare int(), "degree": 1.5 was truncated to 1 and failed
+        # later as "beta_true must have shape (2,)".
+        doc = json.loads(tiny_sim_config_path.read_text())
+        doc[field] = value
+        tiny_sim_config_path.write_text(json.dumps(doc))
+        assert run(["simulate", "--out", str(tmp_path / "x.csv"),
+                    "--config", str(tiny_sim_config_path)]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: config file {tiny_sim_config_path}: {message}"]
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestRoundTrip:

@@ -13,6 +13,7 @@ from brakedist.training import (
     TrainingSet,
     _factor,
     _PreparedDesigns,
+    bfgs,
     chol_mask,
     fit,
     gls_beta,
@@ -340,6 +341,115 @@ def dense_mvn_loglik(ts, sigma2, sigma_gamma, beta=None):
     return float(multivariate_normal.logpdf(y_all, mean=X_all @ beta, cov=V))
 
 
+def _ill_scaled_quadratic():
+    a, c = np.array([1.0, 1e4]), np.array([3.0, -2.0])
+    return (lambda x: 0.5 * float(a @ (x - c) ** 2), lambda x: a * (x - c),
+            c + np.array([1.0, 0.01]), c)
+
+
+def _rosenbrock():
+    def f(x):
+        return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+    def grad(x):
+        return np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                         200.0 * (x[1] - x[0] ** 2)])
+
+    return f, grad, np.array([-1.2, 1.0]), np.array([1.0, 1.0])
+
+
+def _boxed_barrier():
+    # -sum log(1 - x_i^2) - b'x, infinite outside the open box |x_i| < 1;
+    # the minimizer solves 2 x_i / (1 - x_i^2) = b_i.
+    b = np.array([10.0, -30.0])
+
+    def f(x):
+        if np.any(np.abs(x) >= 1.0):
+            return np.inf
+        return float(-np.sum(np.log1p(-x * x)) - b @ x)
+
+    xmin = (np.sqrt(1.0 + b * b) - 1.0) / b
+    return f, lambda x: 2.0 * x / (1.0 - x * x) - b, np.array([-0.5, 0.5]), xmin
+
+
+SEARCH_PROBLEMS = pytest.mark.parametrize(
+    "problem", [_ill_scaled_quadratic, _rosenbrock, _boxed_barrier],
+    ids=["ill-scaled-quadratic", "rosenbrock", "boxed-barrier"])
+
+
+class TestBfgs:
+    """``bfgs`` itself, on test functions with known minimizers. Every call
+    of the function and of its gradient is logged; a line search's trials
+    lie between gradient calls along one direction, so consecutive trials
+    give the ratio t / t_prev, and the trial before a gradient call is the
+    accepted one."""
+
+    @staticmethod
+    def logged_search(problem):
+        f, grad, x0, xmin = problem
+        log = []
+
+        def logged_f(x):
+            log.append(("f", np.array(x), f(x)))
+            return log[-1][2]
+
+        def logged_grad(x):
+            log.append(("g", np.array(x), grad(x)))
+            return log[-1][2]
+
+        return bfgs(logged_f, x0, 1000, logged_grad), log, xmin
+
+    @staticmethod
+    def line_searches(log):
+        """(x, f(x), g(x), trials, accepted) per line search; trials are
+        (point, value) pairs, and an accepted search ends at its last one."""
+        assert log[0][0] == "f" and log[1][0] == "g"
+        base, f_base, g_base = log[1][1], log[0][2], log[1][2]
+        searches, trials = [], []
+        for kind, x, value in log[2:]:
+            if kind == "g":
+                searches.append((base, f_base, g_base, trials, True))
+                base, f_base, g_base, trials = x, trials[-1][1], value, []
+                continue
+            if trials:
+                u, v = trials[-1][0] - base, x - base
+                if u @ v < (1.0 - 1e-9) * np.linalg.norm(u) * np.linalg.norm(v):
+                    # A new direction from the same point: H was reset.
+                    searches.append((base, f_base, g_base, trials, False))
+                    trials = []
+            trials.append((x, value))
+        return searches + [(base, f_base, g_base, trials, False)]
+
+    @SEARCH_PROBLEMS
+    def test_reaches_the_minimizer(self, problem):
+        result, _, xmin = self.logged_search(problem())
+        assert result.converged
+        assert np.max(np.abs(result.x - xmin)) <= 1e-4
+
+    @SEARCH_PROBLEMS
+    def test_backtracks_by_interpolation_and_accepts_only_armijo_steps(self, problem):
+        # A rejected finite trial cuts t to within [t / 10, t / 2]; an
+        # infinite one halves it. Steps are read off rounded points, hence
+        # the 1e-6 slack.
+        _, log, _ = self.logged_search(problem())
+        cuts = []
+        for x, f, g, trials, accepted in self.line_searches(log):
+            steps = [np.linalg.norm(point - x) for point, _ in trials]
+            for k in range(len(trials) - 1):
+                value, ratio = trials[k][1], steps[k + 1] / steps[k]
+                cuts.append(np.isfinite(value))
+                if np.isfinite(value):
+                    assert 0.1 * (1 - 1e-6) <= ratio <= 0.5 * (1 + 1e-6), ratio
+                else:
+                    assert ratio == pytest.approx(0.5, rel=1e-6)
+            if accepted:
+                point, value = trials[-1]
+                assert value <= f + 1e-4 * (g @ (point - x))
+        assert any(cuts)
+        if problem is _boxed_barrier:
+            assert not all(cuts)
+
+
 def make_identical_driver_data(seed, n_drivers, n_per_driver, sigma2, beta):
     """All drivers share the same coefficients (no individual effects)."""
     rng = np.random.default_rng(seed)
@@ -442,6 +552,29 @@ class TestFit:
         assert len(starts) == 1
         moment = training._moment_start(training._PreparedDesigns(ts), chol_mask(ts.spec.p))
         assert np.array_equal(starts[0], moment)
+
+    def test_default_study_evaluation_budget(self, monkeypatch):
+        # Halving t on every rejection took 194 and 494 evaluations here;
+        # the interpolating backtrack takes 81 and 288.
+        from brakedist import training
+        from brakedist.simgen import default_config, generate
+
+        ts, _ = generate(default_config())
+        searches = []
+        original = training.nelder_mead
+
+        def recorder(*args, **kwargs):
+            searches.append(original(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(training, "nelder_mead", recorder)
+        fit(ts, FitOptions(block_diagonal=True))
+        full = fit(ts, FitOptions())
+        block_search, full_search = searches
+        assert block_search.nfev <= 90
+        assert full_search.nfev <= 320
+        assert full.fit_info.converged
+        assert -full.fit_info.loglik <= 375.60596
 
     def test_objective_is_infinite_beyond_the_parameter_bound(self, monkeypatch):
         from brakedist import training
