@@ -177,4 +177,4 @@ def state_from_dict(doc, registry):
 
 
 def load_driver_state(path, registry):
-    return read_json(path, lambda doc: state_from_dict(doc, registry), "state file", name_file=True)
+    return read_json(path, lambda doc: state_from_dict(doc, registry), "state file")

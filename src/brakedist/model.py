@@ -325,14 +325,14 @@ def json_number(doc, *path, integral=False):
         raise ValueError(f"{_field_name(path)} must be finite") from None
 
 
-def read_json(path, from_dict, kind, name_file=False):
+def read_json(path, from_dict, kind):
     """``from_dict`` of the JSON document in the ``kind`` file at ``path``.
 
     A document of the wrong shape (``from_dict`` raises TypeError: a list
-    where an object belongs, null where a number does) or one nested too
-    deeply for the parser is a ValueError naming the file; with
-    ``name_file``, so is every other ValueError of ``from_dict`` (a bad
-    field). A missing key stays a KeyError.
+    where an object belongs, null where a number does), one nested too
+    deeply for the parser, and every other ValueError of ``from_dict`` (a
+    bad field) is a ValueError naming the file. A missing key stays a
+    KeyError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -344,6 +344,4 @@ def read_json(path, from_dict, kind, name_file=False):
     except TypeError as exc:
         raise ValueError(f"{kind} {path} has the wrong shape: {exc}") from None
     except ValueError as exc:
-        if not name_file:
-            raise
         raise ValueError(f"{kind} {path}: {exc}") from None

@@ -241,6 +241,9 @@ def config_from_dict(doc):
         counts = [json_number(doc, "obs_per_driver", i, integral=True) for i in range(len(counts))]
     else:
         counts = [json_number(doc, "obs_per_driver", integral=True)] * spec.num_stimuli
+    bounds = doc["headway_range"]
+    if not isinstance(bounds, list):
+        raise TypeError(f"headway_range must be a list, got {bounds!r}")
     return SimConfig(
         spec=spec,
         stimuli=StimulusRegistry(doc["stimuli"]),
@@ -249,14 +252,13 @@ def config_from_dict(doc):
         sigma_gamma_true=np.array(doc["sigma_gamma_true"], dtype=float),
         num_drivers=json_number(doc, "num_drivers", integral=True),
         obs_per_driver=counts,
-        headway_range=tuple(json_number(doc, "headway_range", i)
-                            for i in range(len(doc["headway_range"]))),
+        headway_range=tuple(json_number(doc, "headway_range", i) for i in range(len(bounds))),
         seed=json_number(doc, "seed", integral=True),
     )
 
 
 def load_config(path):
-    return read_json(path, config_from_dict, "config file", name_file=True)
+    return read_json(path, config_from_dict, "config file")
 
 
 def write_ground_truth(truth, path):

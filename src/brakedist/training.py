@@ -322,9 +322,10 @@ def bfgs(fn, x0, max_iter, grad):
     would not count.
 
     Converged means the predicted decrease g'Hg/2 is at most
-    ``_PREDICTED_DECREASE_TOL``, or no step along -Hg gains anything above
-    rounding, with H just reset to the identity: near a boundary optimum
-    g need not vanish, and a stale H can predict too little.
+    ``_PREDICTED_DECREASE_TOL``, or, with H just reset to the identity, no
+    step along -Hg gains more than max(rounding,
+    ``_PREDICTED_DECREASE_TOL``): near a boundary optimum g need not
+    vanish, and a stale H can predict too little.
 
     Returns:
         Search(x, fun, iterations, nfev, converged); nfev counts calls of fn.

@@ -410,7 +410,7 @@ class TestPbrt:
                     "--stimulus", "traffic_signal"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.err.splitlines() == [f"error: model file {handmade_model_path}: {message}"]
 
     def test_bad_percentiles(self, handmade_model_path):
         assert run(["pbrt", "--model", str(handmade_model_path),
@@ -578,6 +578,23 @@ class TestMalformedJson:
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: config file {tiny_sim_config_path}: {message}"]
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", [{"a": 1, "b": 2}, "ab"], ids=["object", "string"])
+    def test_config_headway_range_not_a_list_is_wrong_shape(self, tmp_path, tiny_sim_config_path,
+                                                            capfd, value):
+        # Read by index, an object failed as a missing field 0 and a
+        # two-character string one character at a time.
+        doc = json.loads(tiny_sim_config_path.read_text())
+        doc["headway_range"] = value
+        tiny_sim_config_path.write_text(json.dumps(doc))
+        assert run(["simulate", "--out", str(tmp_path / "x.csv"),
+                    "--config", str(tiny_sim_config_path)]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: config file {tiny_sim_config_path} has the wrong shape: "
+            f"headway_range must be a list, got {value!r}"]
         assert not (tmp_path / "x.csv").exists()
 
 
