@@ -47,12 +47,7 @@ def cmd_train(args):
         stimuli=registry,
         observations=observations,
     )
-    opts = training.FitOptions(
-        restarts=args.restarts,
-        seed=args.seed,
-        block_diagonal=args.block_diagonal,
-    )
-    model = training.fit(ts, opts)
+    model = training.fit(ts, training.FitOptions(block_diagonal=args.block_diagonal))
     training.save_model(model, args.out)
     info = model.fit_info
     print(f"loglik={info.loglik!r} converged={info.converged}")
@@ -153,10 +148,8 @@ def build_parser():
     p_train = sub.add_parser("train", help="fit the population model from a CSV")
     p_train.add_argument("--data", required=True, help="observation CSV input path")
     p_train.add_argument("--out", required=True, help="model JSON output path")
-    p_train.add_argument("--restarts", type=int, default=3)
     p_train.add_argument("--block-diagonal", action="store_true",
                          help="restrict the random-effect covariance to per-stimulus blocks")
-    p_train.add_argument("--seed", type=int, default=42)
     p_train.add_argument("--degree", type=int, default=2)
     p_train.set_defaults(func=cmd_train)
 

@@ -123,7 +123,6 @@ class FitInfo:
     converged: bool
     loglik: float
     iterations: int
-    seed: int
 
 
 @dataclass(eq=False)
@@ -323,6 +322,30 @@ def json_number(doc, *path, integral=False):
         return int(value) if integral else float(value)
     except OverflowError:
         raise ValueError(f"{_field_name(path)} must be finite") from None
+
+
+def json_array(doc, *path, shape):
+    """The JSON array at ``path`` in ``doc`` as a float ndarray of ``shape``:
+    lists nested to exactly those lengths, whose entries ``json_number``
+    accepts. A list of the wrong length is a ValueError naming the field
+    and index; anything else where a list belongs is a TypeError, which
+    ``read_json`` reports as the wrong shape."""
+    value = doc
+    for key in path:
+        value = value[key]
+    return np.array(_checked_list(doc, path, value, shape), dtype=float)
+
+
+def _checked_list(doc, path, value, shape):
+    if type(value) is not list:
+        raise TypeError(f"{_field_name(path)} must be a list, got {value!r}")
+    if len(value) != shape[0]:
+        raise ValueError(f"{_field_name(path)} must have {shape[0]} entries, got {len(value)}")
+    if len(shape) > 1:
+        return [_checked_list(doc, (*path, i), row, shape[1:]) for i, row in enumerate(value)]
+    if set(map(type, value)) <= {float}:  # every number a saved model holds
+        return value
+    return [json_number(doc, *path, i) for i in range(len(value))]
 
 
 def read_json(path, from_dict, kind):

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, Observation, StimulusRegistry, atomic_write_text, json_number, read_json
+from .model import (ModelSpec, Observation, StimulusRegistry, atomic_write_text, json_array, json_number,
+                    read_json)
 from .numerics import check_symmetric, is_psd
 from .training import TrainingSet
 
@@ -247,9 +248,9 @@ def config_from_dict(doc):
     return SimConfig(
         spec=spec,
         stimuli=StimulusRegistry(doc["stimuli"]),
-        beta_true=np.array(doc["beta_true"], dtype=float),
+        beta_true=json_array(doc, "beta_true", shape=(spec.p,)),
         sigma2_true=json_number(doc, "sigma2_true"),
-        sigma_gamma_true=np.array(doc["sigma_gamma_true"], dtype=float),
+        sigma_gamma_true=json_array(doc, "sigma_gamma_true", shape=(spec.p, spec.p)),
         num_drivers=json_number(doc, "num_drivers", integral=True),
         obs_per_driver=counts,
         headway_range=tuple(json_number(doc, "headway_range", i) for i in range(len(bounds))),

@@ -15,7 +15,8 @@ positive semidefinite by searching its Cholesky factor, whose diagonal is
 stored in logs: theta holds the factor's entries on a boolean mask
 (``chol_mask``). The search is BFGS on the deviance's analytic gradient,
 from the covariance of per-driver OLS coefficients; the solve at its
-optimum also gives beta, sigma2 and beta's covariance. Everything outside
+optimum also gives beta, sigma2 and beta's covariance. The deviance and
+the start need only each driver's X'X, X'y and y'y. Everything outside
 the search takes the variance parameters as the model stores them,
 (sigma2, Sigma_gamma): ``log_likelihood`` evaluates the same kernel there.
 """
@@ -29,8 +30,9 @@ import numpy as np
 
 from .driver import reduced_solve
 from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design,
-                    json_number, read_json)
-from .numerics import NotPositiveDefinite, check_symmetric, generalized_inverse, is_psd, spd_solve
+                    json_array, json_number, read_json)
+from .numerics import (RANK_RTOL, NotPositiveDefinite, check_symmetric, generalized_inverse, is_psd,
+                       spd_solve)
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -141,7 +143,8 @@ class _PreparedDesigns:
     """Per-driver sufficient statistics for fast likelihood evaluation.
 
     The cross products X'X, X'y, y'y per driver do not depend on the
-    variance parameters, so they are accumulated once. Each likelihood
+    variance parameters, so they are formed once, from each driver's row
+    span of one design over all rows in ``ts.drivers`` order. Each likelihood
     evaluation then solves the serving path's batched p x p push-through
     system (``driver.reduced_solve``) at sigma2 = 1, M = I_p + Lambda X'X,
     whose eigenvalues are >= 1, and uses Sylvester's determinant identity
@@ -159,23 +162,28 @@ class _PreparedDesigns:
     """
 
     def __init__(self, ts):
-        per_driver = []
-        for driver_id, observations in ts.drivers.items():
-            try:
-                per_driver.append(build_design(ts.spec, observations))
-            except ValueError as exc:
-                raise ValueError(f"driver {driver_id!r}: {exc}") from None
+        try:
+            X, y = build_design(ts.spec, [o for obs in ts.drivers.values() for o in obs])
+        except ValueError:
+            for driver_id, observations in ts.drivers.items():
+                try:
+                    build_design(ts.spec, observations)
+                except ValueError as exc:
+                    raise ValueError(f"driver {driver_id!r}: {exc}") from None
+            raise
+        cuts = np.cumsum([len(obs) for obs in ts.drivers.values()])[:-1]
+        spans = list(zip(np.split(X, cuts), np.split(y, cuts)))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            self.xtx = np.stack([X.T @ X for X, _ in per_driver])
-            self.xty = np.stack([X.T @ y for X, y in per_driver])
-            self.yty = np.array([float(y @ y) for _, y in per_driver])
+            self.xtx = np.stack([X_d.T @ X_d for X_d, _ in spans])
+            self.xty = np.stack([X_d.T @ y_d for X_d, y_d in spans])
+            self.yty = np.array([float(y_d @ y_d) for _, y_d in spans])
         self.xtxy = np.concatenate([self.xtx, self.xty[:, :, None]], axis=2)
         finite = np.isfinite(self.xtxy).all(axis=(1, 2)) & np.isfinite(self.yty)
         if not finite.all():
             bad = list(ts.drivers)[int(np.argmin(finite))]
             raise ValueError(f"driver {bad!r}: headway too large for a degree-{ts.spec.degree} design")
-        self.designs = per_driver
-        self.total_n = sum(X.shape[0] for X, _ in per_driver)
+        self.total_n = X.shape[0]
+        self.y_var = float(np.var(y))  # the moment start's fallback residual variance
 
     def solve(self, lam):
         """The GLS fit at Lambda = Sigma_gamma / sigma2, by one batched solve.
@@ -261,13 +269,12 @@ def log_likelihood(ts, sigma2, sigma_gamma):
 @dataclass
 class FitOptions:
     """Knobs for the maximum-likelihood search. ``max_iter`` caps the BFGS
-    iterations; ``restarts`` and ``seed`` change nothing (the search is
-    deterministic and has one start), and ``seed`` is echoed into the
-    model's ``fit_info``."""
+    iterations. ``restarts`` changes nothing (the search is deterministic
+    and has one start); it is kept only because the benchmark harness
+    builds ``FitOptions(restarts=1)``."""
 
     max_iter: int = 8000
     restarts: int = 3
-    seed: int = 42
     block_diagonal: bool = False
 
 
@@ -275,22 +282,25 @@ def _moment_start(prepared, free):
     """Starting theta of the search: Lambda = C / s2, where C is the sample
     covariance of independent per-driver OLS coefficients, restricted to
     the free entries of the mask ``free`` and PSD-projected, and s2 the pooled
-    (rank-aware) OLS residual variance.
+    (rank-aware) OLS residual variance. Each driver's minimum-norm OLS
+    coefficients, rank and residual sum of squares y'y - coef'X'y come from
+    one batched eigendecomposition of X'X, cut at p * RANK_RTOL times the
+    largest eigenvalue.
 
     Raises:
         ValueError: if the coefficient covariance is not finite.
     """
-    coefs, rss, dof = [], 0.0, 0
-    for X, y in prepared.designs:
-        coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-        coefs.append(coef)
-        rss += float((y - X @ coef) @ (y - X @ coef))
-        dof += max(X.shape[0] - int(rank), 0)
+    eigvals, eigvecs = np.linalg.eigh(prepared.xtx)
+    kept = eigvals > eigvals.shape[1] * RANK_RTOL * eigvals[:, -1:]
+    scale = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=kept)
+    coefs = np.einsum("dij,dj->di", eigvecs, scale * np.einsum("dji,dj->di", eigvecs, prepared.xty))
+    rss = float(np.sum(prepared.yty - np.einsum("di,di->d", coefs, prepared.xty)))
+    dof = prepared.total_n - int(kept.sum())  # rank <= n_d for every driver
     if dof > 0 and rss > 0:
         sigma2 = rss / dof
     else:
-        sigma2 = max(float(np.var(np.concatenate([y for _, y in prepared.designs]))), 1e-8)
-    cov = np.atleast_2d(np.cov(np.array(coefs).T))
+        sigma2 = max(prepared.y_var, 1e-8)
+    cov = np.atleast_2d(np.cov(coefs.T))
     if not np.all(np.isfinite(cov)):
         raise ValueError("per-driver OLS coefficients have a non-finite covariance")
     cov = cov * (free | free.T)  # honor the block-diagonal reduction
@@ -424,8 +434,7 @@ def fit(ts, opts=None):
     beta_cov = sigma2 * generalized_inverse(info)
     beta_cov = 0.5 * (beta_cov + beta_cov.T)
 
-    fit_info = FitInfo(converged=converged, loglik=-float(neg_loglik), iterations=int(iterations),
-                       seed=int(opts.seed))
+    fit_info = FitInfo(converged=converged, loglik=-float(neg_loglik), iterations=int(iterations))
     return TrainedModel(spec=ts.spec, stimuli=ts.stimuli, beta=beta, sigma2=sigma2,
                         sigma_gamma=sigma_gamma, beta_cov=beta_cov, fit_info=fit_info)
 
@@ -450,7 +459,6 @@ def model_to_dict(model):
             "converged": bool(model.fit_info.converged),
             "loglik": float(model.fit_info.loglik),
             "iterations": int(model.fit_info.iterations),
-            "seed": int(model.fit_info.seed),
         }
     return doc
 
@@ -468,15 +476,14 @@ def model_from_dict(doc):
             converged=converged,
             loglik=json_number(doc, "fit_info", "loglik"),
             iterations=json_number(doc, "fit_info", "iterations", integral=True),
-            seed=json_number(doc, "fit_info", "seed", integral=True),
         )
     return TrainedModel(
         spec=spec,
         stimuli=registry,
-        beta=np.array(doc["beta"], dtype=float),
+        beta=json_array(doc, "beta", shape=(spec.p,)),
         sigma2=json_number(doc, "sigma2"),
-        sigma_gamma=np.array(doc["sigma_gamma"], dtype=float),
-        beta_cov=np.array(doc["beta_cov"], dtype=float),
+        sigma_gamma=json_array(doc, "sigma_gamma", shape=(spec.p, spec.p)),
+        beta_cov=json_array(doc, "beta_cov", shape=(spec.p, spec.p)),
         t_star=json_number(doc, "t_star"),
         fit_info=fit_info,
     )

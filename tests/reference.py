@@ -41,3 +41,29 @@ def henderson_oracle(state, model):
     rhs = Xb.T @ resid / model.sigma2
     w = spd_solve(0.5 * (lhs + lhs.T), rhs)
     return basis @ w
+
+
+def lstsq_moment_start(ts, free):
+    """``training._moment_start`` computed driver by driver: minimum-norm
+    OLS coefficients, rank and residual sum of squares by ``lstsq`` on each
+    driver's design, where the package reads them off the cross products.
+    """
+    designs = [build_design(ts.spec, obs) for obs in ts.drivers.values()]
+    coefs, rss, dof = [], 0.0, 0
+    for X, y in designs:
+        coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+        coefs.append(coef)
+        rss += float((y - X @ coef) @ (y - X @ coef))
+        dof += max(X.shape[0] - int(rank), 0)
+    if dof > 0 and rss > 0:
+        sigma2 = rss / dof
+    else:
+        sigma2 = max(float(np.var(np.concatenate([y for _, y in designs]))), 1e-8)
+    cov = np.atleast_2d(np.cov(np.array(coefs).T))
+    cov = cov * (free | free.T)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    floor = max(float(eigvals[-1]), 1e-6) * 1e-6
+    cov = (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
+    chol = np.linalg.cholesky((cov + floor * np.eye(len(cov))) / sigma2)
+    np.fill_diagonal(chol, np.log(np.diag(chol)))
+    return chol[free]

@@ -63,7 +63,7 @@ class TestTrain:
         data = tmp_path / "data.csv"
         run(["simulate", "--out", str(data), "--config", str(tiny_sim_config_path)])
         model_path = tmp_path / "model.json"
-        code = run(["train", "--data", str(data), "--out", str(model_path), "--restarts", "1"])
+        code = run(["train", "--data", str(data), "--out", str(model_path)])
         assert code in (0, 4)  # non-convergence still writes the file
         out = capsys.readouterr().out
         assert "loglik=" in out and "converged=" in out
@@ -75,8 +75,8 @@ class TestTrain:
         data = tmp_path / "data.csv"
         run(["simulate", "--out", str(data), "--config", str(tiny_sim_config_path)])
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        run(["train", "--data", str(data), "--out", str(m1), "--restarts", "1", "--seed", "5"])
-        run(["train", "--data", str(data), "--out", str(m2), "--restarts", "1", "--seed", "5"])
+        run(["train", "--data", str(data), "--out", str(m1)])
+        run(["train", "--data", str(data), "--out", str(m2)])
         assert m1.read_bytes() == m2.read_bytes()
 
     def test_default_study_full_covariance_converges(self, tmp_path, capsys):
@@ -156,8 +156,7 @@ class TestTrain:
             monkeypatch.setattr(os, "fdopen", TornFile)
         else:
             monkeypatch.setattr(os, "replace", no_rename)
-        code = run(["train", "--data", str(data), "--out", str(handmade_model_path),
-                    "--restarts", "0"])
+        code = run(["train", "--data", str(data), "--out", str(handmade_model_path)])
         assert code == 2
         assert handmade_model_path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -384,7 +383,7 @@ class TestPbrt:
         assert captured.out == ""
         assert f"{field} must be finite" in captured.err
 
-    FIT_INFO = {"converged": True, "loglik": -1.0, "iterations": 3, "seed": 42}
+    FIT_INFO = {"converged": True, "loglik": -1.0, "iterations": 3}
 
     @pytest.mark.parametrize("path, value, message", [
         (("spec", "degree"), 1.5, "spec.degree must be an integer, got 1.5"),
@@ -395,11 +394,18 @@ class TestPbrt:
         (("fit_info",), {**FIT_INFO, "loglik": "-1.0"}, "fit_info.loglik must be a number, got '-1.0'"),
         (("fit_info",), {**FIT_INFO, "converged": "false"},
          "fit_info.converged must be true or false, got 'false'"),
+        (("beta", 0), "-0.3", "beta[0] must be a number, got '-0.3'"),
+        (("beta", 5), True, "beta[5] must be a number, got True"),
+        (("sigma_gamma", 2), [0.0] * 5, "sigma_gamma[2] must have 6 entries, got 5"),
+        (("beta_cov",), [[0.0004]], "beta_cov must have 6 entries, got 1"),
     ], ids=["degree-fraction", "degree-string", "num_stimuli-bool", "sigma2-bool", "t_star-string",
-            "loglik-string", "converged-string"])
+            "loglik-string", "converged-string", "beta-string", "beta-bool", "sigma_gamma-ragged",
+            "beta_cov-short"])
     def test_mistyped_model_field_is_named(self, handmade_model_path, capsys, path, value, message):
         # Read with bare int() and float() these were truncated (degree 1.5,
-        # then a misleading beta-shape error) or accepted ("2", true).
+        # then a misleading beta-shape error) or accepted ("2", true); read
+        # with np.array, number arrays took "-0.3" and true, and a ragged
+        # matrix failed with numpy's "inhomogeneous shape" text.
         doc = json.loads(handmade_model_path.read_text())
         target = doc
         for key in path[:-1]:
@@ -411,6 +417,18 @@ class TestPbrt:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: model file {handmade_model_path}: {message}"]
+
+    def test_fit_info_seed_of_an_older_model_file_is_ignored(self, handmade_model_path, capsys):
+        # Model files once recorded the unused search seed in fit_info.
+        outputs = []
+        for fit_info in (self.FIT_INFO, {**self.FIT_INFO, "seed": 42}):
+            doc = json.loads(handmade_model_path.read_text())
+            doc["fit_info"] = fit_info
+            handmade_model_path.write_text(json.dumps(doc))
+            assert run(["pbrt", "--model", str(handmade_model_path),
+                        "--stimulus", "traffic_signal"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
 
     def test_bad_percentiles(self, handmade_model_path):
         assert run(["pbrt", "--model", str(handmade_model_path),
@@ -564,8 +582,13 @@ class TestMalformedJson:
         ("headway_range", [0.3, "8.0"], "headway_range[1] must be a number, got '8.0'"),
         ("headway_range", [0.3, 4.0, 8.0], "headway_range must be [min, max]"),
         ("seed", 11.5, "seed must be an integer, got 11.5"),
+        ("beta_true", [-0.3, "0.1", 0.0], "beta_true[1] must be a number, got '0.1'"),
+        ("beta_true", [-0.3, 0.1, False], "beta_true[2] must be a number, got False"),
+        ("sigma_gamma_true", [[0.02, 0.0, 0.0], [0.0, 0.005], [0.0, 0.0, 5e-5]],
+         "sigma_gamma_true[1] must have 3 entries, got 2"),
     ], ids=["degree-fraction", "num_stimuli-bool", "num_drivers-string", "count-fraction",
-            "count-bool", "sigma2-string", "headway-string", "headway-three", "seed-fraction"])
+            "count-bool", "sigma2-string", "headway-string", "headway-three", "seed-fraction",
+            "beta_true-string", "beta_true-bool", "sigma_gamma_true-ragged"])
     def test_bad_config_field_names_file_and_field(self, tmp_path, tiny_sim_config_path, capfd,
                                                    field, value, message):
         # Read with bare int(), "degree": 1.5 was truncated to 1 and failed

@@ -25,6 +25,8 @@ from brakedist.training import (
     save_model,
 )
 
+from reference import lstsq_moment_start
+
 REG1 = StimulusRegistry(["stim"])
 
 
@@ -473,7 +475,7 @@ class TestFit:
         # on unlucky draws; this data seed was checked to sit cleanly at zero.
         sigma2 = 0.05
         ts = make_identical_driver_data(0, 100, 20, sigma2, beta=(-0.4, 0.2, -0.01))
-        model = fit(ts, FitOptions(max_iter=2000, restarts=2, seed=7))
+        model = fit(ts, FitOptions(max_iter=2000))
         assert abs(model.sigma2 - sigma2) / sigma2 <= 0.15
         assert np.max(np.abs(model.sigma_gamma)) <= 0.1 * sigma2
 
@@ -491,13 +493,13 @@ class TestFit:
                 obs.append(Observation(f"d{d}", 0, t, math.exp(y)))
             drivers[f"d{d}"] = obs
         ts = TrainingSet(spec=spec, stimuli=REG1, drivers=drivers)
-        model = fit(ts, FitOptions(max_iter=1500, restarts=2, seed=5))
+        model = fit(ts, FitOptions(max_iter=1500))
         ll_true = log_likelihood(ts, 0.04, sg_true)
         assert model.fit_info.loglik >= ll_true
 
     def test_deterministic_given_seed(self):
         ts = make_identical_driver_data(9, 12, 6, 0.04, beta=(-0.3, 0.1, 0.0))
-        opts = FitOptions(max_iter=300, restarts=2, seed=11)
+        opts = FitOptions(max_iter=300)
         m1 = fit(ts, opts)
         m2 = fit(ts, opts)
         assert np.array_equal(m1.beta, m2.beta)
@@ -514,7 +516,7 @@ class TestFit:
         rng = np.random.default_rng(13)
         spec = ModelSpec(2, 1)
         ts = random_training_set(rng, spec, 10, 8)
-        model = fit(ts, FitOptions(max_iter=400, restarts=1, seed=3, block_diagonal=True))
+        model = fit(ts, FitOptions(max_iter=400, block_diagonal=True))
         assert np.allclose(model.sigma_gamma[2:, :2], 0.0, atol=1e-30)
 
     def test_beta_and_cov_match_dense_gls(self):
@@ -526,7 +528,7 @@ class TestFit:
         rng = np.random.default_rng(13)
         spec = ModelSpec(2, 1)
         ts = random_training_set(rng, spec, 10, 8)
-        model = fit(ts, FitOptions(max_iter=400, restarts=1, seed=3))
+        model = fit(ts, FitOptions(max_iter=400))
         designs = [build_design(spec, obs) for obs in ts.drivers.values()]
         beta, cov = gls_beta(
             np.vstack([X for X, _ in designs]),
@@ -548,10 +550,41 @@ class TestFit:
             return original(fn, x0, *args, **kwargs)
 
         monkeypatch.setattr(training, "nelder_mead", recorder)
-        fit(ts, FitOptions(max_iter=100, restarts=2, seed=1))
+        fit(ts, FitOptions(max_iter=100))
         assert len(starts) == 1
         moment = training._moment_start(training._PreparedDesigns(ts), chol_mask(ts.spec.p))
         assert np.array_equal(starts[0], moment)
+
+    @pytest.mark.parametrize("study", [
+        "default",
+        [(6, 0, 0), (4, 1, 0), (1, 1, 1), (5, 5, 0), (0, 7, 3), (2, 3, 4), (8, 0, 1), (3, 3, 3)],
+        [(2, 0, 1), (1, 2, 2), (0, 1, 0), (2, 2, 2)],
+    ], ids=["default", "sparse", "saturated"])
+    @pytest.mark.parametrize("block_diagonal", [False, True])
+    def test_moment_start_matches_per_driver_lstsq(self, study, block_diagonal):
+        # A hand-built study lists each driver's event count per stimulus.
+        # The sparse one has drivers that never see a stimulus and drivers
+        # with fewer events of a stimulus than its block has coefficients,
+        # so their X'X is rank deficient; in the saturated one every driver
+        # fits exactly, which leaves no residual degrees of freedom.
+        from brakedist import training
+        from brakedist.simgen import default_config, generate
+
+        if study == "default":
+            ts, _ = generate(default_config())
+        else:
+            rng = np.random.default_rng(17)
+            drivers = {}
+            for d, counts in enumerate(study):
+                drivers[f"d{d}"] = [Observation(f"d{d}", s, float(rng.uniform(0.3, 9.0)),
+                                                float(rng.uniform(0.3, 5.0)))
+                                    for s, count in enumerate(counts) for _ in range(count)]
+            ts = TrainingSet(spec=ModelSpec(3, 1), stimuli=StimulusRegistry(["a", "b", "c"]),
+                             drivers=drivers)
+        free = chol_mask(ts.spec.p, ts.spec.num_stimuli if block_diagonal else None)
+        got = training._moment_start(training._PreparedDesigns(ts), free)
+        want = lstsq_moment_start(ts, free)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_default_study_evaluation_budget(self, monkeypatch):
         # Halving t on every rejection took 194 and 494 evaluations here;
@@ -588,7 +621,7 @@ class TestFit:
             return original(fn, x0, *args, **kwargs)
 
         monkeypatch.setattr(training, "nelder_mead", recorder)
-        fit(ts, FitOptions(max_iter=20, restarts=0))
+        fit(ts, FitOptions(max_iter=20))
         deviance, x0 = runs[0]
         assert np.isfinite(deviance(x0))
         for i in range(x0.size):
@@ -676,8 +709,7 @@ class TestFit:
 
     def test_fit_info_populated(self):
         ts = make_identical_driver_data(10, 8, 5, 0.04, beta=(-0.3, 0.1, 0.0))
-        model = fit(ts, FitOptions(max_iter=200, restarts=1, seed=2))
-        assert model.fit_info.seed == 2
+        model = fit(ts, FitOptions(max_iter=200))
         assert model.fit_info.iterations > 0
         assert isinstance(model.fit_info.converged, bool)
 
@@ -685,7 +717,7 @@ class TestFit:
 class TestModelFile:
     def test_save_load_round_trip_bytes(self, tmp_path):
         ts = make_identical_driver_data(20, 8, 5, 0.04, beta=(-0.3, 0.1, 0.0))
-        model = fit(ts, FitOptions(max_iter=200, restarts=1, seed=2))
+        model = fit(ts, FitOptions(max_iter=200))
         path1 = tmp_path / "m1.json"
         path2 = tmp_path / "m2.json"
         save_model(model, path1)
@@ -695,7 +727,7 @@ class TestModelFile:
 
     def test_dict_round_trip_preserves_values(self):
         ts = make_identical_driver_data(21, 8, 5, 0.04, beta=(-0.3, 0.1, 0.0))
-        model = fit(ts, FitOptions(max_iter=200, restarts=1, seed=2))
+        model = fit(ts, FitOptions(max_iter=200))
         clone = model_from_dict(model_to_dict(model))
         assert np.array_equal(clone.beta, model.beta)
         assert clone.sigma2 == model.sigma2
