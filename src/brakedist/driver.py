@@ -118,7 +118,8 @@ def compute_blup(state, model):
     cached, and the state is not written.
 
     Raises:
-        NotPositiveDefinite: if that system is singular or not finite.
+        NotPositiveDefinite: if that system is singular, or it or the
+            prediction is not finite.
     """
     p = model.spec.p
     sg = model.sigma_gamma
@@ -126,25 +127,29 @@ def compute_blup(state, model):
         return BlupResult(gamma_hat=np.zeros(p), pred_err_cov=sg.copy())
 
     X, y = build_design(model.spec, state.observations)
-    resid = y - X @ model.beta
-    xtx = X.T @ X
-    # W = [X' V^-1 X | X' V^-1 r | M^-T].
     eye = np.eye(p)
     try:
-        _, W = reduced_solve(xtx, sg, model.sigma2, np.column_stack([xtx, X.T @ resid, eye]))
-    except NotPositiveDefinite:
+        # Every row's powers are finite (build_design), but the sums and
+        # products below can still overflow at extreme headways.
+        with np.errstate(over="raise", invalid="raise"):
+            resid = y - X @ model.beta
+            xtx = X.T @ X
+            # W = [X' V^-1 X | X' V^-1 r | M^-T].
+            _, W = reduced_solve(xtx, sg, model.sigma2, np.column_stack([xtx, X.T @ resid, eye]))
+            gamma_hat = sg @ W[:, p]
+
+            info = W[:, :p]  # X' V^-1 X
+            sg_info = sg @ (0.5 * (info + info.T))
+
+            # Sigma_gamma - Sigma_gamma info Sigma_gamma = sigma2 Sigma_gamma M^-T, and
+            # the beta_cov terms regroup as A beta_cov A': a sum of PSD terms.
+            a = eye - sg_info
+            pred_err = model.sigma2 * (sg @ W[:, p + 1:]) + a @ model.beta_cov @ a.T
+            pred_err = 0.5 * (pred_err + pred_err.T)
+    except (NotPositiveDefinite, FloatingPointError):
         raise NotPositiveDefinite(f"marginal covariance of driver {state.driver_id!r}'s "
                                   f"{state.n} events is singular or not finite") from None
-    gamma_hat = sg @ W[:, p]
-
-    info = W[:, :p]  # X' V^-1 X
-    sg_info = sg @ (0.5 * (info + info.T))
-
-    # Sigma_gamma - Sigma_gamma info Sigma_gamma = sigma2 Sigma_gamma M^-T, and
-    # the beta_cov terms regroup as A beta_cov A': a sum of PSD terms.
-    a = eye - sg_info
-    pred_err = model.sigma2 * (sg @ W[:, p + 1:]) + a @ model.beta_cov @ a.T
-    return BlupResult(gamma_hat=gamma_hat, pred_err_cov=0.5 * (pred_err + pred_err.T))
+    return BlupResult(gamma_hat=gamma_hat, pred_err_cov=pred_err)
 
 
 def state_to_dict(state, registry):
@@ -164,7 +169,10 @@ def state_to_dict(state, registry):
 
 
 def state_from_dict(doc, registry):
-    state = DriverState(driver_id=doc["driver_id"])
+    driver_id = doc["driver_id"]
+    if not isinstance(driver_id, str):
+        raise ValueError(f"driver_id must be a string, got {driver_id!r}")
+    state = DriverState(driver_id=driver_id)
     for i, rec in enumerate(doc.get("observations", [])):
         obs = Observation(
             driver_id=rec["driver_id"],

@@ -35,7 +35,10 @@ class StimulusRegistry:
     """Ordered set of stimulus names; ids are contiguous positions."""
 
     def __init__(self, names):
-        names = tuple(str(n) for n in names)
+        names = tuple(names)
+        for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"stimulus names must be strings, got {name!r}")
         if not names:
             raise ValueError("registry needs at least one stimulus")
         if len(set(names)) != len(names):
@@ -175,14 +178,15 @@ def feature_row(spec, stimulus, headway_s):
     Raises:
         UnknownStimulus: if the stimulus id is outside [0, num_stimuli).
         ValueError: if the headway is not positive, or is not finite or
-            overflows a power up to the degree.
+            overflows a power up to twice the degree: the row's outer
+            product, which X'X and w'Pw add up, must be finite.
     """
     if not 0 <= stimulus < spec.num_stimuli:
         raise UnknownStimulus(f"stimulus id {stimulus} out of range [0, {spec.num_stimuli})")
     if not headway_s > 0:
         raise ValueError(f"headway_s must be positive, got {headway_s}")
     try:
-        finite = math.isfinite(headway_s) and math.isfinite(float(headway_s) ** spec.degree)
+        finite = math.isfinite(headway_s) and math.isfinite(float(headway_s) ** (2 * spec.degree))
     except OverflowError:
         finite = False
     if not finite:
@@ -204,9 +208,9 @@ def build_design(spec, observations):
     stimulus = np.fromiter((o.stimulus for o in observations), dtype=np.intp, count=n)
     headway = np.fromiter((o.headway_s for o in observations), dtype=float, count=n)
     brt = np.fromiter((o.brt_s for o in observations), dtype=float, count=n)
-    # Slightly below the headway whose top power overflows, so every row
-    # that overflows is flagged; feature_row has the last word on each.
-    limit = 0.999 * sys.float_info.max ** (1.0 / max(spec.degree, 1))
+    # Slightly below the headway whose outer product's top power overflows,
+    # so every such row is flagged; feature_row has the last word on each.
+    limit = 0.999 * sys.float_info.max ** (1.0 / max(2 * spec.degree, 1))
     bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~((headway > 0) & (headway <= limit))
     for i in bad.nonzero()[0]:
         # feature_row raises the error it would raise for this row.
@@ -217,25 +221,22 @@ def build_design(spec, observations):
     return X, np.log(brt)
 
 
-def read_observations_csv(path, registry=None):
-    """Read observation rows from a CSV file.
+def read_observations_csv(path):
+    """Read observation rows from a CSV file in one pass.
 
     The header must be ``driver_id,stimulus,headway_s,brt_s`` and the
-    stimulus column carries names. When ``registry`` is None, a registry
-    is built from the names in order of first appearance; otherwise the
-    names are validated against the given registry.
+    stimulus column carries names; the registry lists them in order of
+    first appearance.
 
     Returns:
         (registry, observations)
 
     Raises:
-        ValueError: on a malformed header or row; the message carries
-            the 1-based line number.
-        UnknownStimulus: when a name is missing from a given registry.
+        ValueError: on a malformed header or row, naming the 1-based
+            line number of the first bad line, or on a file with no rows.
     """
+    ids = {}
     observations = []
-    names_seen = []
-    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -246,26 +247,17 @@ def read_observations_csv(path, registry=None):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 4:
-                raise ValueError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            driver_id, name, headway, brt = row
-            if registry is None and name not in names_seen:
-                names_seen.append(name)
-            rows.append((lineno, driver_id, name, headway, brt))
-    if registry is None:
-        if not names_seen:
-            raise ValueError("CSV contains no observations")
-        registry = StimulusRegistry(names_seen)
-    for lineno, driver_id, name, headway, brt in rows:
-        try:
-            stim_id = registry.id_of(name)
-            obs = Observation(driver_id, stim_id, float(headway), float(brt))
-        except UnknownStimulus:
-            raise
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        observations.append(obs)
-    return registry, observations
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(row)}")
+                driver_id, name, headway, brt = row
+                stim_id = ids.setdefault(name, len(ids))
+                observations.append(Observation(driver_id, stim_id, float(headway), float(brt)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    if not ids:
+        raise ValueError("CSV contains no observations")
+    return StimulusRegistry(ids), observations
 
 
 def write_observations_csv(path, observations, registry):
@@ -353,9 +345,9 @@ def read_json(path, from_dict, kind):
 
     A document of the wrong shape (``from_dict`` raises TypeError: a list
     where an object belongs, null where a number does), one nested too
-    deeply for the parser, and every other ValueError of ``from_dict`` (a
-    bad field) is a ValueError naming the file. A missing key stays a
-    KeyError.
+    deeply for the parser, a missing field (KeyError) and every other
+    ValueError of ``from_dict`` (a bad field) is a ValueError naming the
+    file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -366,5 +358,7 @@ def read_json(path, from_dict, kind):
         return from_dict(doc)
     except TypeError as exc:
         raise ValueError(f"{kind} {path} has the wrong shape: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"{kind} {path}: missing field {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{kind} {path}: {exc}") from None

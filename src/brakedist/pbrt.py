@@ -37,6 +37,9 @@ class PbrtEstimate:
     stimulus: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu, self.var_naive, self.var_conservative))):
+            raise ValueError(f"PBRT mean and variances at headway {self.t_star} must be finite, "
+                             f"got mu={self.mu}, var_conservative={self.var_conservative}")
         if not self.var_naive > 0:
             raise ValueError("var_naive must be positive")
         if self.var_conservative < self.var_naive - 1e-10:
@@ -55,6 +58,8 @@ def estimate_pbrt(model, blup, stimulus, t_star=None):
 
     Raises:
         UnknownStimulus: for an id outside the registry.
+        ValueError: if the mean or a variance is not finite (numpy warns
+            first where its arithmetic overflowed).
     """
     if t_star is None:
         t_star = model.t_star
@@ -88,9 +93,13 @@ def percentile(est, q, conservative=True):
 
     Raises:
         InvalidQuantile: unless 0 < q < 1.
+        ValueError: if the percentile is too large for a float.
     """
     var = est.var_conservative if conservative else est.var_naive
-    return math.exp(est.mu + norm_quantile(q) * math.sqrt(var))
+    try:  # the argument is finite, as PbrtEstimate's fields are
+        return math.exp(est.mu + norm_quantile(q) * math.sqrt(var))
+    except OverflowError:
+        raise ValueError(f"percentile at level {q:g} is too large for a float") from None
 
 
 def lognormal_pdf(t, mu, var):

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from brakedist import cli
 from brakedist.driver import DriverState, add_observation, compute_blup, load_driver_state
@@ -14,6 +20,9 @@ from brakedist.training import load_model
 
 def run(argv):
     return cli.main(argv)
+
+
+MISSING = object()  # a field value that deletes the field
 
 
 class TestSimulate:
@@ -190,14 +199,17 @@ class TestUpdate:
                                                        capfd):
         # The event once got stored, and the next prediction failed with
         # numpy warnings and a "singular" message that did not name it.
+        # 1e100's powers up to the degree are finite, but not its outer
+        # product's, which X'X adds up.
         state = tmp_path / "zz.json"
-        assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
-                    "--event", "traffic_signal,1e200,0.9"]) == 3
-        captured = capfd.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "error: headway_s 1e+200 too large for a degree-2 design"]
-        assert not state.exists()
+        for headway in ("1e200", "1e100"):
+            assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
+                        "--event", f"traffic_signal,{headway},0.9"]) == 3
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: headway_s {float(headway)} too large for a degree-2 design"]
+            assert not state.exists()
 
     def test_missing_model_is_io_error(self, tmp_path):
         assert run(["update", "--model", str(tmp_path / "no.json"),
@@ -398,19 +410,26 @@ class TestPbrt:
         (("beta", 5), True, "beta[5] must be a number, got True"),
         (("sigma_gamma", 2), [0.0] * 5, "sigma_gamma[2] must have 6 entries, got 5"),
         (("beta_cov",), [[0.0004]], "beta_cov must have 6 entries, got 1"),
+        (("beta",), MISSING, "missing field 'beta'"),
+        (("spec", "stimuli", 0), True, "stimulus names must be strings, got True"),
     ], ids=["degree-fraction", "degree-string", "num_stimuli-bool", "sigma2-bool", "t_star-string",
             "loglik-string", "converged-string", "beta-string", "beta-bool", "sigma_gamma-ragged",
-            "beta_cov-short"])
+            "beta_cov-short", "beta-missing", "stimuli-bool"])
     def test_mistyped_model_field_is_named(self, handmade_model_path, capsys, path, value, message):
         # Read with bare int() and float() these were truncated (degree 1.5,
         # then a misleading beta-shape error) or accepted ("2", true); read
         # with np.array, number arrays took "-0.3" and true, and a ragged
-        # matrix failed with numpy's "inhomogeneous shape" text.
+        # matrix failed with numpy's "inhomogeneous shape" text. A missing
+        # field was named without the file, and a stimulus name true was
+        # served as "True".
         doc = json.loads(handmade_model_path.read_text())
         target = doc
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
+        if value is MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
         handmade_model_path.write_text(json.dumps(doc))
         assert run(["pbrt", "--model", str(handmade_model_path),
                     "--stimulus", "traffic_signal"]) == 3
@@ -434,12 +453,25 @@ class TestPbrt:
         assert run(["pbrt", "--model", str(handmade_model_path),
                     "--stimulus", "traffic_signal", "--percentiles", "0,50"]) == 3
 
-    @pytest.mark.parametrize("t_star", ["inf", "1e308", "1e200"])
+    @pytest.mark.parametrize("t_star, levels", [("1e5", "99.9"), ("300", "10,99.9")])
+    def test_overflowing_percentile_is_a_validation_error(self, handmade_model_path, capfd,
+                                                          t_star, levels):
+        # math.exp raised OverflowError: exit 1 with a traceback, after the
+        # rows before the overflowing one had been printed.
+        assert run(["pbrt", "--model", str(handmade_model_path), "--stimulus", "traffic_signal",
+                    "--t-star", t_star, "--percentiles", levels]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: percentile at level 0.999 is too large for a float"]
+
+    @pytest.mark.parametrize("t_star", ["inf", "1e308", "1e200", "1e100"])
     @pytest.mark.parametrize("command", ["pbrt", "curve"])
     def test_overflowing_t_star_is_a_validation_error(self, tmp_path, handmade_model_path, capfd,
                                                       command, t_star):
         # Non-finite or overflowing headway powers once gave inf/nan rows
-        # and numpy warnings with exit 0.
+        # (1e100: nan and inf percentiles, all-zero densities) and numpy
+        # warnings with exit 0.
         out = tmp_path / "curve.csv"
         args = [command, "--model", str(handmade_model_path), "--stimulus", "traffic_signal",
                 "--t-star", t_star]
@@ -559,18 +591,32 @@ class TestMalformedJson:
         ("headway_s", True, "observations[1].headway_s must be a number, got True"),
         ("brt_s", "0.8", "observations[1].brt_s must be a number, got '0.8'"),
         ("stimulus", "mystery", "unknown stimulus name 'mystery'"),
-    ], ids=["headway-bool", "brt-string", "unknown-stimulus"])
+        ("brt_s", MISSING, "missing field 'brt_s'"),
+    ], ids=["headway-bool", "brt-string", "unknown-stimulus", "brt-missing"])
     def test_bad_state_field_names_file_and_field(self, tmp_path, handmade_model_path, capfd,
                                                   field, value, message):
         # Read with bare float(), "headway_s": true was stored as 1.0.
         state = tmp_path / "x.json"
-        doc = {"driver_id": "x", "observations": [EVENT, {**EVENT, field: value}]}
+        event = {key: v for key, v in {**EVENT, field: value}.items() if v is not MISSING}
+        doc = {"driver_id": "x", "observations": [EVENT, event]}
         state.write_text(json.dumps(doc))
         assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
                     "--stimulus", "traffic_signal"]) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: state file {state}: {message}"]
+
+    def test_non_string_driver_id_names_file(self, tmp_path, handmade_model_path, capfd):
+        # A state file with "driver_id": 5 was accepted.
+        state = tmp_path / "x.json"
+        state.write_text(json.dumps({"driver_id": 5, "observations": []}))
+        assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
+                    "--event", "traffic_signal,1.2,0.8"]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: state file {state}: driver_id must be a string, got 5"]
+        assert json.loads(state.read_text())["driver_id"] == 5
 
     @pytest.mark.parametrize("field, value, message", [
         ("degree", 1.5, "degree must be an integer, got 1.5"),
@@ -586,15 +632,21 @@ class TestMalformedJson:
         ("beta_true", [-0.3, 0.1, False], "beta_true[2] must be a number, got False"),
         ("sigma_gamma_true", [[0.02, 0.0, 0.0], [0.0, 0.005], [0.0, 0.0, 5e-5]],
          "sigma_gamma_true[1] must have 3 entries, got 2"),
+        ("seed", MISSING, "missing field 'seed'"),
+        ("stimuli", [True], "stimulus names must be strings, got True"),
     ], ids=["degree-fraction", "num_stimuli-bool", "num_drivers-string", "count-fraction",
             "count-bool", "sigma2-string", "headway-string", "headway-three", "seed-fraction",
-            "beta_true-string", "beta_true-bool", "sigma_gamma_true-ragged"])
+            "beta_true-string", "beta_true-bool", "sigma_gamma_true-ragged", "seed-missing",
+            "stimuli-bool"])
     def test_bad_config_field_names_file_and_field(self, tmp_path, tiny_sim_config_path, capfd,
                                                    field, value, message):
         # Read with bare int(), "degree": 1.5 was truncated to 1 and failed
         # later as "beta_true must have shape (2,)".
         doc = json.loads(tiny_sim_config_path.read_text())
-        doc[field] = value
+        if value is MISSING:
+            del doc[field]
+        else:
+            doc[field] = value
         tiny_sim_config_path.write_text(json.dumps(doc))
         assert run(["simulate", "--out", str(tmp_path / "x.csv"),
                     "--config", str(tiny_sim_config_path)]) == 3
@@ -639,3 +691,47 @@ class TestRoundTrip:
         again = tmp_path / "again.csv"
         write_observations_csv(again, obs, reg)
         assert again.read_bytes() == data.read_bytes()
+
+
+# Log-uniform over [1e-3, 1e308]: from everyday headways to far past the
+# degree-2 design's overflow point (about 1e77).
+EXTREME = st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e)
+
+
+class TestExtremeInputs:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        stimulus=st.sampled_from(["traffic_signal", "lead_car_brake"]),
+        headways=st.lists(EXTREME, min_size=1, max_size=3),
+        t_star=EXTREME,
+        levels=st.lists(st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+                        min_size=1, max_size=3),
+    )
+    def test_commands_exit_0_or_3_with_finite_output(self, handmade_model_path, stimulus,
+                                                     headways, t_star, levels):
+        # Every call returns 0 or 3 and never raises; the pytest config makes
+        # a RuntimeWarning an error. Stdout never shows nan or inf, and an
+        # exit 3 prints nothing on stdout and writes no file.
+        model = str(handmade_model_path)
+        with tempfile.TemporaryDirectory() as tmp:
+            state, curve = Path(tmp) / "d.json", Path(tmp) / "curve.csv"
+            query = ["--model", model, "--state", str(state), "--stimulus", stimulus,
+                     "--t-star", repr(t_star)]
+            calls = [(["update", "--model", model, "--state", str(state),
+                       "--event", f"{stimulus},{h!r},0.9"], state) for h in headways]
+            calls += [(["pbrt", *query, "--percentiles", ",".join(map(repr, levels))], None),
+                      (["curve", *query, "--grid", "0.2,3.0,5", "--out", str(curve)], curve)]
+            for argv, written in calls:
+                before = written.read_bytes() if written is not None and written.exists() else None
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                assert code in (0, 3), argv
+                text = out.getvalue() + (curve.read_text() if written is curve and code == 0 else "")
+                assert "nan" not in text and "inf" not in text, (argv, text)
+                if code == 3:
+                    assert out.getvalue() == "", argv
+                    if written is not None:
+                        after = written.read_bytes() if written.exists() else None
+                        assert after == before, argv

@@ -16,7 +16,7 @@ from brakedist.driver import (
     state_to_dict,
 )
 from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainedModel, build_design
-from brakedist.numerics import spd_solve
+from brakedist.numerics import NotPositiveDefinite, spd_solve
 
 from reference import henderson_oracle
 
@@ -251,6 +251,17 @@ class TestComputeBlup:
         add_observation(state, Observation("d", 0, 1e200, 1.0))  # headway^2 overflows
         # Named by build_design before any arithmetic: no RuntimeWarning.
         with pytest.raises(ValueError, match=r"headway_s 1e\+200 too large for a degree-2 design"):
+            compute_blup(state, model)
+
+    def test_overflowing_sums_are_a_domain_error(self):
+        # Each row's outer product is finite, but X'X adds two of them up.
+        # This gave "overflow encountered in matmul" warnings before the
+        # error.
+        model = random_model(np.random.default_rng(11))
+        state = DriverState(driver_id="d")
+        for _ in range(2):
+            add_observation(state, Observation("d", 0, 1.1e77, 1.0))
+        with pytest.raises(NotPositiveDefinite, match="driver 'd''s 2 events is singular or not finite"):
             compute_blup(state, model)
 
 

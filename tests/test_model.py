@@ -186,8 +186,15 @@ class TestObservationCsv:
         with pytest.raises(ValueError, match="line 3"):
             read_observations_csv(path)
 
-    def test_unknown_name_against_given_registry(self, tmp_path):
+    def test_first_bad_line_in_file_order_is_reported(self, tmp_path):
+        # Read in two passes, a short row anywhere was reported before a
+        # bad value on an earlier line.
         path = tmp_path / "obs.csv"
-        path.write_text("driver_id,stimulus,headway_s,brt_s\na,mystery,1.0,0.5\n")
-        with pytest.raises(UnknownStimulus):
-            read_observations_csv(path, registry=StimulusRegistry(["known"]))
+        path.write_text(
+            "driver_id,stimulus,headway_s,brt_s\n"
+            "a,x,1.0,0.5\n"
+            "a,x,-2.0,0.6\n"
+            "a,x,1.0\n"
+        )
+        with pytest.raises(ValueError, match="^line 3: headway_s must be positive"):
+            read_observations_csv(path)
