@@ -232,13 +232,19 @@ def read_observations_csv(path):
         (registry, observations)
 
     Raises:
-        ValueError: on a malformed header or row, naming the 1-based
-            line number of the first bad line, or on a file with no rows.
+        ValueError: naming the file, on a byte that is not UTF-8 or a
+            malformed header or row, with the 1-based line number of the
+            first bad line, or on a file with no rows.
     """
-    ids = {}
-    observations = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    data = Path(path).read_bytes()
+    ids, observations = {}, []
+    try:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"line {line}: {_not_utf8(data, exc)}") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
         if header != OBSERVATION_CSV_HEADER:
             raise ValueError(
@@ -255,9 +261,16 @@ def read_observations_csv(path):
                 observations.append(Observation(driver_id, stim_id, float(headway), float(brt)))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-    if not ids:
-        raise ValueError("CSV contains no observations")
+        if not ids:
+            raise ValueError("CSV contains no observations")
+    except ValueError as exc:
+        raise ValueError(f"observation file {path}: {exc}") from None
     return StimulusRegistry(ids), observations
+
+
+def _not_utf8(data, exc):
+    """The first byte that stopped ``data.decode("utf-8")`` with ``exc``, at its offset."""
+    return f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start} ({exc.reason})"
 
 
 def write_observations_csv(path, observations, registry):
@@ -343,17 +356,21 @@ def _checked_list(doc, path, value, shape):
 def read_json(path, from_dict, kind):
     """``from_dict`` of the JSON document in the ``kind`` file at ``path``.
 
-    A document of the wrong shape (``from_dict`` raises TypeError: a list
-    where an object belongs, null where a number does), one nested too
-    deeply for the parser, a missing field (KeyError) and every other
-    ValueError of ``from_dict`` (a bad field) is a ValueError naming the
-    file.
+    A file that is not UTF-8 or not JSON, a document of the wrong shape
+    (``from_dict`` raises TypeError: a list where an object belongs, null
+    where a number does), one nested too deeply for the parser, a missing
+    field (KeyError) and every other ValueError of ``from_dict`` (a bad
+    field) is a ValueError naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{kind} {path} is nested too deeply to read") from None
+    data = Path(path).read_bytes()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{kind} {path} is {_not_utf8(data, exc)}") from None
+    except RecursionError:
+        raise ValueError(f"{kind} {path} is nested too deeply to read") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{kind} {path} is not JSON: {exc}") from None
     try:
         return from_dict(doc)
     except TypeError as exc:

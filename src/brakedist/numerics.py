@@ -37,7 +37,7 @@ def check_symmetric(a, tol=1e-12):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if a.size and np.max(np.abs(a - a.T)) > tol:
+    if np.max(np.abs(a - a.T)) > tol:
         raise ValueError(f"matrix is not symmetric within {tol}")
     return a
 
@@ -94,7 +94,7 @@ def generalized_inverse(a):
     if a.size == 0:
         return np.zeros(a.shape[::-1])
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return np.zeros(a.shape[::-1])
     cutoff = max(a.shape) * s[0] * RANK_RTOL
     s_inv = np.zeros_like(s)

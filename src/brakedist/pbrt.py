@@ -103,8 +103,6 @@ def percentile(est, q, conservative=True):
 
 
 def lognormal_pdf(t, mu, var):
-    if t <= 0:
-        return 0.0
     sd = math.sqrt(var)
     z = (math.log(t) - mu) / sd
     return math.exp(-0.5 * z * z) / (t * sd * SQRT2PI)

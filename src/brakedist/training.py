@@ -13,9 +13,9 @@ r'(V / sigma2)^-1 r / N, so the search runs over Lambda alone, on lme4's
 profiled deviance (Bates et al. 2015, JSS 67(1), sec. 3.4). Lambda is kept
 positive semidefinite by searching its Cholesky factor, whose diagonal is
 stored in logs: theta holds the factor's entries on a boolean mask
-(``chol_mask``). The search is BFGS on the deviance's analytic gradient,
-from the covariance of per-driver OLS coefficients; the solve at its
-optimum also gives beta, sigma2 and beta's covariance. The deviance and
+(``chol_mask``). The search is trust-region Newton on the deviance's
+analytic gradient and Hessian, from Lambda = diag(X'X / N)^-1; the solve at
+its optimum also gives beta, sigma2 and beta's covariance. The deviance and
 the start need only each driver's X'X, X'y and y'y. Everything outside
 the search takes the variance parameters as the model stores them,
 (sigma2, Sigma_gamma): ``log_likelihood`` evaluates the same kernel there.
@@ -31,8 +31,7 @@ import numpy as np
 from .driver import reduced_solve
 from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design,
                     json_array, json_number, read_json)
-from .numerics import (RANK_RTOL, NotPositiveDefinite, check_symmetric, generalized_inverse, is_psd,
-                       spd_solve)
+from .numerics import NotPositiveDefinite, check_symmetric, generalized_inverse, is_psd, spd_solve
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -40,7 +39,7 @@ LOG2PI = math.log(2.0 * math.pi)
 # the deviance treats such points as infeasible.
 _PARAM_BOUND = 30.0
 
-# BFGS stops once the predicted decrease g'Hg/2 is this small.
+# The search stops once its quadratic model predicts a gain this small.
 _PREDICTED_DECREASE_TOL = 1e-10
 
 
@@ -183,15 +182,14 @@ class _PreparedDesigns:
             bad = list(ts.drivers)[int(np.argmin(finite))]
             raise ValueError(f"driver {bad!r}: headway too large for a degree-{ts.spec.degree} design")
         self.total_n = X.shape[0]
-        self.y_var = float(np.var(y))  # the moment start's fallback residual variance
 
     def solve(self, lam):
         """The GLS fit at Lambda = Sigma_gamma / sigma2, by one batched solve.
 
-        Returns (logdet, q, beta, info, u): sum_d log det (V_d / sigma2),
-        q = sum_d r_d' (V_d / sigma2)^-1 r_d at the GLS beta, beta,
-        info = sum_d X_d' (V_d / sigma2)^-1 X_d, and the rows
-        u_d = X_d' (V_d / sigma2)^-1 r_d.
+        Returns (logdet, q, beta, info, u, P): sum_d log det (V_d / sigma2),
+        q = sum_d r_d' (V_d / sigma2)^-1 r_d at the GLS beta, beta, info =
+        sum_d P_d with P_d = X_d' (V_d / sigma2)^-1 X_d, the rows
+        u_d = X_d' (V_d / sigma2)^-1 r_d, and the blocks P_d.
 
         Raises:
             NotPositiveDefinite: if a reduced system is numerically singular.
@@ -210,31 +208,52 @@ class _PreparedDesigns:
         rtr = self.yty - 2.0 * self.xty @ beta + (self.xtx @ beta) @ beta
         u = W[:, :, p] - W[:, :, :p] @ beta
         q = float(np.sum(rtr - np.einsum("di,di->d", xtr @ lam, u)))
-        return float(np.sum(logdet_m)), q, beta, info, u
+        return float(np.sum(logdet_m)), q, beta, info, u, W[:, :, :p]
 
     def deviance(self, theta, free):
-        """-loglik at the closed-form sigma2 = q / N, and its gradient in
-        ``theta``, the entries on the mask ``free`` of Lambda's Cholesky factor L
-        (diagonal in logs); (inf, None) where theta is infeasible.
+        """-loglik at the closed-form sigma2 = q / N, with its gradient and
+        Hessian in ``theta``, the entries on the mask ``free`` of Lambda's
+        Cholesky factor L (diagonal in logs); (inf, None, None) where theta
+        is infeasible.
 
         The deviance is (N log 2pi + N log(q / N) + sum_d log det M_d + N) / 2.
         beta and sigma2 sit at their optima, so the gradient in Lambda is
-        G = (info - (N / q) sum_d u_d u_d') / 2 (Pinheiro & Bates 1996),
-        2 G L in L, and L_ii times that on the log diagonal.
+        G = (info - (N / q) sum_d u_d u_d') / 2 (Pinheiro & Bates 1996). Along
+        symmetric E and F, dq[E] = -sum_d u_d' E u_d, d2 sum_d log det M_d[E, F]
+        = -sum_d tr(P_d E P_d F) and d2q[E, F] = 2 sum_d u_d' E P_d F u_d
+        - 2 b_E' info^- b_F, b_E = sum_d P_d E u_d. Theta moves Lambda = L L'
+        along E_a = A_a L' + L A_a', A_a = dL / dtheta_a, adding G : d2Lambda.
         """
         if np.max(np.abs(theta)) > _PARAM_BOUND:
-            return np.inf, None
+            return np.inf, None, None
         L = _factor(theta, free)
         try:
-            logdet, q, _, info, u = self.solve(L @ L.T)
+            logdet, q, _, info, u, P = self.solve(L @ L.T)
         except NotPositiveDefinite:
-            return np.inf, None
+            return np.inf, None, None
         if not q > 0:  # cancelled to nothing, far from the optimum
-            return np.inf, None
-        n = self.total_n
-        grad = (info - (n / q) * (u.T @ u)) @ L
-        grad[np.diag_indices_from(grad)] *= np.diag(L)
-        return 0.5 * (n * (LOG2PI + math.log(q / n) + 1.0) + logdet), grad[free]
+            return np.inf, None, None
+        n, (d, p, _) = self.total_n, P.shape
+        G = 0.5 * (info - (n / q) * (u.T @ u))
+        rows, cols = free.nonzero()
+        scale = np.where(rows == cols, np.diag(L)[rows], 1.0)  # A_a = scale_a e_i e_k'
+        J = np.zeros((rows.size, p, p))  # A_a L', one per entry of theta
+        J[np.arange(rows.size), rows] = (L[:, cols] * scale).T
+        J = (J + J.transpose(0, 2, 1)).reshape(rows.size, -1).T  # columns vec(E_a)
+        grad = J.T @ G.ravel()
+
+        # Bilinear forms in Lambda over row-major vec(E), vec(F).
+        flat = P.reshape(d, p * p)
+        sum_pp = (flat.T @ flat).reshape(p, p, p, p).transpose(0, 2, 1, 3).reshape(p * p, p * p)
+        uu = np.einsum("dj,dn->djn", u, u).reshape(d, p * p)
+        upu = (uu.T @ flat).reshape(p, p, p, p).transpose(0, 2, 3, 1).reshape(p * p, p * p)
+        b = (P.transpose(1, 2, 0).reshape(p * p, d) @ u).reshape(p, p * p)  # b[i, (j, k)]
+        dq = -(u.T @ u).ravel()
+        d2q = 2.0 * upu - 2.0 * b.T @ generalized_inverse(info) @ b
+        hess = J.T @ (0.5 * (n * (d2q / q - np.outer(dq, dq) / q**2) - sum_pp)) @ J
+        hess += 2.0 * np.outer(scale, scale) * (cols[:, None] == cols) * G[np.ix_(rows, rows)]
+        hess[rows == cols, rows == cols] += grad[rows == cols]
+        return 0.5 * (n * (LOG2PI + math.log(q / n) + 1.0) + logdet), grad, 0.5 * (hess + hess.T)
 
 
 def log_likelihood(ts, sigma2, sigma_gamma):
@@ -262,13 +281,13 @@ def log_likelihood(ts, sigma2, sigma_gamma):
         raise ValueError(f"sigma_gamma: {exc}") from None
     if not psd:
         raise ValueError("sigma_gamma is not positive semidefinite")
-    logdet, q, _, _, _ = _PreparedDesigns(ts).solve(sigma_gamma / sigma2)
+    logdet, q, *_ = _PreparedDesigns(ts).solve(sigma_gamma / sigma2)
     return -0.5 * (ts.num_observations * (LOG2PI + math.log(sigma2)) + logdet + q / sigma2)
 
 
 @dataclass
 class FitOptions:
-    """Knobs for the maximum-likelihood search. ``max_iter`` caps the BFGS
+    """Knobs for the maximum-likelihood search. ``max_iter`` caps the search's
     iterations. ``restarts`` changes nothing (the search is deterministic
     and has one start); it is kept only because the benchmark harness
     builds ``FitOptions(restarts=1)``."""
@@ -278,125 +297,94 @@ class FitOptions:
     block_diagonal: bool = False
 
 
-def _moment_start(prepared, free):
-    """Starting theta of the search: Lambda = C / s2, where C is the sample
-    covariance of independent per-driver OLS coefficients, restricted to
-    the free entries of the mask ``free`` and PSD-projected, and s2 the pooled
-    (rank-aware) OLS residual variance. Each driver's minimum-norm OLS
-    coefficients, rank and residual sum of squares y'y - coef'X'y come from
-    one batched eigendecomposition of X'X, cut at p * RANK_RTOL times the
-    largest eigenvalue.
-
-    Raises:
-        ValueError: if the coefficient covariance is not finite.
-    """
-    eigvals, eigvecs = np.linalg.eigh(prepared.xtx)
-    kept = eigvals > eigvals.shape[1] * RANK_RTOL * eigvals[:, -1:]
-    scale = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=kept)
-    coefs = np.einsum("dij,dj->di", eigvecs, scale * np.einsum("dji,dj->di", eigvecs, prepared.xty))
-    rss = float(np.sum(prepared.yty - np.einsum("di,di->d", coefs, prepared.xty)))
-    dof = prepared.total_n - int(kept.sum())  # rank <= n_d for every driver
-    if dof > 0 and rss > 0:
-        sigma2 = rss / dof
-    else:
-        sigma2 = max(prepared.y_var, 1e-8)
-    cov = np.atleast_2d(np.cov(coefs.T))
-    if not np.all(np.isfinite(cov)):
-        raise ValueError("per-driver OLS coefficients have a non-finite covariance")
-    cov = cov * (free | free.T)  # honor the block-diagonal reduction
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    floor = max(float(eigvals[-1]), 1e-6) * 1e-6
-    cov = (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
-    chol = np.linalg.cholesky((cov + floor * np.eye(len(cov))) / sigma2)
-    np.fill_diagonal(chol, np.log(np.diag(chol)))
-    return chol[free]
-
-
 Search = namedtuple("Search", "x fun iterations nfev converged")
 
 
-def bfgs(fn, x0, max_iter, grad):
+def _trust_step(g, H, radius):
+    """Minimizer s of the model g's + s'Hs / 2 over |s| <= radius, and the
+    gain the model predicts for it (Nocedal & Wright 2006, sec. 4.3): s =
+    -(H + shift I)^-1 g at the smallest shift >= max(0, -lambda_min) that
+    keeps s inside, found by bisection in H's eigenbasis. Where g has no
+    part along the eigenvector of a negative lambda_min (the hard case),
+    that eigenvector carries s to the boundary. The gain is taken in the
+    eigenbasis too, so that it is the one s maximizes: never negative."""
+    curv, basis = np.linalg.eigh(H)
+    coef = basis.T @ g
+
+    def shifted(shift):  # s in the eigenbasis; a part of g that is 0 stays 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(coef == 0.0, 0.0, -coef / (curv + shift))
+
+    z = shifted(0.0)  # the Newton step, if H is positive definite and it fits
+    if curv[0] <= 0 or np.linalg.norm(z) > radius:
+        lo = max(0.0, -curv[0])
+        hi = lo + np.linalg.norm(g) / radius  # |s| <= |g| / (curv[0] + shift) <= radius
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.linalg.norm(shifted(mid)) > radius else (lo, mid)
+        z = shifted(hi)
+        if curv[0] < 0:
+            z[0] -= math.copysign(math.sqrt(max(radius**2 - z @ z, 0.0)), coef[0])
+    return basis @ z, -(coef @ z + 0.5 * curv @ z**2)
+
+
+def trust_newton(fn, x0, max_iter, derivatives):
     """Minimize ``fn``, which maps x to a value, infinite where x is
-    infeasible, with gradient ``grad(x)`` wherever ``fn(x)`` was finite, by
-    BFGS on the inverse Hessian H (Nocedal & Wright 2006, Algorithm 6.1).
-    No step moves a coordinate by more than 1: one early step could
-    otherwise throw a log-diagonal entry out to where its gradient vanishes.
-
-    The line search tries t = 1 along d = -Hg and accepts the first t that
-    meets Armijo's condition f(x + t d) <= f + 1e-4 t g'd. A rejected
-    finite trial moves t to the minimizer of the quadratic through f, the
-    slope g'd and the trial's value, clipped to [t / 10, t / 2] (Nocedal &
-    Wright, sec. 3.5); an infinite trial halves t. The search gives up once
-    the most t could gain, -t g'd, is at most max(eps |f|,
-    ``_PREDICTED_DECREASE_TOL``): rounding, or a gain the stop rule below
-    would not count.
-
-    Converged means the predicted decrease g'Hg/2 is at most
-    ``_PREDICTED_DECREASE_TOL``, or, with H just reset to the identity, no
-    step along -Hg gains more than max(rounding,
-    ``_PREDICTED_DECREASE_TOL``): near a boundary optimum g need not
-    vanish, and a stale H can predict too little.
+    infeasible, with gradient and Hessian ``derivatives(x)`` wherever
+    ``fn(x)`` was finite, by trust-region Newton (Nocedal & Wright 2006,
+    Algorithm 4.1). The radius starts at 1: one early step could otherwise
+    throw a log-diagonal entry out to where its gradient vanishes. A trial
+    that lowers fn is accepted. The radius shrinks to a quarter of the step
+    when fn gains less than a quarter of the predicted gain (or the trial is
+    infeasible), and doubles when the prediction held at the boundary. The
+    search has converged once the model predicts at most a gain of
+    ``_PREDICTED_DECREASE_TOL`` within the radius.
 
     Returns:
         Search(x, fun, iterations, nfev, converged); nfev counts calls of fn.
     """
     x = np.asarray(x0, dtype=float)
-    f, g, nfev = fn(x), grad(x), 1
-    H = np.eye(x.size)
-    fresh = True  # H is the identity
+    f, nfev = fn(x), 1
+    g, H = derivatives(x)
+    radius = 1.0
     for iteration in range(1, max_iter + 1):
-        d = -H @ g
-        step = None
-        if -0.5 * (g @ d) > _PREDICTED_DECREASE_TOL:
-            d /= max(1.0, np.max(np.abs(d)))
-            slope = g @ d
-            t = 1.0
-            while -t * slope > max(np.finfo(float).eps * abs(f), _PREDICTED_DECREASE_TOL):
-                trial = x + t * d
-                f_new, nfev = fn(trial), nfev + 1
-                if f_new <= f + 1e-4 * t * slope:
-                    step, g_new = t * d, grad(trial)
-                    break
-                if np.isfinite(f_new):
-                    # Minimizer of the quadratic through f, slope and f_new.
-                    t_min = -slope * t * t / (2.0 * (f_new - f - slope * t))
-                    t = min(max(t_min, 0.1 * t), 0.5 * t)
-                else:
-                    t *= 0.5
-        if step is None:
-            if fresh:
-                return Search(x, f, iteration, nfev, True)
-            H, fresh = np.eye(x.size), True
-            continue
-        dg = g_new - g
-        x, f, g, fresh = trial, f_new, g_new, False
-        curvature = step @ dg
-        if curvature > 0:  # keeps H positive definite
-            v = np.eye(x.size) - np.outer(step, dg) / curvature
-            H = v @ H @ v.T + np.outer(step, step) / curvature
+        step, predicted = _trust_step(g, H, radius)
+        if not predicted > _PREDICTED_DECREASE_TOL:
+            return Search(x, f, iteration, nfev, True)
+        trial = x + step
+        f_new, nfev = fn(trial), nfev + 1
+        gain = (f - f_new) / predicted  # -inf where the trial is infeasible
+        length = np.linalg.norm(step)
+        if gain < 0.25:
+            radius = 0.25 * length
+        elif gain > 0.75 and length >= 0.99 * radius:
+            radius *= 2.0
+        if gain > 0:
+            x, f = trial, f_new
+            g, H = derivatives(x)
     return Search(x, f, max_iter, nfev, False)
 
 
-# ``fit`` calls ``bfgs`` by the name perfbench hooks, kept from the Nelder-Mead
+# ``fit`` calls ``trust_newton`` by the name perfbench hooks, kept from the Nelder-Mead
 # search, to count deviance evaluations and time its host-speed kernel.
-nelder_mead = bfgs
+nelder_mead = trust_newton
 
 
 def fit(ts, opts=None):
     """Fit the population model by maximum likelihood.
 
-    ``bfgs`` on the profiled deviance over Lambda = Sigma_gamma / sigma2
-    (``_PreparedDesigns.deviance``) from ``_moment_start``, shrunk by 4
-    until the deviance there is finite. beta, sigma2 = q / N, Sigma_gamma
-    = sigma2 Lambda and beta_cov come from the solve at the optimum.
+    ``trust_newton`` on the profiled deviance over Lambda = Sigma_gamma /
+    sigma2 (``_PreparedDesigns.deviance``), from Lambda = diag(X'X / N)^-1,
+    which scales every design column to a unit mean square (a column that
+    no event reaches starts at 1). beta, sigma2 = q / N, Sigma_gamma =
+    sigma2 Lambda and beta_cov come from the solve at the optimum.
 
     Returns:
         TrainedModel; ``fit_info.converged`` is False when the iteration
         budget ran out first (the result is returned regardless).
 
     Raises:
-        ValueError: if the deviance is not finite anywhere on the way
-            from the moment start towards Lambda = 0.
+        ValueError: if the deviance is not finite at the start.
     """
     if opts is None:
         opts = FitOptions()
@@ -405,30 +393,27 @@ def fit(ts, opts=None):
     p = ts.spec.p
     prepared = _PreparedDesigns(ts)
     free = chol_mask(p, ts.spec.num_stimuli if opts.block_diagonal else None)
-    solved = [None, None]  # the last theta evaluated, and the gradient there
+    solved = [None, None]  # the last theta evaluated, and the derivatives there
 
     def deviance(theta):
-        value, solved[1] = prepared.deviance(theta, free)
-        solved[0] = theta
+        value, *derivs = prepared.deviance(theta, free)
+        solved[:] = theta, derivs
         return value
 
-    def gradient(theta):
-        return solved[1] if theta is solved[0] else prepared.deviance(theta, free)[1]
+    def derivatives(theta):
+        return solved[1] if theta is solved[0] else prepared.deviance(theta, free)[1:]
 
-    theta = _moment_start(prepared, free)
-    on_diag = np.eye(p, dtype=bool)[free]
-    for _ in range(64):
-        if np.isfinite(deviance(theta)):
-            break
-        theta = np.where(on_diag, theta - math.log(2.0), 0.5 * theta)  # Lambda / 4
-    else:
-        raise ValueError("the likelihood is not finite near the moment start")
+    mean_square = prepared.xtx.sum(axis=0).diagonal() / prepared.total_n
+    log_scale = -0.5 * np.log(mean_square, out=np.zeros(p), where=mean_square > 0)
+    theta = np.clip(np.diag(log_scale)[free], -_PARAM_BOUND, _PARAM_BOUND)
+    if not np.isfinite(deviance(theta)):
+        raise ValueError("the likelihood is not finite at the start Lambda = diag(X'X / N)^-1")
     theta, neg_loglik, iterations, _, converged = nelder_mead(deviance, theta, opts.max_iter,
-                                                              grad=gradient)
+                                                              derivatives=derivatives)
 
     L = _factor(theta, free)
     lam = L @ L.T
-    _, q, beta, info, _ = prepared.solve(lam)
+    _, q, beta, info, *_ = prepared.solve(lam)
     sigma2 = q / prepared.total_n
     sigma_gamma = sigma2 * 0.5 * (lam + lam.T)
     beta_cov = sigma2 * generalized_inverse(info)

@@ -130,6 +130,19 @@ class TestTrain:
         assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_utf8_byte_names_file_line_and_offset(self, tmp_path, capfd):
+        # The decode error escaped the reader: exit 3 with only "'utf-8'
+        # codec can't decode byte 0xff in position ...", naming no file.
+        data = tmp_path / "bad.csv"
+        head = b"driver_id,stimulus,headway_s,brt_s\na,stim,1.0,0.5\nb,st"
+        data.write_bytes(head + b"\xffim,1.0,0.6\n")
+        assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: observation file {data}: line 3: not UTF-8: byte 0xff at offset "
+            f"{len(head)} (invalid start byte)"]
+
     def test_missing_data_file_is_io_error(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "m.json")]) == 2
@@ -586,6 +599,28 @@ class TestMalformedJson:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: model file {bad} is nested too deeply to read"]
 
+
+    @pytest.mark.parametrize("kind", ["model", "state", "config"])
+    def test_unreadable_text_names_the_file(self, tmp_path, handmade_model_path, capfd, kind):
+        # A byte that is not UTF-8 gave only the codec's message, and text
+        # that is not JSON only the parser's; neither named the file.
+        for content, message in [(b'{"driver_id": "\xff"}', "is not UTF-8: byte 0xff at offset 15 "
+                                                           "(invalid start byte)"),
+                                 (b"{", "is not JSON: Expecting property name enclosed in "
+                                        "double quotes: line 1 column 2 (char 1)")]:
+            bad = tmp_path / f"bad-{kind}.json"
+            bad.write_bytes(content)
+            if kind == "config":
+                args = ["simulate", "--out", str(tmp_path / "x.csv"), "--config", str(bad)]
+            else:
+                model = bad if kind == "model" else handmade_model_path
+                args = ["pbrt", "--model", str(model), "--stimulus", "traffic_signal"]
+                if kind == "state":
+                    args += ["--state", str(bad)]
+            assert run(args) == 3
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {kind} file {bad} {message}"]
 
     @pytest.mark.parametrize("field, value, message", [
         ("headway_s", True, "observations[1].headway_s must be a number, got True"),

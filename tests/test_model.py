@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -196,5 +198,6 @@ class TestObservationCsv:
             "a,x,-2.0,0.6\n"
             "a,x,1.0\n"
         )
-        with pytest.raises(ValueError, match="^line 3: headway_s must be positive"):
+        with pytest.raises(ValueError, match=f"^observation file {re.escape(str(path))}: "
+                                             "line 3: headway_s must be positive"):
             read_observations_csv(path)
