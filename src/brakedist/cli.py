@@ -8,6 +8,7 @@ still written). Data goes to stdout, diagnostics to stderr.
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -117,8 +118,8 @@ def cmd_curve(args):
     if len(parts) != 3:
         raise ValueError('grid must be "min,max,steps"')
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if not 0 < lo < hi or steps < 2:
-        raise ValueError("grid needs 0 < min < max and steps >= 2")
+    if not 0 < lo < hi < math.inf or steps < 2:
+        raise ValueError("grid needs 0 < min < max < inf and steps >= 2")
     grid = np.linspace(lo, hi, steps)
     naive = pbrt_mod.density_curve(est, False, grid)
     cons = pbrt_mod.density_curve(est, True, grid)

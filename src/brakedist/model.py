@@ -197,6 +197,25 @@ def feature_row(spec, stimulus, headway_s):
     return row
 
 
+def design(spec, stimulus, headway):
+    """Design matrix whose row i is feature_row(spec, stimulus[i], headway[i]),
+    from arrays of stimulus ids and headways; simulation, training and
+    serving all build their rows here. The first row that feature_row
+    refuses raises feature_row's error."""
+    n = stimulus.size
+    # Slightly below the headway whose outer product's top power overflows,
+    # so every such row is flagged; feature_row has the last word on each.
+    limit = 0.999 * sys.float_info.max ** (1.0 / max(2 * spec.degree, 1))
+    bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~((headway > 0) & (headway <= limit))
+    for i in bad.nonzero()[0]:
+        # feature_row raises the error it would raise for this row.
+        feature_row(spec, int(stimulus[i]), float(headway[i]))
+    powers = np.arange(spec.degree + 1)
+    X = np.zeros((n, spec.p))
+    X[np.arange(n)[:, None], stimulus[:, None] * powers.size + powers] = headway[:, None] ** powers
+    return X
+
+
 def build_design(spec, observations):
     """Stack feature rows and log responses for a list of observations.
 
@@ -208,17 +227,7 @@ def build_design(spec, observations):
     stimulus = np.fromiter((o.stimulus for o in observations), dtype=np.intp, count=n)
     headway = np.fromiter((o.headway_s for o in observations), dtype=float, count=n)
     brt = np.fromiter((o.brt_s for o in observations), dtype=float, count=n)
-    # Slightly below the headway whose outer product's top power overflows,
-    # so every such row is flagged; feature_row has the last word on each.
-    limit = 0.999 * sys.float_info.max ** (1.0 / max(2 * spec.degree, 1))
-    bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~((headway > 0) & (headway <= limit))
-    for i in bad.nonzero()[0]:
-        # feature_row raises the error it would raise for this row.
-        feature_row(spec, int(stimulus[i]), float(headway[i]))
-    powers = np.arange(spec.degree + 1)
-    X = np.zeros((n, spec.p))
-    X[np.arange(n)[:, None], stimulus[:, None] * powers.size + powers] = headway[:, None] ** powers
-    return X, np.log(brt)
+    return design(spec, stimulus, headway), np.log(brt)
 
 
 def read_observations_csv(path):

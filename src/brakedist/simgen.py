@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelSpec, Observation, StimulusRegistry, atomic_write_text, json_array, json_number,
-                    read_json)
+from .model import (ModelSpec, Observation, StimulusRegistry, atomic_write_text, design, feature_row,
+                    json_array, json_number, read_json)
 from .numerics import check_symmetric, is_psd
 from .training import TrainingSet
 
@@ -44,6 +44,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("beta_true", "sigma2_true", "sigma_gamma_true", "headway_range"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise ValueError(f"{name} must be finite")
         self.beta_true = np.asarray(self.beta_true, dtype=float)
         self.sigma_gamma_true = check_symmetric(self.sigma_gamma_true)
         p = self.spec.p
@@ -71,6 +74,7 @@ class SimConfig:
         lo, hi = self.headway_range
         if not (0 < lo < hi):
             raise ValueError("headway_range must satisfy 0 < min < max")
+        feature_row(self.spec, 0, hi)  # refuses a headway whose design overflows
         self.headway_range = (float(lo), float(hi))
         self.seed = int(self.seed)
 
@@ -181,39 +185,23 @@ def generate(config):
             bound (a sign the config's tails are unphysical).
     """
     spec = config.spec
-    p = spec.p
     root = _psd_sqrt(config.sigma_gamma_true)
     sigma = math.sqrt(config.sigma2_true)
     lo, hi = config.headway_range
     width = len(str(max(config.num_drivers - 1, 1)))
-    counts = config.obs_per_driver
-    total = sum(counts)
-    splits = np.cumsum(counts)[:-1]
+    stimulus = np.repeat(np.arange(spec.num_stimuli), config.obs_per_driver)
 
     drivers = {}
     truth = {}
-    powers = np.arange(spec.degree + 1)
     for d in range(config.num_drivers):
         rng = _driver_rng(config.seed, d)
         driver_id = f"driver_{d:0{width}d}"
-        headways = np.split(lo + (hi - lo) * rng.random(total), splits)
-        gamma = root @ _standard_normals(rng, p)
-        eps = np.split(sigma * _standard_normals(rng, total), splits)
-        coeffs = config.beta_true + gamma
-        obs = []
-        for s in range(spec.num_stimuli):
-            n_s = counts[s]
-            if n_s == 0:
-                continue
-            # Full-width rows keep the dot product bit-identical to the
-            # design matrices built downstream.
-            rows = np.zeros((n_s, p))
-            start = s * (spec.degree + 1)
-            rows[:, start : start + spec.degree + 1] = headways[s][:, None] ** powers
-            mean_log = rows @ coeffs
-            for t, y in zip(headways[s], mean_log + eps[s]):
-                obs.append(Observation(driver_id, s, float(t), float(np.exp(y))))
-        drivers[driver_id] = obs
+        headway = lo + (hi - lo) * rng.random(stimulus.size)
+        gamma = root @ _standard_normals(rng, spec.p)
+        mean_log = design(spec, stimulus, headway) @ (config.beta_true + gamma)
+        brt = np.exp(mean_log + sigma * _standard_normals(rng, stimulus.size))
+        drivers[driver_id] = [Observation(driver_id, s, t, b)
+                              for s, t, b in zip(stimulus.tolist(), headway.tolist(), brt.tolist())]
         truth[driver_id] = gamma
     ts = TrainingSet(spec=spec, stimuli=config.stimuli, drivers=drivers)
     return ts, truth

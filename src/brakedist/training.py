@@ -332,8 +332,10 @@ def trust_newton(fn, x0, max_iter, derivatives):
     """Minimize ``fn``, which maps x to a value, infinite where x is
     infeasible, with gradient and Hessian ``derivatives(x)`` wherever
     ``fn(x)`` was finite, by trust-region Newton (Nocedal & Wright 2006,
-    Algorithm 4.1). The radius starts at 1: one early step could otherwise
-    throw a log-diagonal entry out to where its gradient vanishes. A trial
+    Algorithm 4.1). An infinite ``fn(x0)`` ends the search at once,
+    unconverged, without asking for derivatives. The radius starts at 1:
+    one early step could otherwise throw a log-diagonal entry out to where
+    its gradient vanishes. A trial
     that lowers fn is accepted. The radius shrinks to a quarter of the step
     when fn gains less than a quarter of the predicted gain (or the trial is
     infeasible), and doubles when the prediction held at the boundary. The
@@ -345,6 +347,8 @@ def trust_newton(fn, x0, max_iter, derivatives):
     """
     x = np.asarray(x0, dtype=float)
     f, nfev = fn(x), 1
+    if not np.isfinite(f):
+        return Search(x, f, 0, nfev, False)
     g, H = derivatives(x)
     radius = 1.0
     for iteration in range(1, max_iter + 1):
@@ -406,10 +410,10 @@ def fit(ts, opts=None):
     mean_square = prepared.xtx.sum(axis=0).diagonal() / prepared.total_n
     log_scale = -0.5 * np.log(mean_square, out=np.zeros(p), where=mean_square > 0)
     theta = np.clip(np.diag(log_scale)[free], -_PARAM_BOUND, _PARAM_BOUND)
-    if not np.isfinite(deviance(theta)):
-        raise ValueError("the likelihood is not finite at the start Lambda = diag(X'X / N)^-1")
     theta, neg_loglik, iterations, _, converged = nelder_mead(deviance, theta, opts.max_iter,
                                                               derivatives=derivatives)
+    if not np.isfinite(neg_loglik):  # the search stops at once on an infinite start
+        raise ValueError("the likelihood is not finite at the start Lambda = diag(X'X / N)^-1")
 
     L = _factor(theta, free)
     lam = L @ L.T

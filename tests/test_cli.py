@@ -554,7 +554,7 @@ class TestCurve:
         assert float(row[2]) > float(row[1])
 
     def test_invalid_grid(self, tmp_path, handmade_model_path):
-        for grid in ("0,3,100", "3,1,100", "0.5,3.0,1", "junk"):
+        for grid in ("0,3,100", "3,1,100", "0.5,3.0,1", "junk", "0.2,inf,5"):
             assert run(["curve", "--model", str(handmade_model_path),
                         "--stimulus", "traffic_signal", "--grid", grid,
                         "--out", str(tmp_path / "c.csv")]) == 3
@@ -669,10 +669,17 @@ class TestMalformedJson:
          "sigma_gamma_true[1] must have 3 entries, got 2"),
         ("seed", MISSING, "missing field 'seed'"),
         ("stimuli", [True], "stimulus names must be strings, got True"),
+        ("sigma2_true", math.inf, "sigma2_true must be finite"),
+        ("beta_true", [math.inf, 0.1, 0.0], "beta_true must be finite"),
+        ("headway_range", [0.3, math.inf], "headway_range must be finite"),
+        ("sigma_gamma_true", [[0.02, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 5e-5]],
+         "sigma_gamma_true must be finite"),
+        ("headway_range", [0.3, 1e100], "headway_s 1e+100 too large for a degree-2 design"),
     ], ids=["degree-fraction", "num_stimuli-bool", "num_drivers-string", "count-fraction",
             "count-bool", "sigma2-string", "headway-string", "headway-three", "seed-fraction",
             "beta_true-string", "beta_true-bool", "sigma_gamma_true-ragged", "seed-missing",
-            "stimuli-bool"])
+            "stimuli-bool", "sigma2-infinite", "beta_true-infinite", "headway-infinite",
+            "sigma_gamma_true-nan", "headway-overflows"])
     def test_bad_config_field_names_file_and_field(self, tmp_path, tiny_sim_config_path, capfd,
                                                    field, value, message):
         # Read with bare int(), "degree": 1.5 was truncated to 1 and failed

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,13 +84,19 @@ class TestGenerate:
         assert ts1.drivers != ts2.drivers
 
     def test_zero_noise_reproduces_mean_exactly(self):
-        cfg = small_config(sigma2_true=0.0, sigma_gamma_true=np.zeros((3, 3)))
-        ts, truth = generate(cfg)
-        for d, obs in ts.drivers.items():
-            assert np.array_equal(truth[d], np.zeros(3))
-            X, y = build_design(cfg.spec, obs)
-            expected = np.exp(X @ cfg.beta_true)
-            assert np.array_equal(np.array([o.brt_s for o in obs]), expected)
+        # Responses come from the rows training builds, stimulus blocks and all.
+        one_stimulus = small_config(sigma2_true=0.0, sigma_gamma_true=np.zeros((3, 3)))
+        three_stimuli = dataclasses.replace(default_config(), sigma2_true=0.0, num_drivers=10,
+                                            obs_per_driver=(3, 0, 2))
+        for cfg in (one_stimulus, three_stimuli):
+            ts, truth = generate(cfg)
+            layout = np.repeat(np.arange(cfg.spec.num_stimuli), cfg.obs_per_driver).tolist()
+            for d, obs in ts.drivers.items():
+                assert [o.stimulus for o in obs] == layout
+                if cfg is one_stimulus:
+                    assert np.array_equal(truth[d], np.zeros(3))
+                expected = np.exp(build_design(cfg.spec, obs)[0] @ (cfg.beta_true + truth[d]))
+                assert np.array_equal(np.array([o.brt_s for o in obs]), expected)
 
     def test_observation_invariants_hold(self):
         ts, _ = generate(default_config())

@@ -410,6 +410,13 @@ class TestBfgs:
         assert result.converged
         assert np.max(np.abs(np.abs(result.x) - [0.0, 1.0])) <= 1e-6
 
+    def test_an_infinite_start_ends_the_search_at_once(self):
+        def derivatives(x):
+            raise AssertionError("derivatives asked for at an infeasible start")
+
+        result = trust_newton(lambda x: np.inf, np.array([0.5, 0.0]), 100, derivatives)
+        assert (result.fun, result.iterations, result.nfev, result.converged) == (np.inf, 0, 1, False)
+
 
 def make_identical_driver_data(seed, n_drivers, n_per_driver, sigma2, beta):
     """All drivers share the same coefficients (no individual effects)."""
@@ -530,21 +537,29 @@ class TestFit:
         # The trust-region Newton search takes 15 (block-diagonal) and 76
         # (full) evaluations here; the BFGS search it replaced took 81 and
         # 290, and ended at -loglik 397.2154453251103 and 375.5896296058306.
+        # The fit evaluates the deviance only inside the search.
         from brakedist import training
         from brakedist.simgen import default_config, generate
 
         ts, _ = generate(default_config())
-        searches = []
+        searches, evaluations = [], [0]
         original = training.nelder_mead
+        original_deviance = training._PreparedDesigns.deviance
 
         def recorder(*args, **kwargs):
             searches.append(original(*args, **kwargs))
             return searches[-1]
 
+        def counting_deviance(self, *args):
+            evaluations[0] += 1
+            return original_deviance(self, *args)
+
         monkeypatch.setattr(training, "nelder_mead", recorder)
+        monkeypatch.setattr(training._PreparedDesigns, "deviance", counting_deviance)
         block = fit(ts, FitOptions(block_diagonal=True))
         full = fit(ts, FitOptions())
         block_search, full_search = searches
+        assert evaluations == [block_search.nfev + full_search.nfev]
         assert block_search.nfev <= 20
         assert full_search.nfev <= 150
         assert block.fit_info.converged and full.fit_info.converged
