@@ -344,10 +344,18 @@ def json_array(doc, *path, shape):
     accepts. A list of the wrong length is a ValueError naming the field
     and index; anything else where a list belongs is a TypeError, which
     ``read_json`` reports as the wrong shape."""
+    return np.array(_checked_list(doc, path, json_list(doc, *path), shape), dtype=float)
+
+
+def json_list(doc, *path):
+    """The JSON list at ``path`` in ``doc``; anything else is a TypeError,
+    which ``read_json`` reports as the wrong shape."""
     value = doc
     for key in path:
         value = value[key]
-    return np.array(_checked_list(doc, path, value, shape), dtype=float)
+    if type(value) is not list:
+        raise TypeError(f"{_field_name(path)} must be a list, got {value!r}")
+    return value
 
 
 def _checked_list(doc, path, value, shape):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelSpec, Observation, StimulusRegistry, atomic_write_text, design, feature_row,
-                    json_array, json_number, read_json)
+                    json_array, json_list, json_number, read_json)
 from .numerics import check_symmetric, is_psd
 from .training import TrainingSet
 
@@ -230,12 +230,10 @@ def config_from_dict(doc):
         counts = [json_number(doc, "obs_per_driver", i, integral=True) for i in range(len(counts))]
     else:
         counts = [json_number(doc, "obs_per_driver", integral=True)] * spec.num_stimuli
-    bounds = doc["headway_range"]
-    if not isinstance(bounds, list):
-        raise TypeError(f"headway_range must be a list, got {bounds!r}")
+    bounds = json_list(doc, "headway_range")
     return SimConfig(
         spec=spec,
-        stimuli=StimulusRegistry(doc["stimuli"]),
+        stimuli=StimulusRegistry(json_list(doc, "stimuli")),
         beta_true=json_array(doc, "beta_true", shape=(spec.p,)),
         sigma2_true=json_number(doc, "sigma2_true"),
         sigma_gamma_true=json_array(doc, "sigma_gamma_true", shape=(spec.p, spec.p)),

@@ -14,8 +14,9 @@ profiled deviance (Bates et al. 2015, JSS 67(1), sec. 3.4). Lambda is kept
 positive semidefinite by searching its Cholesky factor, whose diagonal is
 stored in logs: theta holds the factor's entries on a boolean mask
 (``chol_mask``). The search is trust-region Newton on the deviance's
-analytic gradient and Hessian, from Lambda = diag(X'X / N)^-1; the solve at
-its optimum also gives beta, sigma2 and beta's covariance. The deviance and
+analytic gradient and Hessian, built only at the points it accepts, from
+Lambda = diag(X'X / N)^-1; the search's own solve at the point it ends on
+also gives beta, sigma2 and beta's covariance. The deviance and
 the start need only each driver's X'X, X'y and y'y. Everything outside
 the search takes the variance parameters as the model stores them,
 (sigma2, Sigma_gamma): ``log_likelihood`` evaluates the same kernel there.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .driver import reduced_solve
 from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design,
-                    json_array, json_number, read_json)
+                    json_array, json_list, json_number, read_json)
 from .numerics import NotPositiveDefinite, check_symmetric, generalized_inverse, is_psd, spd_solve
 
 LOG2PI = math.log(2.0 * math.pi)
@@ -41,6 +42,9 @@ _PARAM_BOUND = 30.0
 
 # The search stops once its quadratic model predicts a gain this small.
 _PREDICTED_DECREASE_TOL = 1e-10
+
+# A trust step counts as on the boundary once |s| is this close to the radius.
+_BOUNDARY_RTOL = 1e-13
 
 
 @dataclass(eq=False)
@@ -186,10 +190,11 @@ class _PreparedDesigns:
     def solve(self, lam):
         """The GLS fit at Lambda = Sigma_gamma / sigma2, by one batched solve.
 
-        Returns (logdet, q, beta, info, u, P): sum_d log det (V_d / sigma2),
+        Returns (logdet, q, beta, info, cov, u, P): sum_d log det (V_d / sigma2),
         q = sum_d r_d' (V_d / sigma2)^-1 r_d at the GLS beta, beta, info =
-        sum_d P_d with P_d = X_d' (V_d / sigma2)^-1 X_d, the rows
-        u_d = X_d' (V_d / sigma2)^-1 r_d, and the blocks P_d.
+        sum_d P_d with P_d = X_d' (V_d / sigma2)^-1 X_d, its generalized
+        inverse cov, the rows u_d = X_d' (V_d / sigma2)^-1 r_d, and the
+        blocks P_d.
 
         Raises:
             NotPositiveDefinite: if a reduced system is numerically singular.
@@ -201,22 +206,42 @@ class _PreparedDesigns:
             raise NotPositiveDefinite("reduced covariance system is numerically singular")
         info = W[:, :, :p].sum(axis=0)
         info = 0.5 * (info + info.T)
-        beta = generalized_inverse(info) @ W[:, :, p].sum(axis=0)
+        cov = generalized_inverse(info)
+        beta = cov @ W[:, :, p].sum(axis=0)
 
         # Residual quadratic form from exact residual cross products.
         xtr = self.xty - self.xtx @ beta
         rtr = self.yty - 2.0 * self.xty @ beta + (self.xtx @ beta) @ beta
         u = W[:, :, p] - W[:, :, :p] @ beta
         q = float(np.sum(rtr - np.einsum("di,di->d", xtr @ lam, u)))
-        return float(np.sum(logdet_m)), q, beta, info, u, W[:, :, :p]
+        return float(np.sum(logdet_m)), q, beta, info, cov, u, W[:, :, :p]
 
     def deviance(self, theta, free):
-        """-loglik at the closed-form sigma2 = q / N, with its gradient and
-        Hessian in ``theta``, the entries on the mask ``free`` of Lambda's
-        Cholesky factor L (diagonal in logs); (inf, None, None) where theta
-        is infeasible.
+        """-loglik at the closed-form sigma2 = q / N, and the point it was
+        taken at, (L, the ``solve`` at Lambda = L L'), from which
+        ``derivatives`` builds the gradient and Hessian; theta holds the
+        entries on the mask ``free`` of Lambda's Cholesky factor L
+        (diagonal in logs). (inf, None) where theta is infeasible.
 
         The deviance is (N log 2pi + N log(q / N) + sum_d log det M_d + N) / 2.
+        """
+        if np.max(np.abs(theta)) > _PARAM_BOUND:
+            return np.inf, None
+        L = _factor(theta, free)
+        try:
+            solved = self.solve(L @ L.T)
+        except NotPositiveDefinite:
+            return np.inf, None
+        logdet, q, *_ = solved
+        if not q > 0:  # cancelled to nothing, far from the optimum
+            return np.inf, None
+        n = self.total_n
+        return 0.5 * (n * (LOG2PI + math.log(q / n) + 1.0) + logdet), (L, solved)
+
+    def derivatives(self, point, free):
+        """Gradient and Hessian in theta of the deviance at ``point``, the
+        one ``deviance`` returned, from that point's solve.
+
         beta and sigma2 sit at their optima, so the gradient in Lambda is
         G = (info - (N / q) sum_d u_d u_d') / 2 (Pinheiro & Bates 1996). Along
         symmetric E and F, dq[E] = -sum_d u_d' E u_d, d2 sum_d log det M_d[E, F]
@@ -224,15 +249,7 @@ class _PreparedDesigns:
         - 2 b_E' info^- b_F, b_E = sum_d P_d E u_d. Theta moves Lambda = L L'
         along E_a = A_a L' + L A_a', A_a = dL / dtheta_a, adding G : d2Lambda.
         """
-        if np.max(np.abs(theta)) > _PARAM_BOUND:
-            return np.inf, None, None
-        L = _factor(theta, free)
-        try:
-            logdet, q, _, info, u, P = self.solve(L @ L.T)
-        except NotPositiveDefinite:
-            return np.inf, None, None
-        if not q > 0:  # cancelled to nothing, far from the optimum
-            return np.inf, None, None
+        L, (_, q, _, info, cov, u, P) = point
         n, (d, p, _) = self.total_n, P.shape
         G = 0.5 * (info - (n / q) * (u.T @ u))
         rows, cols = free.nonzero()
@@ -249,11 +266,11 @@ class _PreparedDesigns:
         upu = (uu.T @ flat).reshape(p, p, p, p).transpose(0, 2, 3, 1).reshape(p * p, p * p)
         b = (P.transpose(1, 2, 0).reshape(p * p, d) @ u).reshape(p, p * p)  # b[i, (j, k)]
         dq = -(u.T @ u).ravel()
-        d2q = 2.0 * upu - 2.0 * b.T @ generalized_inverse(info) @ b
+        d2q = 2.0 * upu - 2.0 * b.T @ cov @ b
         hess = J.T @ (0.5 * (n * (d2q / q - np.outer(dq, dq) / q**2) - sum_pp)) @ J
         hess += 2.0 * np.outer(scale, scale) * (cols[:, None] == cols) * G[np.ix_(rows, rows)]
         hess[rows == cols, rows == cols] += grad[rows == cols]
-        return 0.5 * (n * (LOG2PI + math.log(q / n) + 1.0) + logdet), grad, 0.5 * (hess + hess.T)
+        return grad, 0.5 * (hess + hess.T)
 
 
 def log_likelihood(ts, sigma2, sigma_gamma):
@@ -300,39 +317,54 @@ class FitOptions:
 Search = namedtuple("Search", "x fun iterations nfev converged")
 
 
-def _trust_step(g, H, radius):
+def _trust_step(g, curv, basis, radius):
     """Minimizer s of the model g's + s'Hs / 2 over |s| <= radius, and the
-    gain the model predicts for it (Nocedal & Wright 2006, sec. 4.3): s =
+    gain the model predicts for it (Nocedal & Wright 2006, sec. 4.3), given
+    H's eigenvalues ``curv`` (ascending) and eigenvectors ``basis``: s =
     -(H + shift I)^-1 g at the smallest shift >= max(0, -lambda_min) that
-    keeps s inside, found by bisection in H's eigenbasis. Where g has no
-    part along the eigenvector of a negative lambda_min (the hard case),
-    that eigenvector carries s to the boundary. The gain is taken in the
-    eigenbasis too, so that it is the one s maximizes: never negative."""
-    curv, basis = np.linalg.eigh(H)
+    keeps s inside. Where s must reach the boundary, the shift solves
+    1 / |s| = 1 / radius by Newton's method, safeguarded by the bracket it
+    keeps (More & Sorensen 1983; Nocedal & Wright 2006, Algorithm 4.3). It
+    is solved for mu = shift + lambda_min, so that no eigenvalue of
+    H + shift I is formed by cancellation. Where g has no part along the
+    eigenvector of a negative lambda_min (the hard case), or the bracket
+    closes before |s| meets the radius, that eigenvector carries s to the
+    boundary. The gain is taken in the eigenbasis too, so that it is the
+    one s maximizes: never negative."""
     coef = basis.T @ g
+    gaps = curv - curv[0]
 
-    def shifted(shift):  # s in the eigenbasis; a part of g that is 0 stays 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(coef == 0.0, 0.0, -coef / (curv + shift))
+    def shifted(mu):  # s in the eigenbasis; a part of g that is 0 stays 0
+        return np.where(coef == 0.0, 0.0, -coef / (gaps + mu))
 
-    z = shifted(0.0)  # the Newton step, if H is positive definite and it fits
-    if curv[0] <= 0 or np.linalg.norm(z) > radius:
-        lo = max(0.0, -curv[0])
-        hi = lo + np.linalg.norm(g) / radius  # |s| <= |g| / (curv[0] + shift) <= radius
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if np.linalg.norm(shifted(mid)) > radius else (lo, mid)
-        z = shifted(hi)
-        if curv[0] < 0:
-            z[0] -= math.copysign(math.sqrt(max(radius**2 - z @ z, 0.0)), coef[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo = max(curv[0], 0.0)
+        z = shifted(lo)  # the Newton step, if H is positive definite and it fits
+        if np.linalg.norm(z) > radius:
+            mu = hi = lo + np.linalg.norm(coef) / radius  # |s| <= |g| / mu <= radius
+            z = shifted(mu)
+            size = np.linalg.norm(z)
+            while abs(size - radius) > _BOUNDARY_RTOL * radius:
+                lo, hi = (mu, hi) if size > radius else (lo, mu)
+                mu += (size / radius - 1.0) * size**2 / (z**2 @ (1.0 / (gaps + mu)))
+                if not lo < mu < hi:  # a pole at lo, or a step out of the bracket
+                    mu = 0.5 * (lo + hi)
+                if not lo < mu < hi:  # no float left between them
+                    z = shifted(hi)
+                    break
+                z = shifted(mu)
+                size = np.linalg.norm(z)
+    if curv[0] < 0 and abs(np.linalg.norm(z) - radius) > _BOUNDARY_RTOL * radius:
+        z[0] = -math.copysign(math.sqrt(max(radius**2 - z[1:] @ z[1:], 0.0)), coef[0])
     return basis @ z, -(coef @ z + 0.5 * curv @ z**2)
 
 
 def trust_newton(fn, x0, max_iter, derivatives):
     """Minimize ``fn``, which maps x to a value, infinite where x is
-    infeasible, with gradient and Hessian ``derivatives(x)`` wherever
-    ``fn(x)`` was finite, by trust-region Newton (Nocedal & Wright 2006,
-    Algorithm 4.1). An infinite ``fn(x0)`` ends the search at once,
+    infeasible, with gradient and Hessian ``derivatives(x)``, by trust-region
+    Newton (Nocedal & Wright 2006, Algorithm 4.1). ``derivatives`` is asked
+    only at the x of the latest ``fn`` call, once it is finite: at x0 and at
+    each accepted trial. An infinite ``fn(x0)`` ends the search at once,
     unconverged, without asking for derivatives. The radius starts at 1:
     one early step could otherwise throw a log-diagonal entry out to where
     its gradient vanishes. A trial
@@ -343,16 +375,19 @@ def trust_newton(fn, x0, max_iter, derivatives):
     ``_PREDICTED_DECREASE_TOL`` within the radius.
 
     Returns:
-        Search(x, fun, iterations, nfev, converged); nfev counts calls of fn.
+        Search(x, fun, iterations, nfev, converged); nfev counts calls of fn,
+        and x is x0 or the last accepted trial, where derivatives were last
+        asked.
     """
     x = np.asarray(x0, dtype=float)
     f, nfev = fn(x), 1
     if not np.isfinite(f):
         return Search(x, f, 0, nfev, False)
     g, H = derivatives(x)
+    curv, basis = np.linalg.eigh(H)
     radius = 1.0
     for iteration in range(1, max_iter + 1):
-        step, predicted = _trust_step(g, H, radius)
+        step, predicted = _trust_step(g, curv, basis, radius)
         if not predicted > _PREDICTED_DECREASE_TOL:
             return Search(x, f, iteration, nfev, True)
         trial = x + step
@@ -366,6 +401,7 @@ def trust_newton(fn, x0, max_iter, derivatives):
         if gain > 0:
             x, f = trial, f_new
             g, H = derivatives(x)
+            curv, basis = np.linalg.eigh(H)
     return Search(x, f, max_iter, nfev, False)
 
 
@@ -381,7 +417,8 @@ def fit(ts, opts=None):
     sigma2 (``_PreparedDesigns.deviance``), from Lambda = diag(X'X / N)^-1,
     which scales every design column to a unit mean square (a column that
     no event reaches starts at 1). beta, sigma2 = q / N, Sigma_gamma =
-    sigma2 Lambda and beta_cov come from the solve at the optimum.
+    sigma2 Lambda and beta_cov come from the search's own solve at the
+    point it ends on.
 
     Returns:
         TrainedModel; ``fit_info.converged`` is False when the iteration
@@ -397,30 +434,34 @@ def fit(ts, opts=None):
     p = ts.spec.p
     prepared = _PreparedDesigns(ts)
     free = chol_mask(p, ts.spec.num_stimuli if opts.block_diagonal else None)
-    solved = [None, None]  # the last theta evaluated, and the derivatives there
+    latest = accepted = None  # (theta, point) of the latest evaluation; the latest accepted point
 
     def deviance(theta):
-        value, *derivs = prepared.deviance(theta, free)
-        solved[:] = theta, derivs
+        nonlocal latest
+        value, point = prepared.deviance(theta, free)
+        latest = theta, point
         return value
 
     def derivatives(theta):
-        return solved[1] if theta is solved[0] else prepared.deviance(theta, free)[1:]
+        nonlocal accepted
+        if theta is not latest[0]:
+            raise RuntimeError("derivatives asked for away from the latest evaluation")
+        accepted = latest[1]
+        return prepared.derivatives(accepted, free)
 
     mean_square = prepared.xtx.sum(axis=0).diagonal() / prepared.total_n
     log_scale = -0.5 * np.log(mean_square, out=np.zeros(p), where=mean_square > 0)
     theta = np.clip(np.diag(log_scale)[free], -_PARAM_BOUND, _PARAM_BOUND)
-    theta, neg_loglik, iterations, _, converged = nelder_mead(deviance, theta, opts.max_iter,
-                                                              derivatives=derivatives)
+    _, neg_loglik, iterations, _, converged = nelder_mead(deviance, theta, opts.max_iter,
+                                                          derivatives=derivatives)
     if not np.isfinite(neg_loglik):  # the search stops at once on an infinite start
         raise ValueError("the likelihood is not finite at the start Lambda = diag(X'X / N)^-1")
 
-    L = _factor(theta, free)
+    L, (_, q, beta, _, cov, *_) = accepted
     lam = L @ L.T
-    _, q, beta, info, *_ = prepared.solve(lam)
     sigma2 = q / prepared.total_n
     sigma_gamma = sigma2 * 0.5 * (lam + lam.T)
-    beta_cov = sigma2 * generalized_inverse(info)
+    beta_cov = sigma2 * cov
     beta_cov = 0.5 * (beta_cov + beta_cov.T)
 
     fit_info = FitInfo(converged=converged, loglik=-float(neg_loglik), iterations=int(iterations))
@@ -455,7 +496,7 @@ def model_to_dict(model):
 def model_from_dict(doc):
     spec = ModelSpec(num_stimuli=json_number(doc, "spec", "num_stimuli", integral=True),
                      degree=json_number(doc, "spec", "degree", integral=True))
-    registry = StimulusRegistry(doc["spec"]["stimuli"])
+    registry = StimulusRegistry(json_list(doc, "spec", "stimuli"))
     fit_info = None
     if doc.get("fit_info") is not None:
         converged = doc["fit_info"]["converged"]

@@ -5,6 +5,8 @@ Kept out of the package: nothing in ``brakedist`` calls them. (Not named
 name in the same test session.)
 """
 
+import math
+
 import numpy as np
 
 from brakedist.model import build_design
@@ -42,3 +44,31 @@ def henderson_oracle(state, model):
     w = spd_solve(0.5 * (lhs + lhs.T), rhs)
     return basis @ w
 
+
+def trust_step_oracle(g, H, radius):
+    """Minimizer of g's + s'Hs / 2 over |s| <= radius and its predicted
+    gain, with the boundary found by 60 bisections on mu = shift +
+    lambda_min in H's eigenbasis.
+
+    Where g has no part along the eigenvector of a negative lambda_min (the
+    hard case), or the bisection ends with |s| off the radius, that
+    eigenvector's part of s is set to put s on the boundary.
+    """
+    curv, basis = np.linalg.eigh(H)
+    coef = basis.T @ g
+
+    def shifted(mu):  # s in the eigenbasis; a part of g that is 0 stays 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(coef == 0.0, 0.0, -coef / (curv - curv[0] + mu))
+
+    z = shifted(curv[0])  # the Newton step, if H is positive definite and it fits
+    if curv[0] <= 0 or np.linalg.norm(z) > radius:
+        lo = max(curv[0], 0.0)
+        hi = lo + np.linalg.norm(g) / radius  # |s| <= |g| / mu <= radius
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.linalg.norm(shifted(mid)) > radius else (lo, mid)
+        z = shifted(hi)
+        if curv[0] < 0 and abs(np.linalg.norm(z) - radius) > 1e-13 * radius:
+            z[0] = -math.copysign(math.sqrt(max(radius**2 - z[1:] @ z[1:], 0.0)), coef[0])
+    return basis @ z, -(coef @ z + 0.5 * curv @ z**2)

@@ -25,6 +25,13 @@ def run(argv):
 MISSING = object()  # a field value that deletes the field
 
 
+def refusal(kind, path, message):
+    """The stderr line of a refused file; a document of the wrong shape is
+    named without a colon after the path."""
+    sep = " " if message.startswith("has the wrong shape: ") else ": "
+    return f"error: {kind} {path}{sep}{message}"
+
+
 class TestSimulate:
     def test_default_row_count(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
@@ -425,16 +432,20 @@ class TestPbrt:
         (("beta_cov",), [[0.0004]], "beta_cov must have 6 entries, got 1"),
         (("beta",), MISSING, "missing field 'beta'"),
         (("spec", "stimuli", 0), True, "stimulus names must be strings, got True"),
+        (("spec", "stimuli"), "abc", "has the wrong shape: spec.stimuli must be a list, got 'abc'"),
+        (("spec", "stimuli"), {"traffic_signal": 0},
+         "has the wrong shape: spec.stimuli must be a list, got {'traffic_signal': 0}"),
     ], ids=["degree-fraction", "degree-string", "num_stimuli-bool", "sigma2-bool", "t_star-string",
             "loglik-string", "converged-string", "beta-string", "beta-bool", "sigma_gamma-ragged",
-            "beta_cov-short", "beta-missing", "stimuli-bool"])
+            "beta_cov-short", "beta-missing", "stimuli-bool", "stimuli-string", "stimuli-object"])
     def test_mistyped_model_field_is_named(self, handmade_model_path, capsys, path, value, message):
         # Read with bare int() and float() these were truncated (degree 1.5,
         # then a misleading beta-shape error) or accepted ("2", true); read
         # with np.array, number arrays took "-0.3" and true, and a ragged
         # matrix failed with numpy's "inhomogeneous shape" text. A missing
         # field was named without the file, and a stimulus name true was
-        # served as "True".
+        # served as "True". A string of names was read one character per
+        # name, and an object by its keys.
         doc = json.loads(handmade_model_path.read_text())
         target = doc
         for key in path[:-1]:
@@ -448,7 +459,7 @@ class TestPbrt:
                     "--stimulus", "traffic_signal"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: model file {handmade_model_path}: {message}"]
+        assert captured.err.splitlines() == [refusal("model file", handmade_model_path, message)]
 
     def test_fit_info_seed_of_an_older_model_file_is_ignored(self, handmade_model_path, capsys):
         # Model files once recorded the unused search seed in fit_info.
@@ -675,11 +686,14 @@ class TestMalformedJson:
         ("sigma_gamma_true", [[0.02, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 5e-5]],
          "sigma_gamma_true must be finite"),
         ("headway_range", [0.3, 1e100], "headway_s 1e+100 too large for a degree-2 design"),
+        ("stimuli", "abc", "has the wrong shape: stimuli must be a list, got 'abc'"),
+        ("stimuli", {"a": 1, "b": 2, "c": 3},
+         "has the wrong shape: stimuli must be a list, got {'a': 1, 'b': 2, 'c': 3}"),
     ], ids=["degree-fraction", "num_stimuli-bool", "num_drivers-string", "count-fraction",
             "count-bool", "sigma2-string", "headway-string", "headway-three", "seed-fraction",
             "beta_true-string", "beta_true-bool", "sigma_gamma_true-ragged", "seed-missing",
             "stimuli-bool", "sigma2-infinite", "beta_true-infinite", "headway-infinite",
-            "sigma_gamma_true-nan", "headway-overflows"])
+            "sigma_gamma_true-nan", "headway-overflows", "stimuli-string", "stimuli-object"])
     def test_bad_config_field_names_file_and_field(self, tmp_path, tiny_sim_config_path, capfd,
                                                    field, value, message):
         # Read with bare int(), "degree": 1.5 was truncated to 1 and failed
@@ -694,7 +708,7 @@ class TestMalformedJson:
                     "--config", str(tiny_sim_config_path)]) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: config file {tiny_sim_config_path}: {message}"]
+        assert captured.err.splitlines() == [refusal("config file", tiny_sim_config_path, message)]
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("value", [{"a": 1, "b": 2}, "ab"], ids=["object", "string"])

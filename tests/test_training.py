@@ -13,6 +13,7 @@ from brakedist.training import (
     TrainingSet,
     _factor,
     _PreparedDesigns,
+    _trust_step,
     chol_mask,
     fit,
     gls_beta,
@@ -24,6 +25,8 @@ from brakedist.training import (
     save_model,
     trust_newton,
 )
+
+from reference import trust_step_oracle
 
 REG1 = StimulusRegistry(["stim"])
 
@@ -417,6 +420,58 @@ class TestBfgs:
         result = trust_newton(lambda x: np.inf, np.array([0.5, 0.0]), 100, derivatives)
         assert (result.fun, result.iterations, result.nfev, result.converged) == (np.inf, 0, 1, False)
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        kind=st.sampled_from(["definite", "indefinite", "singular", "hard", "hard-rotated"]),
+        log_radius=st.floats(-3.0, 3.0),
+        log_g=st.floats(-3.0, 3.0),
+    )
+    def test_trust_step_solves_the_subproblem(self, seed, n, kind, log_radius, log_g):
+        # "hard" is a diagonal H whose lowest entry is negative and where g
+        # is exactly 0, so g has no part along the lowest eigenvector;
+        # "hard-rotated" rotates that case, leaving g orthogonal to it only
+        # to rounding. The multiplier is recovered from s as the shift that
+        # best solves (H + shift I) s = -g. The direct form of the gain
+        # carries rounding of order |H| |s|^2, which bounds its agreement.
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        g = rng.standard_normal(n) * 10.0**log_g
+        radius = 10.0**log_radius
+        if kind == "definite":
+            H = A @ A.T
+        elif kind == "indefinite":
+            H = A + A.T
+        elif kind == "singular":
+            B = A[:, : n - 1]
+            H = B @ B.T
+        else:
+            curv = rng.uniform(-5.0, 5.0, n)
+            curv[0] = -abs(curv[0]) - 0.1
+            g[0] = 0.0
+            Q = np.linalg.qr(A)[0] if kind == "hard-rotated" else np.eye(n)
+            H, g = (Q * curv) @ Q.T, Q @ g
+            H = 0.5 * (H + H.T)
+        curv, basis = np.linalg.eigh(H)
+        step, gain = _trust_step(g, curv, basis, radius)
+        size = np.linalg.norm(step)
+        scale = np.abs(curv).max() + np.linalg.norm(g) / radius
+        assert size <= radius * (1.0 + 1e-12)
+        if size > 0:
+            shift = -step @ (H @ step + g) / size**2
+            residual = np.linalg.norm(H @ step + shift * step + g)
+            assert residual <= 1e-12 * ((np.abs(curv).max() + abs(shift)) * size + np.linalg.norm(g))
+            assert shift >= max(0.0, -curv[0]) - 1e-12 * scale
+            assert abs(shift * (radius - size)) <= 1e-12 * scale * radius
+        else:
+            assert not g.any() and curv[0] >= 0
+        direct = -(g @ step + 0.5 * step @ H @ step)
+        assert gain >= 0
+        assert abs(gain - direct) <= 1e-10 * (abs(g @ step) + 0.5 * np.abs(curv).max() * size**2)
+        oracle, _ = trust_step_oracle(g, H, radius)
+        assert np.linalg.norm(step - oracle) <= 1e-9 * radius
+
 
 def make_identical_driver_data(seed, n_drivers, n_per_driver, sigma2, beta):
     """All drivers share the same coefficients (no individual effects)."""
@@ -537,34 +592,91 @@ class TestFit:
         # The trust-region Newton search takes 15 (block-diagonal) and 76
         # (full) evaluations here; the BFGS search it replaced took 81 and
         # 290, and ended at -loglik 397.2154453251103 and 375.5896296058306.
-        # The fit evaluates the deviance only inside the search.
+        # Each evaluation is one deviance call and one solve, with one
+        # generalized inverse; the gradient and Hessian are built at the
+        # start and at each accepted trial only (a trial is accepted when it
+        # lowers the deviance), and the model is read off the search's own
+        # solve at the point it ends on.
+        from collections import Counter
+
         from brakedist import training
         from brakedist.simgen import default_config, generate
 
         ts, _ = generate(default_config())
-        searches, evaluations = [], [0]
+        searches, values, counts = [], [], Counter()
         original = training.nelder_mead
-        original_deviance = training._PreparedDesigns.deviance
 
-        def recorder(*args, **kwargs):
-            searches.append(original(*args, **kwargs))
+        def recorder(fn, *args, **kwargs):
+            def recording(x):
+                values[-1].append(fn(x))
+                return values[-1][-1]
+
+            values.append([])
+            searches.append(original(recording, *args, **kwargs))
             return searches[-1]
 
-        def counting_deviance(self, *args):
-            evaluations[0] += 1
-            return original_deviance(self, *args)
+        def count(owner, name):
+            counted = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                counts[name] += 1
+                return counted(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
 
         monkeypatch.setattr(training, "nelder_mead", recorder)
-        monkeypatch.setattr(training._PreparedDesigns, "deviance", counting_deviance)
-        block = fit(ts, FitOptions(block_diagonal=True))
-        full = fit(ts, FitOptions())
-        block_search, full_search = searches
-        assert evaluations == [block_search.nfev + full_search.nfev]
-        assert block_search.nfev <= 20
-        assert full_search.nfev <= 150
+        for name in ("deviance", "solve", "derivatives"):
+            count(training._PreparedDesigns, name)
+        count(training, "generalized_inverse")
+        models, per_fit = [], []
+        for opts in (FitOptions(block_diagonal=True), FitOptions()):
+            models.append(fit(ts, opts))
+            per_fit.append(dict(counts))
+            counts.clear()
+        for search, fun, used in zip(searches, values, per_fit):
+            accepted = sum(f < min(fun[:i]) for i, f in enumerate(fun) if i)
+            assert used["deviance"] == used["solve"] == search.nfev == len(fun)
+            assert used["derivatives"] == accepted + 1
+            assert used["generalized_inverse"] <= search.nfev
+        assert [used["derivatives"] for used in per_fit] == [12, 65]
+        block, full = models
+        assert searches[0].nfev <= 20
+        assert searches[1].nfev <= 150
         assert block.fit_info.converged and full.fit_info.converged
         assert -block.fit_info.loglik <= 397.2154453251103 + 1e-9
         assert -full.fit_info.loglik <= 375.5896296058306 + 1e-9
+
+    def test_capped_fits_read_the_model_off_the_accepted_point(self, monkeypatch):
+        # Capped at 3 to 5 iterations, the block-diagonal search on the
+        # default study ends on a rejected trial, whose solve is the latest
+        # but not the one the model must come from.
+        from brakedist import training
+        from brakedist.simgen import default_config, generate
+
+        ts, _ = generate(default_config())
+        prepared = _PreparedDesigns(ts)
+        ended_rejected = []
+        original = training.nelder_mead
+
+        def recorder(fn, *args, **kwargs):
+            latest = []
+
+            def recording(x):
+                latest[:] = [fn(x)]
+                return latest[0]
+
+            result = original(recording, *args, **kwargs)
+            ended_rejected.append(latest[0] != result.fun)
+            return result
+
+        monkeypatch.setattr(training, "nelder_mead", recorder)
+        for max_iter in range(1, 17):
+            model = fit(ts, FitOptions(block_diagonal=True, max_iter=max_iter))
+            loglik = log_likelihood(ts, model.sigma2, model.sigma_gamma)
+            assert loglik == pytest.approx(model.fit_info.loglik, rel=1e-9), max_iter
+            beta = prepared.solve(model.sigma_gamma / model.sigma2)[2]
+            assert np.linalg.norm(model.beta - beta) <= 1e-9 * np.linalg.norm(beta), max_iter
+        assert ended_rejected[2:5] == [True] * 3
 
     def test_objective_is_infinite_beyond_the_parameter_bound(self, monkeypatch):
         from brakedist import training
@@ -615,8 +727,9 @@ class TestFit:
         rng = np.random.default_rng(seed)
         start = np.diag(-0.5 * np.log(prepared.xtx.sum(axis=0).diagonal() / prepared.total_n))
         theta = start[free] + jitter * rng.standard_normal(int(free.sum()))
-        value, grad, hess = prepared.deviance(theta, free)
+        value, point = prepared.deviance(theta, free)
         assume(np.isfinite(value) and value < 4000.0)
+        grad, hess = prepared.derivatives(point, free)
 
         def deviance(t):
             return prepared.deviance(t, free)[0]
@@ -628,8 +741,10 @@ class TestFit:
         central = np.array([(deviance(theta + h * e) - deviance(theta - h * e)) / (2.0 * h)
                             for e in np.eye(theta.size)])
         assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(grad)
-        central = np.array([(prepared.deviance(theta + h * e, free)[1]
-                             - prepared.deviance(theta - h * e, free)[1]) / (2.0 * h)
+        def gradient(t):
+            return prepared.derivatives(prepared.deviance(t, free)[1], free)[0]
+
+        central = np.array([(gradient(theta + h * e) - gradient(theta - h * e)) / (2.0 * h)
                             for e in np.eye(theta.size)])
         assert np.linalg.norm(hess - central) <= 1e-6 * np.linalg.norm(hess)
 
@@ -702,8 +817,10 @@ class TestFit:
         free = chol_mask(ts.spec.p, ts.spec.num_stimuli)
 
         def value_and_gradient(theta):
-            value, grad, _ = prepared.deviance(theta, free)
-            return (value, grad) if np.isfinite(value) else (np.inf, np.zeros_like(theta))
+            value, point = prepared.deviance(theta, free)
+            if not np.isfinite(value):
+                return np.inf, np.zeros_like(theta)
+            return value, prepared.derivatives(point, free)[0]
 
         bound = training._PARAM_BOUND
         oracle = minimize(value_and_gradient, starts[0], jac=True, method="L-BFGS-B",
