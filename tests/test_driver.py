@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -13,9 +14,11 @@ from brakedist.driver import (
     add_observation,
     compute_blup,
     load_driver_state,
+    state_from_dict,
     state_to_dict,
 )
-from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainedModel, build_design
+from brakedist.model import (ModelSpec, Observation, StimulusRegistry, TrainedModel, build_design,
+                             design)
 from brakedist.numerics import NotPositiveDefinite, spd_solve
 
 from reference import henderson_oracle
@@ -132,6 +135,43 @@ class TestAddObservation:
         assert state.n == 5
         assert state.observations[0].headway_s == 4.0
 
+    @pytest.mark.parametrize("max_history", [0, -1, 2.5, True, "3"])
+    def test_max_history_must_be_a_positive_integer(self, max_history):
+        # 0 and negative windows silently kept nothing.
+        with pytest.raises(ValueError, match=f"max_history must be an integer >= 1, got "
+                                             f"{re.escape(repr(max_history))}$"):
+            DriverState(driver_id="a", max_history=max_history)
+
+    def test_window_of_one_keeps_the_newest_event(self):
+        state = DriverState(driver_id="a", max_history=1)
+        for i in range(3):
+            add_observation(state, Observation("a", 0, 1.0 + i, 1.0))
+        assert state.observations == [Observation("a", 0, 3.0, 1.0)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        max_history=st.integers(1, 8),
+        events=st.lists(st.tuples(st.integers(0, 2), st.floats(0.1, 20.0), st.floats(0.05, 5.0)),
+                        max_size=20),
+    )
+    def test_window_matches_a_list_reference(self, max_history, events):
+        model = random_model(np.random.default_rng(5), beta_cov_scale=0.05)
+        state = DriverState(driver_id="w", max_history=max_history)
+        reference = []
+        for stimulus, headway, brt in events:
+            obs = Observation("w", stimulus, headway, brt)
+            add_observation(state, obs)
+            reference = (reference + [obs])[-max_history:]
+            assert state.observations == reference
+            X, y = build_design(model.spec, state.observations)
+            assert np.array_equal(design(model.spec, state.stimulus, state.headway_s), X)
+            assert np.array_equal(np.log(state.brt_s), y)
+            doc = json.loads(json.dumps(state_to_dict(state, model.stimuli)))
+            loaded = state_from_dict(doc, model.stimuli)
+            got, want = compute_blup(state, model), compute_blup(loaded, model)
+            assert np.array_equal(got.gamma_hat, want.gamma_hat)
+            assert np.array_equal(got.pred_err_cov, want.pred_err_cov)
+
 
 class TestComputeBlup:
     def test_zero_data_population_fallback(self):
@@ -165,11 +205,17 @@ class TestComputeBlup:
     def test_leaves_state_unchanged(self, n):
         model = random_model(np.random.default_rng(12), beta_cov_scale=0.05)
         state = random_state(np.random.default_rng(13), model, n)
-        attrs, observations = dict(vars(state)), list(state.observations)
+        names = ("stimulus", "headway_s", "brt_s")
+        columns = {name: getattr(state, name) for name in names}
+        contents = {name: column.copy() for name, column in columns.items()}
         compute_blup(state, model)
-        assert vars(state) == attrs
-        assert state.observations is attrs["observations"]
-        assert state.observations == observations
+        for name in names:
+            assert getattr(state, name) is columns[name]
+            assert not columns[name].flags.writeable
+            assert np.array_equal(columns[name], contents[name])
+        if n:
+            with pytest.raises(ValueError, match="read-only"):
+                state.headway_s[0] = 2.0
 
     def test_cache_not_reused_with_another_model(self):
         # Same history, second model with Sigma_gamma four times larger: the
@@ -375,3 +421,11 @@ class TestStateFile:
         path.write_text(json.dumps(state_to_dict(state, model.stimuli)))
         loaded = load_driver_state(path, model.stimuli)
         assert loaded.n == 0 and loaded.cached is None
+
+    def test_load_keeps_the_newest_window(self):
+        registry = scalar_model().stimuli
+        events = [{"driver_id": "a", "stimulus": "stim", "headway_s": 1.0 + i, "brt_s": 1.0}
+                  for i in range(503)]
+        state = state_from_dict({"driver_id": "a", "observations": events}, registry)
+        assert state.n == 500 and state.headway_s[0] == 4.0
+        assert state.stimulus.dtype == np.intp and not state.stimulus.flags.writeable
