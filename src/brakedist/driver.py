@@ -160,8 +160,8 @@ def compute_blup(state, model):
     X, y = design(model.spec, state.stimulus, state.headway_s), np.log(state.brt_s)
     eye = np.eye(p)
     try:
-        # Every row's powers are finite (design), but the sums and
-        # products below can still overflow at extreme headways.
+        # X'X is finite over the headway domain, but a model file's
+        # Sigma_gamma or beta can still make the products below overflow.
         with np.errstate(over="raise", invalid="raise"):
             resid = y - X @ model.beta
             xtx = X.T @ X
@@ -188,6 +188,7 @@ def state_to_dict(state, registry):
     events = zip(state.stimulus.tolist(), state.headway_s.tolist(), state.brt_s.tolist())
     return {
         "driver_id": state.driver_id,
+        "max_history": state.max_history,
         "observations": [{"driver_id": state.driver_id, "stimulus": registry.name_of(s),
                           "headway_s": t, "brt_s": b} for s, t, b in events],
     }
@@ -197,7 +198,10 @@ def state_from_dict(doc, registry):
     driver_id = doc["driver_id"]
     if not isinstance(driver_id, str):
         raise ValueError(f"driver_id must be a string, got {driver_id!r}")
-    state = DriverState(driver_id=driver_id)
+    max_history = DEFAULT_MAX_HISTORY
+    if "max_history" in doc:
+        max_history = json_number(doc, "max_history", integral=True)
+    state = DriverState(driver_id=driver_id, max_history=max_history)
     stimulus, headway_s, brt_s = [], [], []
     for i, rec in enumerate(json_list(doc, "observations") if "observations" in doc else []):
         obs = Observation(

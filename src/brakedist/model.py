@@ -10,9 +10,7 @@ block and holds (1, t, t^2, ..., t^degree) inside it.
 import csv
 import io
 import json
-import math
 import os
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +21,11 @@ from .numerics import check_symmetric, is_psd
 # Observations with a longer response are rejected as sensor error;
 # non-stopping events must be filtered upstream.
 MAX_BRT_S = 60.0
+
+# The headway domain is (0, MAX_HEADWAY_S] and degrees run up to MAX_DEGREE:
+# MAX_HEADWAY_S ** (2 * MAX_DEGREE) = 1e150, so every design's X'X is finite.
+MAX_HEADWAY_S = 1000.0
+MAX_DEGREE = 25
 
 OBSERVATION_CSV_HEADER = ["driver_id", "stimulus", "headway_s", "brt_s"]
 
@@ -78,7 +81,7 @@ class Observation:
     ``headway_s`` is the time headway to the stimulus source at stimulus
     onset and ``brt_s`` the observed brake response time, both in
     seconds. Both must be positive (the response enters the model as
-    log(brt_s)) and brt_s must not exceed MAX_BRT_S.
+    log(brt_s)); headway_s must not exceed MAX_HEADWAY_S, nor brt_s MAX_BRT_S.
     """
 
     driver_id: str
@@ -90,10 +93,8 @@ class Observation:
         if not isinstance(self.stimulus, (int, np.integer)) or self.stimulus < 0:
             raise ValueError(f"stimulus id must be a nonnegative integer, got {self.stimulus!r}")
         object.__setattr__(self, "stimulus", int(self.stimulus))
-        object.__setattr__(self, "headway_s", float(self.headway_s))
+        object.__setattr__(self, "headway_s", _check_headway(self.headway_s))
         object.__setattr__(self, "brt_s", float(self.brt_s))
-        if not np.isfinite(self.headway_s) or self.headway_s <= 0:
-            raise ValueError(f"headway_s must be positive and finite, got {self.headway_s}")
         if not np.isfinite(self.brt_s) or self.brt_s <= 0:
             raise ValueError(f"brt_s must be positive and finite, got {self.brt_s}")
         if self.brt_s > MAX_BRT_S:
@@ -110,8 +111,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.num_stimuli < 1:
             raise ValueError("num_stimuli must be >= 1")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        if not 0 <= self.degree <= MAX_DEGREE:
+            raise ValueError(f"degree must be in [0, {MAX_DEGREE}], got {self.degree}")
 
     @property
     def p(self):
@@ -165,8 +166,17 @@ class TrainedModel:
             raise ValueError("sigma_gamma is not positive semidefinite")
         if not is_psd(self.beta_cov, 1e-8):
             raise ValueError("beta_cov is not positive semidefinite")
-        if not self.t_star > 0:
-            raise ValueError("t_star must be positive")
+        _check_headway(self.t_star, "t_star")
+
+
+def _check_headway(headway_s, name="headway_s"):
+    """``headway_s`` as a float if it lies in (0, MAX_HEADWAY_S], else a ValueError naming ``name``."""
+    headway_s = float(headway_s)
+    if not headway_s > 0:
+        raise ValueError(f"{name} must be positive, got {headway_s}")
+    if not headway_s <= MAX_HEADWAY_S:
+        raise ValueError(f"{name} {headway_s} exceeds the headway bound {MAX_HEADWAY_S}")
+    return headway_s
 
 
 def feature_row(spec, stimulus, headway_s):
@@ -177,23 +187,13 @@ def feature_row(spec, stimulus, headway_s):
 
     Raises:
         UnknownStimulus: if the stimulus id is outside [0, num_stimuli).
-        ValueError: if the headway is not positive, or is not finite or
-            overflows a power up to twice the degree: the row's outer
-            product, which X'X and w'Pw add up, must be finite.
+        ValueError: if the headway is outside the headway domain.
     """
     if not 0 <= stimulus < spec.num_stimuli:
         raise UnknownStimulus(f"stimulus id {stimulus} out of range [0, {spec.num_stimuli})")
-    if not headway_s > 0:
-        raise ValueError(f"headway_s must be positive, got {headway_s}")
-    try:
-        finite = math.isfinite(headway_s) and math.isfinite(float(headway_s) ** (2 * spec.degree))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"headway_s {headway_s} too large for a degree-{spec.degree} design")
     row = np.zeros(spec.p)
     start = stimulus * (spec.degree + 1)
-    row[start : start + spec.degree + 1] = float(headway_s) ** np.arange(spec.degree + 1)
+    row[start : start + spec.degree + 1] = _check_headway(headway_s) ** np.arange(spec.degree + 1)
     return row
 
 
@@ -203,10 +203,8 @@ def design(spec, stimulus, headway):
     serving all build their rows here. The first row that feature_row
     refuses raises feature_row's error."""
     n = stimulus.size
-    # Slightly below the headway whose outer product's top power overflows,
-    # so every such row is flagged; feature_row has the last word on each.
-    limit = 0.999 * sys.float_info.max ** (1.0 / max(2 * spec.degree, 1))
-    bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~((headway > 0) & (headway <= limit))
+    in_domain = (headway > 0) & (headway <= MAX_HEADWAY_S)
+    bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~in_domain
     for i in bad.nonzero()[0]:
         # feature_row raises the error it would raise for this row.
         feature_row(spec, int(stimulus[i]), float(headway[i]))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelSpec, Observation, StimulusRegistry, atomic_write_text, design, feature_row,
+from .model import (MAX_HEADWAY_S, ModelSpec, Observation, StimulusRegistry, atomic_write_text, design,
                     json_array, json_list, json_number, read_json)
 from .numerics import check_symmetric, is_psd
 from .training import TrainingSet
@@ -72,9 +72,8 @@ class SimConfig:
         if len(self.headway_range) != 2:
             raise ValueError("headway_range must be [min, max]")
         lo, hi = self.headway_range
-        if not (0 < lo < hi):
-            raise ValueError("headway_range must satisfy 0 < min < max")
-        feature_row(self.spec, 0, hi)  # refuses a headway whose design overflows
+        if not 0 < lo < hi <= MAX_HEADWAY_S:
+            raise ValueError(f"headway_range must satisfy 0 < min < max <= {MAX_HEADWAY_S}")
         self.headway_range = (float(lo), float(hi))
         self.seed = int(self.seed)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from brakedist import cli
 from brakedist.driver import DriverState, add_observation, compute_blup, load_driver_state
-from brakedist.model import Observation, read_observations_csv
+from brakedist.model import MAX_DEGREE, MAX_HEADWAY_S, Observation, read_observations_csv
 from brakedist.pbrt import density_curve, estimate_pbrt, norm_quantile, percentile
 from brakedist.training import load_model
 
@@ -23,6 +23,20 @@ def run(argv):
 
 
 MISSING = object()  # a field value that deletes the field
+
+# The next float above the headway domain's bound, MAX_HEADWAY_S.
+ABOVE_BOUND = math.nextafter(MAX_HEADWAY_S, math.inf)
+RANGE_REFUSAL = f"headway_range must satisfy 0 < min < max <= {MAX_HEADWAY_S}"
+
+
+def above_bound(name, headway):
+    """The refusal of a headway outside the domain."""
+    return f"{name} {float(headway)} exceeds the headway bound {MAX_HEADWAY_S}"
+
+
+def degree_refusal(degree):
+    """The refusal of a degree outside [0, MAX_DEGREE]."""
+    return f"degree must be in [0, {MAX_DEGREE}], got {degree}"
 
 
 def refusal(kind, path, message):
@@ -117,15 +131,52 @@ class TestTrain:
         assert "at least 2 drivers" in capsys.readouterr().err
 
     def test_overflowing_design_names_the_driver(self, tmp_path, capfd):
-        rows = ["driver_id,stimulus,headway_s,brt_s"]
-        rows += [f"d{d},stim,{1.0 + 0.5 * k!r},{0.5 + 0.1 * d!r}" for d in range(3) for k in range(4)]
-        rows.append("d1,stim,1e200,0.9")  # headway^2 overflows at degree 2
-        data = tmp_path / "big.csv"
-        data.write_text("\n".join(rows) + "\n")
-        assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 3
-        err = capfd.readouterr().err
-        assert "driver 'd1'" in err
-        assert "DLASCL" not in err
+        # A headway whose design overflowed once failed inside LAPACK
+        # (DLASCL); then it was named by driver. Now the reader refuses any
+        # headway outside the domain, naming the line of d1's row.
+        for headway in (1e200, ABOVE_BOUND):
+            rows = ["driver_id,stimulus,headway_s,brt_s"]
+            rows += [f"d{d},stim,{1.0 + 0.5 * k!r},{0.5 + 0.1 * d!r}"
+                     for d in range(3) for k in range(4)]
+            rows.append(f"d1,stim,{headway!r},0.9")
+            data = tmp_path / "big.csv"
+            data.write_text("\n".join(rows) + "\n")
+            assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 3
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: observation file {data}: line 14: {above_bound('headway_s', headway)}"]
+            assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("degree", [MAX_DEGREE + 1, 10**9])
+    def test_degree_above_the_bound_is_refused(self, tmp_path, tiny_sim_config_path, capfd,
+                                               monkeypatch, degree):
+        # Refused by ModelSpec, before any design of p = degree + 1 columns
+        # is allocated.
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--out", str(data), "--config", str(tiny_sim_config_path)]) == 0
+        capfd.readouterr()
+        monkeypatch.setattr("brakedist.training.build_design", None)
+        assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                    "--degree", str(degree)]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {degree_refusal(degree)}"]
+        assert not (tmp_path / "m.json").exists()
+
+    def test_headways_at_the_bound_are_served(self, tmp_path, tiny_sim_config_path):
+        # A config whose range ends at the bound, and a CSV row exactly at it.
+        # beta_true and sigma_gamma_true have no headway terms here, so the
+        # drawn responses stay under MAX_BRT_S out to the bound.
+        doc = json.loads(tiny_sim_config_path.read_text())
+        doc.update(headway_range=[0.3, MAX_HEADWAY_S], beta_true=[-0.3, 0.0, 0.0],
+                   sigma_gamma_true=np.diag([0.02, 0.0, 0.0]).tolist())
+        tiny_sim_config_path.write_text(json.dumps(doc))
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--out", str(data), "--config", str(tiny_sim_config_path)]) == 0
+        with data.open("a") as fh:
+            fh.write(f"driver_03,traffic_signal,{MAX_HEADWAY_S!r},0.9\n")
+        assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 0
 
     def test_malformed_row_reports_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
@@ -219,17 +270,25 @@ class TestUpdate:
                                                        capfd):
         # The event once got stored, and the next prediction failed with
         # numpy warnings and a "singular" message that did not name it.
-        # 1e100's powers up to the degree are finite, but not its outer
-        # product's, which X'X adds up.
         state = tmp_path / "zz.json"
-        for headway in ("1e200", "1e100"):
+        for headway in ("1e200", "1e100", "1e45", repr(ABOVE_BOUND)):
             assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
                         "--event", f"traffic_signal,{headway},0.9"]) == 3
             captured = capfd.readouterr()
             assert captured.out == ""
-            assert captured.err.splitlines() == [
-                f"error: headway_s {float(headway)} too large for a degree-2 design"]
+            assert captured.err.splitlines() == [f"error: {above_bound('headway_s', headway)}"]
             assert not state.exists()
+
+    def test_event_at_the_bound_is_served(self, tmp_path, handmade_model_path, capsys):
+        # update stores the event, and pbrt reads it back from the state file.
+        state = tmp_path / "s.json"
+        assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
+                    "--event", f"traffic_signal,{MAX_HEADWAY_S!r},0.9"]) == 0
+        assert json.loads(state.read_text())["observations"][0]["headway_s"] == MAX_HEADWAY_S
+        assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
+                    "--stimulus", "traffic_signal"]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out and "inf" not in out
 
     def test_missing_model_is_io_error(self, tmp_path):
         assert run(["update", "--model", str(tmp_path / "no.json"),
@@ -435,9 +494,12 @@ class TestPbrt:
         (("spec", "stimuli"), "abc", "has the wrong shape: spec.stimuli must be a list, got 'abc'"),
         (("spec", "stimuli"), {"traffic_signal": 0},
          "has the wrong shape: spec.stimuli must be a list, got {'traffic_signal': 0}"),
+        (("spec", "degree"), MAX_DEGREE + 1, degree_refusal(MAX_DEGREE + 1)),
+        (("t_star",), ABOVE_BOUND, above_bound("t_star", ABOVE_BOUND)),
     ], ids=["degree-fraction", "degree-string", "num_stimuli-bool", "sigma2-bool", "t_star-string",
             "loglik-string", "converged-string", "beta-string", "beta-bool", "sigma_gamma-ragged",
-            "beta_cov-short", "beta-missing", "stimuli-bool", "stimuli-string", "stimuli-object"])
+            "beta_cov-short", "beta-missing", "stimuli-bool", "stimuli-string", "stimuli-object",
+            "degree-above-bound", "t_star-above-bound"])
     def test_mistyped_model_field_is_named(self, handmade_model_path, capsys, path, value, message):
         # Read with bare int() and float() these were truncated (degree 1.5,
         # then a misleading beta-shape error) or accepted ("2", true); read
@@ -477,25 +539,28 @@ class TestPbrt:
         assert run(["pbrt", "--model", str(handmade_model_path),
                     "--stimulus", "traffic_signal", "--percentiles", "0,50"]) == 3
 
-    @pytest.mark.parametrize("t_star, levels", [("1e5", "99.9"), ("300", "10,99.9")])
+    @pytest.mark.parametrize("t_star, levels, message", [
+        ("1e5", "99.9", above_bound("headway_s", 1e5)),
+        ("300", "10,99.9", "percentile at level 0.999 is too large for a float"),
+    ], ids=["1e5-99.9", "300-10,99.9"])
     def test_overflowing_percentile_is_a_validation_error(self, handmade_model_path, capfd,
-                                                          t_star, levels):
+                                                          t_star, levels, message):
         # math.exp raised OverflowError: exit 1 with a traceback, after the
-        # rows before the overflowing one had been printed.
+        # rows before the overflowing one had been printed. A 1e5 s headway
+        # is now refused as outside the domain, before any percentile.
         assert run(["pbrt", "--model", str(handmade_model_path), "--stimulus", "traffic_signal",
                     "--t-star", t_star, "--percentiles", levels]) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "error: percentile at level 0.999 is too large for a float"]
+        assert captured.err.splitlines() == [f"error: {message}"]
 
-    @pytest.mark.parametrize("t_star", ["inf", "1e308", "1e200", "1e100"])
+    @pytest.mark.parametrize("t_star", ["inf", "1e308", "1e200", "1e100", repr(ABOVE_BOUND)])
     @pytest.mark.parametrize("command", ["pbrt", "curve"])
     def test_overflowing_t_star_is_a_validation_error(self, tmp_path, handmade_model_path, capfd,
                                                       command, t_star):
         # Non-finite or overflowing headway powers once gave inf/nan rows
         # (1e100: nan and inf percentiles, all-zero densities) and numpy
-        # warnings with exit 0.
+        # warnings with exit 0. Any headway outside the domain is refused.
         out = tmp_path / "curve.csv"
         args = [command, "--model", str(handmade_model_path), "--stimulus", "traffic_signal",
                 "--t-star", t_star]
@@ -504,9 +569,29 @@ class TestPbrt:
         assert run(args) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: headway_s {float(t_star)} too large for a degree-2 design"]
+        assert captured.err.splitlines() == [f"error: {above_bound('headway_s', t_star)}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["option", "model"])
+    @pytest.mark.parametrize("command", ["pbrt", "curve"])
+    def test_t_star_at_the_bound_is_served(self, tmp_path, handmade_model_path, capsys,
+                                           command, source):
+        # With no headway terms in beta or sigma_gamma, the percentiles stay
+        # finite out to the bound.
+        doc = json.loads(handmade_model_path.read_text())
+        doc.update(beta=[-0.3, 0.0, 0.0, -0.4, 0.0, 0.0],
+                   sigma_gamma=np.diag([0.02, 0.0, 0.0, 0.02, 0.0, 0.0]).tolist())
+        args = [command, "--model", str(handmade_model_path), "--stimulus", "traffic_signal"]
+        if source == "model":
+            doc["t_star"] = MAX_HEADWAY_S
+        else:
+            args += ["--t-star", repr(MAX_HEADWAY_S)]
+        handmade_model_path.write_text(json.dumps(doc))
+        if command == "curve":
+            args += ["--grid", "0.2,3.0,5", "--out", str(tmp_path / "curve.csv")]
+        assert run(args) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out and "inf" not in out
 
 
 class TestCurve:
@@ -662,7 +747,8 @@ class TestMalformedJson:
         ("brt_s", "0.8", "observations[1].brt_s must be a number, got '0.8'"),
         ("stimulus", "mystery", "unknown stimulus name 'mystery'"),
         ("brt_s", MISSING, "missing field 'brt_s'"),
-    ], ids=["headway-bool", "brt-string", "unknown-stimulus", "brt-missing"])
+        ("headway_s", ABOVE_BOUND, above_bound("headway_s", ABOVE_BOUND)),
+    ], ids=["headway-bool", "brt-string", "unknown-stimulus", "brt-missing", "headway-above-bound"])
     def test_bad_state_field_names_file_and_field(self, tmp_path, handmade_model_path, capfd,
                                                   field, value, message):
         # Read with bare float(), "headway_s": true was stored as 1.0.
@@ -709,15 +795,18 @@ class TestMalformedJson:
         ("headway_range", [0.3, math.inf], "headway_range must be finite"),
         ("sigma_gamma_true", [[0.02, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 5e-5]],
          "sigma_gamma_true must be finite"),
-        ("headway_range", [0.3, 1e100], "headway_s 1e+100 too large for a degree-2 design"),
+        ("headway_range", [0.3, 1e100], RANGE_REFUSAL),
         ("stimuli", "abc", "has the wrong shape: stimuli must be a list, got 'abc'"),
         ("stimuli", {"a": 1, "b": 2, "c": 3},
          "has the wrong shape: stimuli must be a list, got {'a': 1, 'b': 2, 'c': 3}"),
+        ("headway_range", [0.3, ABOVE_BOUND], RANGE_REFUSAL),
+        ("degree", MAX_DEGREE + 1, degree_refusal(MAX_DEGREE + 1)),
     ], ids=["degree-fraction", "num_stimuli-bool", "num_drivers-string", "count-fraction",
             "count-bool", "sigma2-string", "headway-string", "headway-three", "seed-fraction",
             "beta_true-string", "beta_true-bool", "sigma_gamma_true-ragged", "seed-missing",
             "stimuli-bool", "sigma2-infinite", "beta_true-infinite", "headway-infinite",
-            "sigma_gamma_true-nan", "headway-overflows", "stimuli-string", "stimuli-object"])
+            "sigma_gamma_true-nan", "headway-overflows", "stimuli-string", "stimuli-object",
+            "headway-above-bound", "degree-above-bound"])
     def test_bad_config_field_names_file_and_field(self, tmp_path, tiny_sim_config_path, capfd,
                                                    field, value, message):
         # Read with bare int(), "degree": 1.5 was truncated to 1 and failed
@@ -774,7 +863,7 @@ class TestRoundTrip:
 
 
 # Log-uniform over [1e-3, 1e308]: from everyday headways to far past the
-# degree-2 design's overflow point (about 1e77).
+# headway domain's bound, MAX_HEADWAY_S = 1e3.
 EXTREME = st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e)
 
 

@@ -1,21 +1,26 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
 from brakedist.model import (
+    MAX_DEGREE,
+    MAX_HEADWAY_S,
     ModelSpec,
     Observation,
     StimulusRegistry,
     TrainedModel,
     UnknownStimulus,
     build_design,
+    design,
     feature_row,
     read_observations_csv,
     write_observations_csv,
 )
 
 SPEC = ModelSpec(num_stimuli=3, degree=2)
+ABOVE_BOUND = math.nextafter(MAX_HEADWAY_S, math.inf)
 
 
 class TestTypes:
@@ -23,6 +28,11 @@ class TestTypes:
         assert SPEC.p == 9
         assert ModelSpec(1, 2).p == 3
         assert ModelSpec(4, 1).p == 8
+        assert ModelSpec(1, MAX_DEGREE).p == MAX_DEGREE + 1
+        for degree in (-1, MAX_DEGREE + 1):
+            with pytest.raises(ValueError, match=re.escape(f"degree must be in [0, {MAX_DEGREE}], "
+                                                           f"got {degree}")):
+                ModelSpec(1, degree)
 
     def test_registry_lookup(self):
         reg = StimulusRegistry(["traffic_signal", "lead_car_brake"])
@@ -43,7 +53,10 @@ class TestTypes:
 
     def test_observation_validation(self):
         Observation("d1", 0, 1.5, 0.8)
-        with pytest.raises(ValueError):
+        assert Observation("d1", 0, MAX_HEADWAY_S, 0.8).headway_s == MAX_HEADWAY_S
+        with pytest.raises(ValueError, match=f"headway_s {ABOVE_BOUND} exceeds the headway bound"):
+            Observation("d1", 0, ABOVE_BOUND, 0.8)
+        with pytest.raises(ValueError, match="headway_s must be positive, got -1.0"):
             Observation("d1", 0, -1.0, 0.8)
         with pytest.raises(ValueError):
             Observation("d1", 0, 1.5, 0.0)
@@ -63,6 +76,11 @@ class TestTypes:
             beta_cov=np.zeros((9, 9)),
         )
         assert model.t_star == 1.5
+        fields = dict(spec=SPEC, stimuli=reg, beta=np.zeros(9), sigma2=0.04,
+                      sigma_gamma=0.01 * np.eye(9), beta_cov=np.zeros((9, 9)))
+        assert TrainedModel(**fields, t_star=MAX_HEADWAY_S).t_star == MAX_HEADWAY_S
+        with pytest.raises(ValueError, match=f"t_star {ABOVE_BOUND} exceeds the headway bound"):
+            TrainedModel(**fields, t_star=ABOVE_BOUND)
         with pytest.raises(ValueError):
             TrainedModel(spec=SPEC, stimuli=reg, beta=np.zeros(9), sigma2=0.0,
                          sigma_gamma=np.eye(9), beta_cov=np.eye(9))
@@ -84,6 +102,21 @@ class TestFeatureRow:
     def test_single_block(self):
         row = feature_row(ModelSpec(1, 2), 0, 1.5)
         assert np.array_equal(row, [1.0, 1.5, 2.25])
+        row = feature_row(ModelSpec(1, 2), 0, MAX_HEADWAY_S)
+        assert np.array_equal(row, [1.0, 1e3, 1e6])
+
+    @pytest.mark.parametrize("headway, message", [
+        (ABOVE_BOUND, f"headway_s {ABOVE_BOUND} exceeds the headway bound {MAX_HEADWAY_S}"),
+        (math.inf, f"headway_s inf exceeds the headway bound {MAX_HEADWAY_S}"),
+        (0.0, "headway_s must be positive, got 0.0"),
+        (math.nan, "headway_s must be positive, got nan"),
+    ], ids=["above-bound", "inf", "zero", "nan"])
+    def test_headway_outside_the_domain_is_refused(self, headway, message):
+        # design's prefilter hands the row to feature_row: one message for both.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            feature_row(SPEC, 0, headway)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            design(SPEC, np.array([0, 1]), np.array([1.0, headway]))
 
     def test_unknown_stimulus(self):
         with pytest.raises(UnknownStimulus):

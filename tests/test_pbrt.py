@@ -162,8 +162,8 @@ class TestEstimateInvariants:
             PbrtEstimate(mu=0.0, var_naive=1.0, var_conservative=0.5, t_star=1.5, stimulus=0)
 
     def test_non_finite_estimate_is_refused(self):
-        # w'Pw can overflow at an extreme headway; the inf or nan it gave was
-        # printed as percentiles.
+        # w'Pw can overflow where a model file's covariances are huge; the inf
+        # or nan it gave was printed as percentiles.
         for mu, var in ((math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
             with pytest.raises(ValueError, match=r"at headway 1e\+50 must be finite"):
                 PbrtEstimate(mu=mu, var_naive=1.0, var_conservative=var, t_star=1e50, stimulus=0)
