@@ -15,6 +15,7 @@ from .model import (
     Observation,
     StimulusRegistry,
     TrainedModel,
+    TrainingSet,
     UnknownStimulus,
     build_design,
     feature_row,
@@ -22,7 +23,7 @@ from .model import (
 from .numerics import NotPositiveDefinite
 from .pbrt import InvalidQuantile, PbrtEstimate, density_curve, estimate_pbrt, norm_quantile, percentile
 from .simgen import SimConfig, default_config, generate
-from .training import FitOptions, TrainingSet, fit, load_model, log_likelihood, save_model
+from .training import FitOptions, fit, load_model, log_likelihood, save_model
 
 __version__ = "0.1.0"
 

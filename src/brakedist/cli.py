@@ -17,7 +17,7 @@ import numpy as np
 from . import driver as driver_mod
 from . import pbrt as pbrt_mod
 from . import simgen, training
-from .model import ModelSpec, read_observations_csv, write_observations_csv
+from .model import ModelSpec, TrainingSet, read_observations_csv, write_observations_csv
 from .model import atomic_write_text as _atomic_write_text
 
 EXIT_OK = 0
@@ -43,7 +43,7 @@ def cmd_simulate(args):
 
 def cmd_train(args):
     registry, observations = read_observations_csv(args.data)
-    ts = training.TrainingSet.from_observations(
+    ts = TrainingSet.from_observations(
         spec=ModelSpec(num_stimuli=len(registry), degree=args.degree),
         stimuli=registry,
         observations=observations,
@@ -55,28 +55,38 @@ def cmd_train(args):
     return EXIT_OK if info.converged else EXIT_NO_CONVERGENCE
 
 
+def _parse(option, field, text, kind=float, noun="a number"):
+    """``kind(text)``, or a ValueError naming ``option``, ``field`` and ``text``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{option} {field} must be {noun}, got {text!r}") from None
+
+
 def _parse_event(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError('event must be "stimulus,headway,brt"')
-    name = parts[0].strip()
-    return name, float(parts[1]), float(parts[2])
+    return parts[0].strip(), _parse("--event", "headway", parts[1]), _parse("--event", "brt", parts[2])
+
+
+def _load(args, fresh_id):
+    """The model and the ``--state`` file's state, or a fresh state ``fresh_id`` without one."""
+    model = training.load_model(args.model)
+    if args.state is not None and Path(args.state).exists():
+        return model, driver_mod.load_driver_state(args.state, model.stimuli)
+    return model, driver_mod.DriverState(driver_id=fresh_id)
 
 
 def cmd_update(args):
-    model = training.load_model(args.model)
-    state_path = Path(args.state)
-    if state_path.exists():
-        state = driver_mod.load_driver_state(state_path, model.stimuli)
-    else:
-        state = driver_mod.DriverState(driver_id=state_path.stem)
+    model, state = _load(args, Path(args.state).stem)
     name, headway, brt = _parse_event(args.event)
     stim_id = model.stimuli.id_of(name)
     obs = driver_mod.Observation(state.driver_id, stim_id, headway, brt)
     driver_mod.add_observation(state, obs)
     blup = driver_mod.compute_blup(state, model)
     doc = driver_mod.state_to_dict(state, model.stimuli)
-    _atomic_write_text(state_path, json.dumps(doc, indent=2) + "\n")
+    _atomic_write_text(args.state, json.dumps(doc, indent=2) + "\n")
     norm = float(np.linalg.norm(blup.gamma_hat))
     print(f"n={state.n} gamma_norm={norm!r}")
     return EXIT_OK
@@ -84,12 +94,8 @@ def cmd_update(args):
 
 def _load_estimate(args):
     """PBRT estimate for ``--stimulus``; the population's without a state file."""
-    model = training.load_model(args.model)
+    model, state = _load(args, "__no_data__")
     stim_id = model.stimuli.id_of(args.stimulus)
-    if args.state is not None and Path(args.state).exists():
-        state = driver_mod.load_driver_state(args.state, model.stimuli)
-    else:
-        state = driver_mod.DriverState(driver_id="__no_data__")
     blup = driver_mod.compute_blup(state, model)
     # An overflow is reported once, as PbrtEstimate's error, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -98,7 +104,7 @@ def _load_estimate(args):
 
 def cmd_pbrt(args):
     est = _load_estimate(args)
-    levels = [float(v) for v in args.percentiles.split(",") if v.strip()]
+    levels = [_parse("--percentiles", "level", v) for v in args.percentiles.split(",") if v.strip()]
     if not levels or any(not 0.0 < q < 100.0 for q in levels):
         raise ValueError("percentile levels must lie in (0, 100)")
     # Every row is computed before any is printed, so a failure prints nothing.
@@ -117,7 +123,8 @@ def cmd_curve(args):
     parts = args.grid.split(",")
     if len(parts) != 3:
         raise ValueError('grid must be "min,max,steps"')
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = _parse("--grid", "min", parts[0]), _parse("--grid", "max", parts[1])
+    steps = _parse("--grid", "steps", parts[2], int, "an integer")
     if not 0 < lo < hi < math.inf or steps < 2:
         raise ValueError("grid needs 0 < min < max < inf and steps >= 2")
     grid = np.linspace(lo, hi, steps)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .model import Observation, design, json_list, json_number, read_json
 from .model import build_design  # the benchmark's tracer wraps it
-from .numerics import NotPositiveDefinite, spd_solve  # spd_solve: the benchmark's tracer wraps it
+from .numerics import NotPositiveDefinite, reduced_solve
+from .numerics import spd_solve  # the benchmark's tracer wraps it
 
 DEFAULT_MAX_HISTORY = 500
 
@@ -112,26 +113,6 @@ def add_observation(state, obs):
                  np.concatenate((state.headway_s, (obs.headway_s,))),
                  np.concatenate((state.brt_s, (obs.brt_s,))))
     return state
-
-
-def reduced_solve(xtx, sigma_gamma, sigma2, rhs):
-    """The push-through system M = sigma2 I + Sigma_gamma X'X and M^-T rhs.
-
-    Batched over leading axes of ``xtx`` and ``rhs``. With rhs = [X'X | X'r]
-    the solution is [X' V^-1 X | X' V^-1 r]. M's eigenvalues are >= sigma2
-    and it needs no factor of Sigma_gamma, which may be singular.
-
-    Raises:
-        NotPositiveDefinite: if M is singular or the solution not finite.
-    """
-    m = sigma_gamma @ xtx + sigma2 * np.eye(xtx.shape[-1])
-    try:
-        W = np.linalg.solve(m.swapaxes(-1, -2), rhs)
-        if not np.all(np.isfinite(W)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("reduced system is singular or not finite") from None
-    return m, W
 
 
 def compute_blup(state, model):

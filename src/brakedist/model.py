@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -150,23 +150,62 @@ class TrainedModel:
         p = self.spec.p
         if len(self.stimuli) != self.spec.num_stimuli:
             raise ValueError("registry size does not match spec.num_stimuli")
-        for name in ("beta", "sigma2", "sigma_gamma", "beta_cov", "t_star"):
+        for name in ("beta", "sigma2", "t_star"):
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
                 raise ValueError(f"{name} must be finite")
         self.beta = np.asarray(self.beta, dtype=float)
         if self.beta.shape != (p,):
             raise ValueError(f"beta must have shape ({p},), got {self.beta.shape}")
-        self.sigma_gamma = check_symmetric(self.sigma_gamma)
-        self.beta_cov = check_symmetric(self.beta_cov)
-        if self.sigma_gamma.shape != (p, p) or self.beta_cov.shape != (p, p):
-            raise ValueError("covariance matrices must be p x p")
+        self.sigma_gamma = check_covariance("sigma_gamma", self.sigma_gamma, p, 1e-8)
+        self.beta_cov = check_covariance("beta_cov", self.beta_cov, p, 1e-8)
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
-        if not is_psd(self.sigma_gamma, 1e-8):
-            raise ValueError("sigma_gamma is not positive semidefinite")
-        if not is_psd(self.beta_cov, 1e-8):
-            raise ValueError("beta_cov is not positive semidefinite")
         _check_headway(self.t_star, "t_star")
+
+
+@dataclass(eq=False)
+class TrainingSet:
+    """Multi-driver observation pool used to fit the population model."""
+
+    spec: ModelSpec
+    stimuli: StimulusRegistry
+    drivers: dict
+
+    def __post_init__(self):
+        if not self.drivers:
+            raise ValueError("training set has no drivers")
+        for driver_id, obs in self.drivers.items():
+            if not obs:
+                raise ValueError(f"driver {driver_id!r} has no observations")
+
+    @classmethod
+    def from_observations(cls, spec, stimuli, observations):
+        """Group a flat observation list by driver, preserving order."""
+        drivers = {}
+        for o in observations:
+            drivers.setdefault(o.driver_id, []).append(o)
+        return cls(spec=spec, stimuli=stimuli, drivers=drivers)
+
+    @property
+    def num_observations(self):
+        return sum(len(v) for v in self.drivers.values())
+
+
+def check_covariance(name, a, p, tol):
+    """``a`` as a float ndarray if it is a finite symmetric p x p matrix that
+    ``is_psd(a, tol)`` accepts, else a ValueError naming ``name``."""
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    if a.shape != (p, p):
+        raise ValueError(f"{name} must be a finite {p} x {p} matrix")
+    try:
+        psd = is_psd(check_symmetric(a), tol)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if not psd:
+        raise ValueError(f"{name} is not positive semidefinite")
+    return a
 
 
 def _check_headway(headway_s, name="headway_s"):

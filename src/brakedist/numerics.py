@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra shared by the estimation code.
+"""Dense linear algebra shared by the estimation code.
 
 All routines operate on plain ``numpy`` arrays. Covariance matrices in
 this package are small (p = 9 coefficients, at most a few hundred
@@ -113,3 +113,23 @@ def is_psd(a, tol):
     eigs = np.linalg.eigvalsh(a)
     scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
     return bool(eigs[0] >= -tol * scale)
+
+
+def reduced_solve(xtx, sigma_gamma, sigma2, rhs):
+    """The push-through system M = sigma2 I + Sigma_gamma X'X and M^-T rhs.
+
+    Batched over leading axes of ``xtx`` and ``rhs``. With rhs = [X'X | X'r]
+    the solution is [X' V^-1 X | X' V^-1 r]. M's eigenvalues are >= sigma2
+    and it needs no factor of Sigma_gamma, which may be singular.
+
+    Raises:
+        NotPositiveDefinite: if M is singular or the solution not finite.
+    """
+    m = sigma_gamma @ xtx + sigma2 * np.eye(xtx.shape[-1])
+    try:
+        W = np.linalg.solve(m.swapaxes(-1, -2), rhs)
+        if not np.all(np.isfinite(W)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("reduced system is singular or not finite") from None
+    return m, W

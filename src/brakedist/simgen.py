@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MAX_HEADWAY_S, ModelSpec, Observation, StimulusRegistry, atomic_write_text, design,
-                    json_array, json_list, json_number, read_json)
-from .numerics import check_symmetric, is_psd
-from .training import TrainingSet
+from .model import (MAX_HEADWAY_S, ModelSpec, Observation, StimulusRegistry, TrainingSet, atomic_write_text,
+                    check_covariance, design, json_array, json_list, json_number, read_json)
+from .numerics import is_psd  # the benchmark's tracer wraps it
 
 DEFAULT_STIMULI = ("traffic_signal", "lead_car_brake", "pedestrian_crossing")
 
@@ -44,20 +43,16 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("beta_true", "sigma2_true", "sigma_gamma_true", "headway_range"):
+        for name in ("beta_true", "sigma2_true", "headway_range"):
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
                 raise ValueError(f"{name} must be finite")
         self.beta_true = np.asarray(self.beta_true, dtype=float)
-        self.sigma_gamma_true = check_symmetric(self.sigma_gamma_true)
         p = self.spec.p
         if len(self.stimuli) != self.spec.num_stimuli:
             raise ValueError("registry size does not match spec.num_stimuli")
         if self.beta_true.shape != (p,):
             raise ValueError(f"beta_true must have shape ({p},)")
-        if self.sigma_gamma_true.shape != (p, p):
-            raise ValueError("sigma_gamma_true must be p x p")
-        if not is_psd(self.sigma_gamma_true, 1e-10):
-            raise ValueError("sigma_gamma_true must be positive semidefinite")
+        self.sigma_gamma_true = check_covariance("sigma_gamma_true", self.sigma_gamma_true, p, 1e-10)
         # Zero noise is allowed here (degenerate but useful for exactness
         # checks); training is what requires a strictly positive sigma2.
         if self.sigma2_true < 0:
@@ -69,6 +64,8 @@ class SimConfig:
             raise ValueError("obs_per_driver needs one count per stimulus")
         if any(c < 0 for c in self.obs_per_driver):
             raise ValueError("observation counts must be >= 0")
+        if not any(self.obs_per_driver):
+            raise ValueError("obs_per_driver needs at least one positive count")
         if len(self.headway_range) != 2:
             raise ValueError("headway_range must be [min, max]")
         lo, hi = self.headway_range

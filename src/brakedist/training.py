@@ -5,7 +5,7 @@ The marginal covariance of one driver's log responses is
 sigma2``, block diagonal across drivers, so the Gaussian likelihood
 factors per driver and the full n x n covariance is never materialized:
 each evaluation solves the same p x p push-through system as serving
-(``driver.reduced_solve``), for all drivers at once, and takes log det V_d
+(``numerics.reduced_solve``), for all drivers at once, and takes log det V_d
 from Sylvester's determinant identity (``_PreparedDesigns``). For a fixed
 Lambda, beta has the closed-form GLS solution (``gls_beta`` over
 ``marginal_cov`` blocks is its dense reference) and sigma2 the closed form
@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import reduced_solve
 from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design,
-                    json_array, json_list, json_number, read_json)
-from .numerics import NotPositiveDefinite, check_symmetric, generalized_inverse, is_psd, spd_solve
+                    check_covariance, json_array, json_list, json_number, read_json)
+from .numerics import NotPositiveDefinite, generalized_inverse, reduced_solve, spd_solve
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -45,34 +44,6 @@ _PREDICTED_DECREASE_TOL = 1e-10
 
 # A trust step counts as on the boundary once |s| is this close to the radius.
 _BOUNDARY_RTOL = 1e-13
-
-
-@dataclass(eq=False)
-class TrainingSet:
-    """Multi-driver observation pool used to fit the population model."""
-
-    spec: ModelSpec
-    stimuli: StimulusRegistry
-    drivers: dict
-
-    def __post_init__(self):
-        if not self.drivers:
-            raise ValueError("training set has no drivers")
-        for driver_id, obs in self.drivers.items():
-            if not obs:
-                raise ValueError(f"driver {driver_id!r} has no observations")
-
-    @classmethod
-    def from_observations(cls, spec, stimuli, observations):
-        """Group a flat observation list by driver, preserving order."""
-        drivers = {}
-        for o in observations:
-            drivers.setdefault(o.driver_id, []).append(o)
-        return cls(spec=spec, stimuli=stimuli, drivers=drivers)
-
-    @property
-    def num_observations(self):
-        return sum(len(v) for v in self.drivers.values())
 
 
 def chol_mask(p, num_blocks=None):
@@ -149,7 +120,7 @@ class _PreparedDesigns:
     variance parameters, so they are formed once, from each driver's row
     span of one design over all rows in ``ts.drivers`` order. Each likelihood
     evaluation then solves the serving path's batched p x p push-through
-    system (``driver.reduced_solve``) at sigma2 = 1, M = I_p + Lambda X'X,
+    system (``numerics.reduced_solve``) at sigma2 = 1, M = I_p + Lambda X'X,
     whose eigenvalues are >= 1, and uses Sylvester's determinant identity
     and (V / sigma2)^-1 = I - X Lambda X' (V / sigma2)^-1:
 
@@ -267,21 +238,12 @@ def log_likelihood(ts, sigma2, sigma_gamma):
 
     Raises:
         ValueError: naming the argument, unless sigma2 is positive and
-            finite and sigma_gamma is a p x p symmetric PSD matrix.
+            finite and ``check_covariance`` accepts sigma_gamma.
         NotPositiveDefinite: as ``_PreparedDesigns.solve`` does.
     """
-    p = ts.spec.p
-    sigma_gamma = np.asarray(sigma_gamma, dtype=float)
     if not 0 < sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-    if sigma_gamma.shape != (p, p) or not np.all(np.isfinite(sigma_gamma)):
-        raise ValueError(f"sigma_gamma must be a finite {p} x {p} matrix")
-    try:
-        psd = is_psd(check_symmetric(sigma_gamma), 1e-8)
-    except ValueError as exc:
-        raise ValueError(f"sigma_gamma: {exc}") from None
-    if not psd:
-        raise ValueError("sigma_gamma is not positive semidefinite")
+    sigma_gamma = check_covariance("sigma_gamma", sigma_gamma, ts.spec.p, 1e-8)
     logdet, q, *_ = _PreparedDesigns(ts).solve(sigma_gamma / sigma2)
     return -0.5 * (ts.num_observations * (LOG2PI + math.log(sigma2)) + logdet + q / sigma2)
 

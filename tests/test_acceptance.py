@@ -16,11 +16,11 @@ from scipy.stats import multivariate_normal, norm
 
 import brakedist.cli as cli
 from brakedist.driver import DriverState, add_observation, compute_blup
-from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainedModel, feature_row
+from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainedModel, TrainingSet, feature_row
 from brakedist.numerics import is_psd
 from brakedist.pbrt import PbrtEstimate, estimate_pbrt, norm_quantile, percentile
 from brakedist.simgen import default_config, generate
-from brakedist.training import FitOptions, TrainingSet, fit, load_model, log_likelihood, save_model
+from brakedist.training import FitOptions, fit, load_model, log_likelihood, save_model
 
 from reference import henderson_oracle
 

@@ -256,15 +256,22 @@ class TestUpdate:
         assert len(doc["observations"]) == 1
         assert "cached" not in doc  # predictions are recomputed, never persisted
 
-    def test_validation_errors(self, tmp_path, handmade_model_path):
+    def test_validation_errors(self, tmp_path, handmade_model_path, capfd):
         state = tmp_path / "s.json"
-        assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
-                    "--event", "traffic_signal,-1.0,0.8"]) == 3
-        assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
-                    "--event", "mystery,1.0,0.8"]) == 3
-        assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
-                    "--event", "traffic_signal,1.0"]) == 3
-        assert not state.exists()
+        for event, message in [
+            ("traffic_signal,-1.0,0.8", "headway_s must be positive, got -1.0"),
+            ("mystery,1.0,0.8", "unknown stimulus name 'mystery'"),
+            ("traffic_signal,1.0", 'event must be "stimulus,headway,brt"'),
+            # Read with bare float(), these named neither the option nor the field.
+            ("traffic_signal,abc,0.7", "--event headway must be a number, got 'abc'"),
+            ("traffic_signal,1.2,0.7s", "--event brt must be a number, got '0.7s'"),
+        ]:
+            assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
+                        "--event", event]) == 3
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {message}"]
+            assert not state.exists()
 
     def test_overflowing_headway_is_a_validation_error(self, tmp_path, handmade_model_path,
                                                        capfd):
@@ -488,6 +495,7 @@ class TestPbrt:
         (("beta", 0), "-0.3", "beta[0] must be a number, got '-0.3'"),
         (("beta", 5), True, "beta[5] must be a number, got True"),
         (("sigma_gamma", 2), [0.0] * 5, "sigma_gamma[2] must have 6 entries, got 5"),
+        (("sigma_gamma", 0), 0.02, "has the wrong shape: sigma_gamma[0] must be a list, got 0.02"),
         (("beta_cov",), [[0.0004]], "beta_cov must have 6 entries, got 1"),
         (("beta",), MISSING, "missing field 'beta'"),
         (("spec", "stimuli", 0), True, "stimulus names must be strings, got True"),
@@ -498,8 +506,8 @@ class TestPbrt:
         (("t_star",), ABOVE_BOUND, above_bound("t_star", ABOVE_BOUND)),
     ], ids=["degree-fraction", "degree-string", "num_stimuli-bool", "sigma2-bool", "t_star-string",
             "loglik-string", "converged-string", "beta-string", "beta-bool", "sigma_gamma-ragged",
-            "beta_cov-short", "beta-missing", "stimuli-bool", "stimuli-string", "stimuli-object",
-            "degree-above-bound", "t_star-above-bound"])
+            "sigma_gamma-row-number", "beta_cov-short", "beta-missing", "stimuli-bool",
+            "stimuli-string", "stimuli-object", "degree-above-bound", "t_star-above-bound"])
     def test_mistyped_model_field_is_named(self, handmade_model_path, capsys, path, value, message):
         # Read with bare int() and float() these were truncated (degree 1.5,
         # then a misleading beta-shape error) or accepted ("2", true); read
@@ -535,9 +543,19 @@ class TestPbrt:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] != ""
 
-    def test_bad_percentiles(self, handmade_model_path):
-        assert run(["pbrt", "--model", str(handmade_model_path),
-                    "--stimulus", "traffic_signal", "--percentiles", "0,50"]) == 3
+    def test_bad_percentiles(self, handmade_model_path, capfd):
+        files = sorted(handmade_model_path.parent.iterdir())
+        for levels, message in [
+            ("0,50", "percentile levels must lie in (0, 100)"),
+            # Read with bare float(), this named neither the option nor the level.
+            ("10,abc", "--percentiles level must be a number, got 'abc'"),
+        ]:
+            assert run(["pbrt", "--model", str(handmade_model_path),
+                        "--stimulus", "traffic_signal", "--percentiles", levels]) == 3
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {message}"]
+            assert sorted(handmade_model_path.parent.iterdir()) == files
 
     @pytest.mark.parametrize("t_star, levels, message", [
         ("1e5", "99.9", above_bound("headway_s", 1e5)),
@@ -649,11 +667,26 @@ class TestCurve:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert float(row[2]) > float(row[1])
 
-    def test_invalid_grid(self, tmp_path, handmade_model_path):
-        for grid in ("0,3,100", "3,1,100", "0.5,3.0,1", "junk", "0.2,inf,5"):
+    def test_invalid_grid(self, tmp_path, handmade_model_path, capfd):
+        out = tmp_path / "c.csv"
+        out_of_range = "grid needs 0 < min < max < inf and steps >= 2"
+        for grid, message in [
+            ("0,3,100", out_of_range),
+            ("3,1,100", out_of_range),
+            ("0.5,3.0,1", out_of_range),
+            ("junk", 'grid must be "min,max,steps"'),
+            ("0.2,inf,5", out_of_range),
+            # Read with bare int() and float(), these named neither the option nor the field.
+            ("0.2,3.0,2.5", "--grid steps must be an integer, got '2.5'"),
+            ("0.2,x,5", "--grid max must be a number, got 'x'"),
+            ("y,3.0,5", "--grid min must be a number, got 'y'"),
+        ]:
             assert run(["curve", "--model", str(handmade_model_path),
-                        "--stimulus", "traffic_signal", "--grid", grid,
-                        "--out", str(tmp_path / "c.csv")]) == 3
+                        "--stimulus", "traffic_signal", "--grid", grid, "--out", str(out)]) == 3
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {message}"]
+            assert not out.exists()
 
 
 EVENT = {"driver_id": "x", "stimulus": "traffic_signal", "headway_s": 1.2, "brt_s": 0.8}
@@ -801,12 +834,19 @@ class TestMalformedJson:
          "has the wrong shape: stimuli must be a list, got {'a': 1, 'b': 2, 'c': 3}"),
         ("headway_range", [0.3, ABOVE_BOUND], RANGE_REFUSAL),
         ("degree", MAX_DEGREE + 1, degree_refusal(MAX_DEGREE + 1)),
+        # Refused only when the first driver was grouped, naming neither file nor field.
+        ("obs_per_driver", [0], "obs_per_driver needs at least one positive count"),
+        ("obs_per_driver", 0, "obs_per_driver needs at least one positive count"),
+        ("obs_per_driver", [-1], "observation counts must be >= 0"),
+        ("sigma2_true", -0.04, "sigma2_true must be nonnegative"),
+        ("stimuli", ["a", "b"], "registry size does not match spec.num_stimuli"),
     ], ids=["degree-fraction", "num_stimuli-bool", "num_drivers-string", "count-fraction",
             "count-bool", "sigma2-string", "headway-string", "headway-three", "seed-fraction",
             "beta_true-string", "beta_true-bool", "sigma_gamma_true-ragged", "seed-missing",
             "stimuli-bool", "sigma2-infinite", "beta_true-infinite", "headway-infinite",
             "sigma_gamma_true-nan", "headway-overflows", "stimuli-string", "stimuli-object",
-            "headway-above-bound", "degree-above-bound"])
+            "headway-above-bound", "degree-above-bound", "count-all-zero", "count-scalar-zero",
+            "count-negative", "sigma2-negative", "stimuli-size-mismatch"])
     def test_bad_config_field_names_file_and_field(self, tmp_path, tiny_sim_config_path, capfd,
                                                    field, value, message):
         # Read with bare int(), "degree": 1.5 was truncated to 1 and failed

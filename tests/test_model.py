@@ -88,6 +88,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             TrainedModel(spec=SPEC, stimuli=reg, beta=np.zeros(9), sigma2=0.04,
                          sigma_gamma=bad, beta_cov=np.eye(9))
+        for field, value, message in [
+            ("stimuli", StimulusRegistry(["a", "b"]),
+             "registry size does not match spec.num_stimuli"),
+            ("beta", np.zeros(8), "beta must have shape (9,), got (8,)"),
+            ("sigma_gamma", 0.01 * np.eye(8), "sigma_gamma must be a finite 9 x 9 matrix"),
+            ("beta_cov", np.zeros((9, 3)), "beta_cov must be a finite 9 x 9 matrix"),
+            ("beta_cov", np.full((9, 9), np.nan), "beta_cov must be finite"),
+            ("sigma_gamma", np.triu(0.01 * np.ones((9, 9))),
+             "sigma_gamma: matrix is not symmetric within 1e-12"),
+            ("beta_cov", -0.01 * np.eye(9), "beta_cov is not positive semidefinite"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TrainedModel(**{**fields, field: value})
 
 
 class TestFeatureRow:
@@ -210,6 +223,10 @@ class TestObservationCsv:
         path.write_text("who,what,when,how\n")
         with pytest.raises(ValueError, match="line 1"):
             read_observations_csv(path)
+        path.write_text("driver_id,stimulus,headway_s,brt_s\n")
+        with pytest.raises(ValueError, match=f"^observation file {re.escape(str(path))}: "
+                                             "CSV contains no observations$"):
+            read_observations_csv(path)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -234,3 +251,12 @@ class TestObservationCsv:
         with pytest.raises(ValueError, match=f"^observation file {re.escape(str(path))}: "
                                              "line 3: headway_s must be positive"):
             read_observations_csv(path)
+        # A wrong field count is reported like a bad value, and a blank row keeps its line.
+        for rows, message in [
+            ("a,x,1.0,0.5\na,x,1.0\na,x,-2.0,0.6\n", "line 3: expected 4 fields, got 3"),
+            ("a,x,1.0,0.5\n\na,x,-2.0,0.6\n", "line 4: headway_s must be positive, got -2.0"),
+        ]:
+            path.write_text("driver_id,stimulus,headway_s,brt_s\n" + rows)
+            with pytest.raises(ValueError, match=f"^observation file {re.escape(str(path))}: "
+                                                 f"{re.escape(message)}$"):
+                read_observations_csv(path)

@@ -206,3 +206,11 @@ class TestConfigDict:
             small_config(obs_per_driver=(1, 2))
         with pytest.raises(ValueError):
             small_config(sigma_gamma_true=np.diag([-0.01, 0.0, 0.0]))
+        # Config files fix these shapes before SimConfig sees them.
+        with pytest.raises(ValueError, match=r"^beta_true must have shape \(3,\)$"):
+            small_config(beta_true=np.zeros(2))
+        with pytest.raises(ValueError, match="^sigma_gamma_true must be a finite 3 x 3 matrix$"):
+            small_config(sigma_gamma_true=np.eye(2))
+        # Within a model's 1e-8 tolerance, but not a config's 1e-10.
+        with pytest.raises(ValueError, match="^sigma_gamma_true is not positive semidefinite$"):
+            small_config(sigma_gamma_true=np.diag([0.02, 0.005, -1e-9]))

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from brakedist.model import ModelSpec, Observation, StimulusRegistry
+from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainingSet
 from brakedist.numerics import NotPositiveDefinite, is_psd
 from brakedist.training import (
     FitOptions,
-    TrainingSet,
     _factor,
     _PreparedDesigns,
     _trust_step,
