@@ -7,7 +7,6 @@ still written). Data goes to stdout, diagnostics to stderr.
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 from . import driver as driver_mod
 from . import pbrt as pbrt_mod
 from . import simgen, training
-from .model import ModelSpec, TrainingSet, read_observations_csv, write_observations_csv
+from .model import ModelSpec, TrainingSet, check_headway, read_observations_csv, write_observations_csv
 from .model import atomic_write_text as _atomic_write_text
 
 EXIT_OK = 0
@@ -66,7 +65,7 @@ def _parse(option, field, text, kind=float, noun="a number"):
 def _parse_event(text):
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError('event must be "stimulus,headway,brt"')
+        raise ValueError('--event must be "stimulus,headway,brt"')
     return parts[0].strip(), _parse("--event", "headway", parts[1]), _parse("--event", "brt", parts[2])
 
 
@@ -85,8 +84,7 @@ def cmd_update(args):
     obs = driver_mod.Observation(state.driver_id, stim_id, headway, brt)
     driver_mod.add_observation(state, obs)
     blup = driver_mod.compute_blup(state, model)
-    doc = driver_mod.state_to_dict(state, model.stimuli)
-    _atomic_write_text(args.state, json.dumps(doc, indent=2) + "\n")
+    _atomic_write_text(args.state, driver_mod.state_text(driver_mod.state_to_dict(state, model.stimuli)))
     norm = float(np.linalg.norm(blup.gamma_hat))
     print(f"n={state.n} gamma_norm={norm!r}")
     return EXIT_OK
@@ -97,9 +95,10 @@ def _load_estimate(args):
     model, state = _load(args, "__no_data__")
     stim_id = model.stimuli.id_of(args.stimulus)
     blup = driver_mod.compute_blup(state, model)
+    t_star = None if args.t_star is None else check_headway(args.t_star, "--t-star")
     # An overflow is reported once, as PbrtEstimate's error, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        return pbrt_mod.estimate_pbrt(model, blup, stim_id, t_star=args.t_star)
+        return pbrt_mod.estimate_pbrt(model, blup, stim_id, t_star=t_star)
 
 
 def cmd_pbrt(args):
@@ -122,7 +121,7 @@ def cmd_curve(args):
     est = _load_estimate(args)
     parts = args.grid.split(",")
     if len(parts) != 3:
-        raise ValueError('grid must be "min,max,steps"')
+        raise ValueError('--grid must be "min,max,steps"')
     lo, hi = _parse("--grid", "min", parts[0]), _parse("--grid", "max", parts[1])
     steps = _parse("--grid", "steps", parts[2], int, "an integer")
     if not 0 < lo < hi < math.inf or steps < 2:

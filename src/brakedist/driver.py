@@ -19,11 +19,13 @@ Every query rebuilds X'X from the windowed history: no running sums and
 no prediction are kept, so ``compute_blup`` only reads the state.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Observation, design, json_list, json_number, read_json
+from .model import (MAX_BRT_S, MAX_HEADWAY_S, Observation, UnknownStimulus, design, json_list, json_number,
+                    read_json)
 from .model import build_design  # the benchmark's tracer wraps it
 from .numerics import NotPositiveDefinite, reduced_solve
 from .numerics import spd_solve  # the benchmark's tracer wraps it
@@ -93,12 +95,6 @@ def _keep_window(state, stimulus, headway_s, brt_s):
         column.flags.writeable = False
 
 
-def _check_driver(state, obs):
-    if obs.driver_id != state.driver_id:
-        raise DriverMismatch(
-            f"observation for {obs.driver_id!r} added to state of {state.driver_id!r}")
-
-
 def add_observation(state, obs):
     """Append an event to the driver's history.
 
@@ -108,7 +104,8 @@ def add_observation(state, obs):
     Raises:
         DriverMismatch: if obs.driver_id differs from the state's.
     """
-    _check_driver(state, obs)
+    if obs.driver_id != state.driver_id:
+        raise DriverMismatch(f"observation for {obs.driver_id!r} added to state of {state.driver_id!r}")
     _keep_window(state, np.concatenate((state.stimulus, (obs.stimulus,))),
                  np.concatenate((state.headway_s, (obs.headway_s,))),
                  np.concatenate((state.brt_s, (obs.brt_s,))))
@@ -175,7 +172,25 @@ def state_to_dict(state, registry):
     }
 
 
+# A state file's record, as json.dumps(..., indent=2) lays out state_to_dict's.
+_RECORD = ('    {\n      "driver_id": %s,\n      "stimulus": %s,\n'
+           '      "headway_s": %r,\n      "brt_s": %r\n    }')
+
+
+def state_text(doc):
+    """``json.dumps(doc, indent=2) + "\\n"`` for a ``state_to_dict`` document, byte for byte,
+    without the pure-Python encoder ``indent`` selects: strings via json.dumps, numbers via repr."""
+    records = doc["observations"]
+    quoted = {s: json.dumps(s) for s in {r["driver_id"] for r in records} | {r["stimulus"] for r in records}}
+    body = ",\n".join([_RECORD % (quoted[r["driver_id"]], quoted[r["stimulus"]], r["headway_s"], r["brt_s"])
+                       for r in records])
+    return '{\n  "driver_id": %s,\n  "max_history": %r,\n  "observations": %s\n}\n' % (
+        json.dumps(doc["driver_id"]), doc["max_history"], f"[\n{body}\n  ]" if records else "[]")
+
+
 def state_from_dict(doc, registry):
+    """The state a state file's document holds: its records gathered and checked
+    as columns, or where that fails read one by one, naming the first bad one."""
     driver_id = doc["driver_id"]
     if not isinstance(driver_id, str):
         raise ValueError(f"driver_id must be a string, got {driver_id!r}")
@@ -183,20 +198,32 @@ def state_from_dict(doc, registry):
     if "max_history" in doc:
         max_history = json_number(doc, "max_history", integral=True)
     state = DriverState(driver_id=driver_id, max_history=max_history)
-    stimulus, headway_s, brt_s = [], [], []
-    for i, rec in enumerate(json_list(doc, "observations") if "observations" in doc else []):
-        obs = Observation(
-            driver_id=rec["driver_id"],
-            stimulus=registry.id_of(rec["stimulus"]),
-            headway_s=json_number(doc, "observations", i, "headway_s"),
-            brt_s=json_number(doc, "observations", i, "brt_s"),
-        )
-        _check_driver(state, obs)
-        stimulus.append(obs.stimulus)
-        headway_s.append(obs.headway_s)
-        brt_s.append(obs.brt_s)
-    _keep_window(state, np.array(stimulus, dtype=np.intp), np.array(headway_s), np.array(brt_s))
+    records = json_list(doc, "observations") if "observations" in doc else []
+    columns = _gather(records, driver_id, registry)
+    if columns is not None:
+        _keep_window(state, *columns)
+        return state
+    for i, rec in enumerate(records):  # the first bad record raises its error
+        add_observation(state, Observation(rec["driver_id"], registry.id_of(rec["stimulus"]),
+                                           json_number(doc, "observations", i, "headway_s"),
+                                           json_number(doc, "observations", i, "brt_s")))
     return state
+
+
+def _gather(records, driver_id, registry):
+    """The records' columns in one pass, or None unless each record is an object of
+    this driver with a known stimulus name and float headway and response in domain."""
+    try:
+        rows = [(r["driver_id"], r["stimulus"], r["headway_s"], r["brt_s"]) for r in records]
+        owners, names, headway_s, brt_s = zip(*rows) if rows else ((),) * 4
+        stimulus = np.fromiter(map(registry.id_of, names), np.intp, len(names))
+    except (KeyError, TypeError, UnknownStimulus):
+        return None
+    if owners.count(driver_id) < len(owners) or not set(map(type, headway_s + brt_s)) <= {float}:
+        return None
+    headway_s, brt_s = np.array(headway_s, dtype=float), np.array(brt_s, dtype=float)
+    in_domain = (headway_s > 0) & (headway_s <= MAX_HEADWAY_S) & (brt_s > 0) & (brt_s <= MAX_BRT_S)
+    return (stimulus, headway_s, brt_s) if in_domain.all() else None
 
 
 def load_driver_state(path, registry):

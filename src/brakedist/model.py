@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import check_symmetric, is_psd
+from .numerics import is_psd
 
 # Observations with a longer response are rejected as sensor error;
 # non-stopping events must be filtered upstream.
@@ -93,7 +93,7 @@ class Observation:
         if not isinstance(self.stimulus, (int, np.integer)) or self.stimulus < 0:
             raise ValueError(f"stimulus id must be a nonnegative integer, got {self.stimulus!r}")
         object.__setattr__(self, "stimulus", int(self.stimulus))
-        object.__setattr__(self, "headway_s", _check_headway(self.headway_s))
+        object.__setattr__(self, "headway_s", check_headway(self.headway_s))
         object.__setattr__(self, "brt_s", float(self.brt_s))
         if not np.isfinite(self.brt_s) or self.brt_s <= 0:
             raise ValueError(f"brt_s must be positive and finite, got {self.brt_s}")
@@ -160,7 +160,7 @@ class TrainedModel:
         self.beta_cov = check_covariance("beta_cov", self.beta_cov, p, 1e-8)
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
-        _check_headway(self.t_star, "t_star")
+        check_headway(self.t_star, "t_star")
 
 
 @dataclass(eq=False)
@@ -195,12 +195,12 @@ def check_covariance(name, a, p, tol):
     """``a`` as a float ndarray if it is a finite symmetric p x p matrix that
     ``is_psd(a, tol)`` accepts, else a ValueError naming ``name``."""
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     if a.shape != (p, p):
         raise ValueError(f"{name} must be a finite {p} x {p} matrix")
     try:
-        psd = is_psd(check_symmetric(a), tol)
+        psd = is_psd(a, tol)  # checks symmetry, then the eigenvalues
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
     if not psd:
@@ -208,7 +208,7 @@ def check_covariance(name, a, p, tol):
     return a
 
 
-def _check_headway(headway_s, name="headway_s"):
+def check_headway(headway_s, name="headway_s"):
     """``headway_s`` as a float if it lies in (0, MAX_HEADWAY_S], else a ValueError naming ``name``."""
     headway_s = float(headway_s)
     if not headway_s > 0:
@@ -232,7 +232,7 @@ def feature_row(spec, stimulus, headway_s):
         raise UnknownStimulus(f"stimulus id {stimulus} out of range [0, {spec.num_stimuli})")
     row = np.zeros(spec.p)
     start = stimulus * (spec.degree + 1)
-    row[start : start + spec.degree + 1] = _check_headway(headway_s) ** np.arange(spec.degree + 1)
+    row[start : start + spec.degree + 1] = check_headway(headway_s) ** np.arange(spec.degree + 1)
     return row
 
 
@@ -362,8 +362,6 @@ def json_number(doc, *path, integral=False):
     value = doc
     for key in path:
         value = value[key]
-    if type(value) is float and not integral:  # every number a state file holds
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         error = TypeError if value is None or isinstance(value, (list, dict)) else ValueError
         raise error(f"{_field_name(path)} must be a number, got {value!r}")

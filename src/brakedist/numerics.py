@@ -19,26 +19,22 @@ class NotPositiveDefinite(ValueError):
     """Raised when a matrix required to be SPD fails its factorization."""
 
 
-def check_symmetric(a, tol=1e-12):
+def check_symmetric(a):
     """Validate that ``a`` is a square symmetric matrix.
-
-    Args:
-        a: candidate matrix.
-        tol: maximum allowed absolute asymmetry per entry.
 
     Returns:
         ``a`` as a float ndarray.
 
     Raises:
-        ValueError: if ``a`` is not square or not symmetric within tol.
+        ValueError: if ``a`` is not square or not symmetric within 1e-12 per entry.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if np.max(np.abs(a - a.T)) > tol:
-        raise ValueError(f"matrix is not symmetric within {tol}")
+    if np.abs(a - a.T).max() > 1e-12:
+        raise ValueError("matrix is not symmetric within 1e-12")
     return a
 
 
@@ -106,13 +102,11 @@ def generalized_inverse(a):
 def is_psd(a, tol):
     """True iff the smallest eigenvalue of ``a`` is >= -tol * max(1, ||a||).
 
-    ``||a||`` is the spectral norm (largest absolute eigenvalue), which is
-    free here since the eigenvalues are computed anyway.
+    ``a`` must pass ``check_symmetric``, whose error it raises. ``||a||`` is the
+    spectral norm, max(-lambda_min, lambda_max), free from the eigenvalues.
     """
-    a = check_symmetric(a, tol=max(1e-12, tol))
-    eigs = np.linalg.eigvalsh(a)
-    scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-    return bool(eigs[0] >= -tol * scale)
+    eigs = np.linalg.eigvalsh(check_symmetric(a))
+    return bool(eigs[0] >= -tol * max(1.0, -eigs[0], eigs[-1]))
 
 
 def reduced_solve(xtx, sigma_gamma, sigma2, rhs):

@@ -21,11 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MAX_HEADWAY_S, ModelSpec, Observation, StimulusRegistry, TrainingSet, atomic_write_text,
-                    check_covariance, design, json_array, json_list, json_number, read_json)
+from .model import (MAX_BRT_S, MAX_HEADWAY_S, ModelSpec, Observation, StimulusRegistry, TrainingSet,
+                    atomic_write_text, check_covariance, design, json_array, json_list, json_number,
+                    read_json)
 from .numerics import is_psd  # the benchmark's tracer wraps it
 
 DEFAULT_STIMULI = ("traffic_signal", "lead_car_brake", "pedestrian_crossing")
+REDRAW_ROUNDS = 100  # of a response's noise, while the response exceeds MAX_BRT_S
 
 
 @dataclass(eq=False)
@@ -170,15 +172,16 @@ def generate(config):
     uniform over the configured range), then the driver's latent offsets
     ``gamma_d`` through the PSD square root of the population
     covariance, then the observation noise. Responses are
-    ``brt = exp(x'(beta + gamma_d) + eps)`` with ``eps ~ N(0, sigma2)``.
+    ``brt = exp(x'(beta + gamma_d) + eps)`` with ``eps ~ N(0, sigma2)``, truncated
+    at MAX_BRT_S: the noise of a response above it is drawn again, after all else.
 
     Returns:
         (training_set, truth) where truth maps driver_id to its drawn
         gamma vector.
 
     Raises:
-        ValueError: if a drawn response violates the observation sanity
-            bound (a sign the config's tails are unphysical).
+        ValueError: naming the driver and stimulus, if a response is still above
+            MAX_BRT_S after REDRAW_ROUNDS redraws (the config is unphysical).
     """
     spec = config.spec
     root = _psd_sqrt(config.sigma_gamma_true)
@@ -196,6 +199,15 @@ def generate(config):
         gamma = root @ _standard_normals(rng, spec.p)
         mean_log = design(spec, stimulus, headway) @ (config.beta_true + gamma)
         brt = np.exp(mean_log + sigma * _standard_normals(rng, stimulus.size))
+        for redraw in range(REDRAW_ROUNDS + 1):
+            over = (brt > MAX_BRT_S).nonzero()[0]
+            if not over.size:
+                break
+            if redraw == REDRAW_ROUNDS:
+                name = config.stimuli.names[stimulus[over[0]]]
+                raise ValueError(f"driver {driver_id!r}, stimulus {name!r}: response still exceeds "
+                                 f"{MAX_BRT_S} s after {REDRAW_ROUNDS} redraws of its noise")
+            brt[over] = np.exp(mean_log[over] + sigma * _standard_normals(rng, over.size))
         drivers[driver_id] = [Observation(driver_id, s, t, b)
                               for s, t, b in zip(stimulus.tolist(), headway.tolist(), brt.tolist())]
         truth[driver_id] = gamma

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from brakedist.model import build_design
+from brakedist.driver import DEFAULT_MAX_HISTORY, DriverMismatch, DriverState
+from brakedist.model import Observation, build_design, json_list, json_number
 from brakedist.numerics import spd_solve
 
 
@@ -72,3 +73,32 @@ def trust_step_oracle(g, H, radius):
         if curv[0] < 0 and abs(np.linalg.norm(z) - radius) > 1e-13 * radius:
             z[0] = -math.copysign(math.sqrt(max(radius**2 - z[1:] @ z[1:], 0.0)), coef[0])
     return basis @ z, -(coef @ z + 0.5 * curv @ z**2)
+
+
+def state_columns_oracle(doc, registry):
+    """A state file document's driver id, window and newest-window columns
+    (stimulus ids, headways, responses), read one record at a time as an
+    ``Observation``: the first bad record raises the error it raises there.
+    """
+    driver_id = doc["driver_id"]
+    if not isinstance(driver_id, str):
+        raise ValueError(f"driver_id must be a string, got {driver_id!r}")
+    max_history = DEFAULT_MAX_HISTORY
+    if "max_history" in doc:
+        max_history = json_number(doc, "max_history", integral=True)
+    DriverState(driver_id=driver_id, max_history=max_history)  # checks the window
+    rows = []
+    for i, rec in enumerate(json_list(doc, "observations") if "observations" in doc else []):
+        obs = Observation(
+            driver_id=rec["driver_id"],
+            stimulus=registry.id_of(rec["stimulus"]),
+            headway_s=json_number(doc, "observations", i, "headway_s"),
+            brt_s=json_number(doc, "observations", i, "brt_s"),
+        )
+        if obs.driver_id != driver_id:
+            raise DriverMismatch(f"observation for {obs.driver_id!r} added to state of {driver_id!r}")
+        rows.append(obs)
+    rows = rows[len(rows) - min(len(rows), max_history):]
+    return (driver_id, max_history, np.array([o.stimulus for o in rows], dtype=np.intp),
+            np.array([o.headway_s for o in rows], dtype=float),
+            np.array([o.brt_s for o in rows], dtype=float))

@@ -261,7 +261,8 @@ class TestUpdate:
         for event, message in [
             ("traffic_signal,-1.0,0.8", "headway_s must be positive, got -1.0"),
             ("mystery,1.0,0.8", "unknown stimulus name 'mystery'"),
-            ("traffic_signal,1.0", 'event must be "stimulus,headway,brt"'),
+            ("traffic_signal,1.0", '--event must be "stimulus,headway,brt"'),
+            ("traffic_signal,1.2,0.7,", '--event must be "stimulus,headway,brt"'),
             # Read with bare float(), these named neither the option nor the field.
             ("traffic_signal,abc,0.7", "--event headway must be a number, got 'abc'"),
             ("traffic_signal,1.2,0.7s", "--event brt must be a number, got '0.7s'"),
@@ -558,7 +559,7 @@ class TestPbrt:
             assert sorted(handmade_model_path.parent.iterdir()) == files
 
     @pytest.mark.parametrize("t_star, levels, message", [
-        ("1e5", "99.9", above_bound("headway_s", 1e5)),
+        ("1e5", "99.9", above_bound("--t-star", 1e5)),
         ("300", "10,99.9", "percentile at level 0.999 is too large for a float"),
     ], ids=["1e5-99.9", "300-10,99.9"])
     def test_overflowing_percentile_is_a_validation_error(self, handmade_model_path, capfd,
@@ -587,7 +588,24 @@ class TestPbrt:
         assert run(args) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error: {above_bound('headway_s', t_star)}"]
+        assert captured.err.splitlines() == [f"error: {above_bound('--t-star', t_star)}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_star", ["nan", "0", "-1.5"])
+    @pytest.mark.parametrize("command", ["pbrt", "curve"])
+    def test_nonpositive_t_star_names_the_option(self, tmp_path, handmade_model_path, capfd,
+                                                 command, t_star):
+        # These were refused as "headway_s must be positive", naming a field
+        # of no file or option the command was given.
+        out = tmp_path / "curve.csv"
+        args = [command, "--model", str(handmade_model_path), "--stimulus", "traffic_signal",
+                "--t-star", t_star]
+        if command == "curve":
+            args += ["--grid", "0.2,3.0,5", "--out", str(out)]
+        assert run(args) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --t-star must be positive, got {float(t_star)}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["option", "model"])
@@ -674,7 +692,7 @@ class TestCurve:
             ("0,3,100", out_of_range),
             ("3,1,100", out_of_range),
             ("0.5,3.0,1", out_of_range),
-            ("junk", 'grid must be "min,max,steps"'),
+            ("junk", '--grid must be "min,max,steps"'),
             ("0.2,inf,5", out_of_range),
             # Read with bare int() and float(), these named neither the option nor the field.
             ("0.2,3.0,2.5", "--grid steps must be an integer, got '2.5'"),

@@ -15,13 +15,14 @@ from brakedist.driver import (
     compute_blup,
     load_driver_state,
     state_from_dict,
+    state_text,
     state_to_dict,
 )
 from brakedist.model import (MAX_HEADWAY_S, ModelSpec, Observation, StimulusRegistry, TrainedModel,
                              build_design, design)
 from brakedist.numerics import NotPositiveDefinite, spd_solve
 
-from reference import henderson_oracle
+from reference import henderson_oracle, state_columns_oracle
 
 
 def scalar_model(sigma_gamma=1.0, sigma2=1.0, beta=0.0, beta_cov=0.0):
@@ -431,3 +432,101 @@ class TestStateFile:
         state = state_from_dict({"driver_id": "a", "observations": events}, registry)
         assert state.n == 500 and state.headway_s[0] == 4.0
         assert state.stimulus.dtype == np.intp and not state.stimulus.flags.writeable
+
+
+# Strings a state file must escape: quotes, backslashes, control characters
+# and text outside ASCII (json.dumps writes the last as \uXXXX escapes).
+AWKWARD_TEXT = st.one_of(
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", "日本", "\U0001f697", "a\"b\\c"]), st.text(max_size=8))
+# Headways in (0, MAX_HEADWAY_S] and responses in (0, 60], with the floats
+# whose repr is least like the usual: the smallest subnormal and 1e-05.
+EDGE_FLOATS = [5e-324, 1e-05, 1e-300, 0.1, 1.0 / 3.0]
+HEADWAYS = st.one_of(st.sampled_from(EDGE_FLOATS + [MAX_HEADWAY_S]),
+                     st.floats(0.0, MAX_HEADWAY_S, exclude_min=True))
+RESPONSES = st.one_of(st.sampled_from(EDGE_FLOATS + [60.0]), st.floats(0.0, 60.0, exclude_min=True))
+
+
+@st.composite
+def state_files(draw):
+    """(state, registry) with awkward names and n from 0 to past the window."""
+    names = draw(st.lists(AWKWARD_TEXT, min_size=1, max_size=3, unique=True))
+    registry = StimulusRegistry(names)
+    state = DriverState(driver_id=draw(AWKWARD_TEXT), max_history=draw(st.integers(1, 6)))
+    for _ in range(draw(st.integers(0, state.max_history + 3))):
+        add_observation(state, Observation(state.driver_id, draw(st.integers(0, len(names) - 1)),
+                                           draw(HEADWAYS), draw(RESPONSES)))
+    return state, registry
+
+
+def outcome(read, doc, registry):
+    """What ``read`` returns for ``doc``, as comparable columns, or its error."""
+    try:
+        result = read(doc, registry)
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, DriverState):
+        result = (result.driver_id, result.max_history, result.stimulus, result.headway_s, result.brt_s)
+    return tuple((c.dtype, c.tolist()) if isinstance(c, np.ndarray) else c for c in result)
+
+
+# One record's mutations; each is a bad record but for the in-domain int.
+MUTATIONS = {
+    "int": lambda rec: rec.update(headway_s=2),
+    "int-brt": lambda rec: rec.update(brt_s=1),
+    "int-out-of-domain": lambda rec: rec.update(brt_s=61),
+    "bool": lambda rec: rec.update(brt_s=True),
+    "nan": lambda rec: rec.update(headway_s=math.nan),
+    "infinity": lambda rec: rec.update(brt_s=math.inf),
+    "negative": lambda rec: rec.update(headway_s=-1.0),
+    "string-number": lambda rec: rec.update(headway_s="1.5"),
+    "null-number": lambda rec: rec.update(brt_s=None),
+    "unknown-name": lambda rec: rec.update(stimulus="no such stimulus"),
+    "list-name": lambda rec: rec.update(stimulus=["a"]),
+    "foreign-id": lambda rec: rec.update(driver_id="someone else"),
+    "number-id": lambda rec: rec.update(driver_id=7),
+    "missing-key": lambda rec: rec.pop("headway_s"),
+    "missing-name": lambda rec: rec.pop("stimulus"),
+}
+NOT_RECORDS = [None, 3, "record", ["driver_id", "stimulus"], []]
+
+
+class TestStateFileColumns:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=state_files())
+    def test_text_is_what_json_dumps_writes(self, case):
+        state, registry = case
+        doc = state_to_dict(state, registry)
+        text = state_text(doc)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert outcome(state_from_dict, json.loads(text), registry) == outcome(
+            state_columns_oracle, json.loads(text), registry)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=state_files(), data=st.data())
+    def test_one_bad_record_is_read_as_the_row_reader_reads_it(self, case, data):
+        state, registry = case
+        doc = json.loads(json.dumps(state_to_dict(state, registry)))
+        records = doc["observations"]
+        if records:
+            i = data.draw(st.integers(0, len(records) - 1))
+            mutation = data.draw(st.sampled_from(sorted(MUTATIONS) + ["not-a-record"]))
+            if mutation == "not-a-record":
+                records[i] = data.draw(st.sampled_from(NOT_RECORDS))
+            else:
+                MUTATIONS[mutation](records[i])
+        assert outcome(state_from_dict, doc, registry) == outcome(state_columns_oracle, doc, registry)
+
+    def test_every_mutation_is_refused_or_read_alike(self):
+        # Each mutation on its own, on the second of three records.
+        registry = StimulusRegistry(["a", "b"])
+        for mutation in [*MUTATIONS, *range(len(NOT_RECORDS))]:
+            doc = {"driver_id": "x", "max_history": 2, "observations": [
+                {"driver_id": "x", "stimulus": "ab"[i % 2], "headway_s": 1.5 + i, "brt_s": 0.5}
+                for i in range(3)]}
+            if isinstance(mutation, int):
+                doc["observations"][1] = NOT_RECORDS[mutation]
+            else:
+                MUTATIONS[mutation](doc["observations"][1])
+            got = outcome(state_from_dict, doc, registry)
+            assert got == outcome(state_columns_oracle, doc, registry), mutation
+            assert (type(got[0]) is type) == (mutation not in ("int", "int-brt")), mutation

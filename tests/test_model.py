@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from brakedist import model as model_mod
+from brakedist import numerics
 from brakedist.model import (
     MAX_DEGREE,
     MAX_HEADWAY_S,
@@ -101,6 +103,26 @@ class TestTypes:
         ]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 TrainedModel(**{**fields, field: value})
+
+    def test_each_covariance_is_checked_once(self, monkeypatch):
+        # check_covariance once ran check_symmetric itself and again inside
+        # is_psd; a model load now pays one symmetry check and one eigvalsh
+        # per matrix.
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (numerics, model_mod):
+            if hasattr(module, "check_symmetric"):
+                monkeypatch.setattr(module, "check_symmetric", counted("symmetric", module.check_symmetric))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        TrainedModel(spec=SPEC, stimuli=StimulusRegistry(["a", "b", "c"]), beta=np.zeros(9), sigma2=0.04,
+                     sigma_gamma=0.01 * np.eye(9), beta_cov=np.zeros((9, 9)))
+        assert calls == ["symmetric", "eigvalsh"] * 2
 
 
 class TestFeatureRow:

@@ -135,6 +135,14 @@ class TestIsPsd:
         assert is_psd(a, 1e-6)
         assert not is_psd(a, 1e-8)
 
+    def test_symmetry_is_checked_within_1e_12_whatever_the_tolerance(self):
+        # The symmetry check once took the eigenvalue tolerance when it was
+        # the larger, so only a caller's own earlier check held it to 1e-12.
+        a = np.eye(2)
+        a[0, 1] = 1e-9
+        with pytest.raises(ValueError, match="^matrix is not symmetric within 1e-12$"):
+            is_psd(a, 1e-8)
+
 
 class TestCheckSymmetric:
     def test_rejects_rectangular(self):

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import skew
 
-from brakedist.model import ModelSpec, StimulusRegistry, build_design
+from brakedist.model import MAX_BRT_S, ModelSpec, StimulusRegistry, build_design, design
 from brakedist.simgen import (
+    _driver_rng,
+    _psd_sqrt,
+    _standard_normals,
     SimConfig,
     config_from_dict,
     config_to_dict,
@@ -15,6 +18,18 @@ from brakedist.simgen import (
 )
 
 REG1 = StimulusRegistry(["traffic_signal"])
+
+
+def _first_draw_brt(cfg, d):
+    """Driver ``d``'s responses as first drawn, before any redraw: generate's
+    draws in generate's order, from the driver's own stream."""
+    rng = _driver_rng(cfg.seed, d)
+    stimulus = np.repeat(np.arange(cfg.spec.num_stimuli), cfg.obs_per_driver)
+    lo, hi = cfg.headway_range
+    headway = lo + (hi - lo) * rng.random(stimulus.size)
+    gamma = _psd_sqrt(cfg.sigma_gamma_true) @ _standard_normals(rng, cfg.spec.p)
+    mean_log = design(cfg.spec, stimulus, headway) @ (cfg.beta_true + gamma)
+    return np.exp(mean_log + math.sqrt(cfg.sigma2_true) * _standard_normals(rng, stimulus.size)).tolist()
 
 
 def small_config(**overrides):
@@ -173,11 +188,27 @@ class TestGenerate:
             assert np.array_equal(truth_small[small_key], truth_big[big_key])
 
     def test_unphysical_config_raises(self):
-        # Mean log response near the sanity bound: exp draws must trip the
-        # observation validator rather than silently emitting garbage.
+        # Mean log response at or above the sanity bound for long headways:
+        # redrawing the noise cannot bring such a response under 60 s, so the
+        # study is refused, naming where, rather than silently emitting garbage.
         cfg = small_config(beta_true=np.array([4.0, 0.1, 0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^driver 'driver_1', stimulus 'traffic_signal': response "
+                                             "still exceeds 60.0 s after 100 redraws of its noise$"):
             generate(cfg)
+
+    def test_a_response_past_the_bound_is_redrawn_alone(self):
+        # This study first draws one response of 74.87 s, which aborted it
+        # (and with it any benchmark run at seed 72). Each driver's stream is
+        # its own and the redraw comes after the driver's other draws, so
+        # every other response, here and in any study with no such draw, is
+        # the one first drawn.
+        cfg = dataclasses.replace(default_config(), num_drivers=400, seed=1072)
+        ts, _ = generate(cfg)
+        brt = np.array([o.brt_s for obs in ts.drivers.values() for o in obs])
+        assert brt.size == 12_000 and brt.max() <= MAX_BRT_S
+        drawn = np.concatenate([_first_draw_brt(cfg, d) for d in range(cfg.num_drivers)])
+        changed = (brt != drawn).nonzero()[0]
+        assert changed.size == 1 and drawn[changed[0]] > MAX_BRT_S
 
 
 class TestConfigDict:
