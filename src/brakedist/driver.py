@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MAX_BRT_S, MAX_HEADWAY_S, Observation, UnknownStimulus, design, json_list, json_number,
-                    read_json)
+from .model import MAX_BRT_S, MAX_HEADWAY_S, Observation, design, json_list, json_number, read_json
 from .model import build_design  # the benchmark's tracer wraps it
 from .numerics import NotPositiveDefinite, reduced_solve
 from .numerics import spd_solve  # the benchmark's tracer wraps it
@@ -189,8 +188,8 @@ def state_text(doc):
 
 
 def state_from_dict(doc, registry):
-    """The state a state file's document holds: its records gathered and checked
-    as columns, or where that fails read one by one, naming the first bad one."""
+    """The state a state file's document holds, its records read once each in file
+    order. The first bad record raises its refusal, naming the record."""
     driver_id = doc["driver_id"]
     if not isinstance(driver_id, str):
         raise ValueError(f"driver_id must be a string, got {driver_id!r}")
@@ -199,31 +198,29 @@ def state_from_dict(doc, registry):
         max_history = json_number(doc, "max_history", integral=True)
     state = DriverState(driver_id=driver_id, max_history=max_history)
     records = json_list(doc, "observations") if "observations" in doc else []
-    columns = _gather(records, driver_id, registry)
-    if columns is not None:
-        _keep_window(state, *columns)
-        return state
-    for i, rec in enumerate(records):  # the first bad record raises its error
-        add_observation(state, Observation(rec["driver_id"], registry.id_of(rec["stimulus"]),
-                                           json_number(doc, "observations", i, "headway_s"),
-                                           json_number(doc, "observations", i, "brt_s")))
+    rows = []
+    for i, rec in enumerate(records):
+        if type(rec) is not dict:
+            raise TypeError(f"observations[{i}] must be an object, got {rec!r}")
+        try:
+            owner, stimulus, headway_s = rec["driver_id"], registry.id_of(rec["stimulus"]), rec["headway_s"]
+            if type(headway_s) is not float:
+                headway_s = json_number(doc, "observations", i, "headway_s")
+            brt_s = rec["brt_s"]
+            if type(brt_s) is not float:
+                brt_s = json_number(doc, "observations", i, "brt_s")
+            if not (owner == driver_id and 0 < headway_s <= MAX_HEADWAY_S and 0 < brt_s <= MAX_BRT_S):
+                add_observation(state, Observation(owner, stimulus, headway_s, brt_s))  # raises its refusal
+        except KeyError as exc:
+            raise KeyError(f"observations[{i}].{exc.args[0]}") from None
+        except (TypeError, ValueError) as exc:
+            if str(exc).startswith(f"observations[{i}]."):  # json_number named the field
+                raise
+            raise type(exc)(f"observations[{i}]: {exc}") from None
+        rows.append((stimulus, headway_s, brt_s))
+    stimulus, headway_s, brt_s = zip(*rows) if rows else ((),) * 3
+    _keep_window(state, np.array(stimulus, dtype=np.intp), np.array(headway_s), np.array(brt_s))
     return state
-
-
-def _gather(records, driver_id, registry):
-    """The records' columns in one pass, or None unless each record is an object of
-    this driver with a known stimulus name and float headway and response in domain."""
-    try:
-        rows = [(r["driver_id"], r["stimulus"], r["headway_s"], r["brt_s"]) for r in records]
-        owners, names, headway_s, brt_s = zip(*rows) if rows else ((),) * 4
-        stimulus = np.fromiter(map(registry.id_of, names), np.intp, len(names))
-    except (KeyError, TypeError, UnknownStimulus):
-        return None
-    if owners.count(driver_id) < len(owners) or not set(map(type, headway_s + brt_s)) <= {float}:
-        return None
-    headway_s, brt_s = np.array(headway_s, dtype=float), np.array(brt_s, dtype=float)
-    in_domain = (headway_s > 0) & (headway_s <= MAX_HEADWAY_S) & (brt_s > 0) & (brt_s <= MAX_BRT_S)
-    return (stimulus, headway_s, brt_s) if in_domain.all() else None
 
 
 def load_driver_state(path, registry):

@@ -335,18 +335,22 @@ def atomic_write_text(path, text):
     through here.
 
     The temp file sits beside ``path`` under a fresh random name, with the
-    mode ``open(path, "w")`` gives; a failed write or rename removes it.
+    mode ``open(path, "w")`` gives; a failed write or rename removes it
+    and raises an OSError that names ``path``, not the temp file.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    target = Path(path)
+    tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def _field_name(path):
@@ -400,9 +404,7 @@ def _checked_list(doc, path, value, shape):
         raise ValueError(f"{_field_name(path)} must have {shape[0]} entries, got {len(value)}")
     if len(shape) > 1:
         return [_checked_list(doc, (*path, i), row, shape[1:]) for i, row in enumerate(value)]
-    if set(map(type, value)) <= {float}:  # every number a saved model holds
-        return value
-    return [json_number(doc, *path, i) for i in range(len(value))]
+    return [v if type(v) is float else json_number(doc, *path, i) for i, v in enumerate(value)]
 
 
 def read_json(path, from_dict, kind):

@@ -78,7 +78,8 @@ def trust_step_oracle(g, H, radius):
 def state_columns_oracle(doc, registry):
     """A state file document's driver id, window and newest-window columns
     (stimulus ids, headways, responses), read one record at a time as an
-    ``Observation``: the first bad record raises the error it raises there.
+    ``Observation``: the first bad record raises the error it raises there,
+    with the record's name, ``observations[i]``, in front of it.
     """
     driver_id = doc["driver_id"]
     if not isinstance(driver_id, str):
@@ -89,14 +90,27 @@ def state_columns_oracle(doc, registry):
     DriverState(driver_id=driver_id, max_history=max_history)  # checks the window
     rows = []
     for i, rec in enumerate(json_list(doc, "observations") if "observations" in doc else []):
-        obs = Observation(
-            driver_id=rec["driver_id"],
-            stimulus=registry.id_of(rec["stimulus"]),
-            headway_s=json_number(doc, "observations", i, "headway_s"),
-            brt_s=json_number(doc, "observations", i, "brt_s"),
-        )
-        if obs.driver_id != driver_id:
-            raise DriverMismatch(f"observation for {obs.driver_id!r} added to state of {driver_id!r}")
+        where = f"observations[{i}]"
+        if not isinstance(rec, dict):
+            raise TypeError(f"{where} must be an object, got {rec!r}")
+        for key in ("driver_id", "stimulus"):
+            if key not in rec:
+                raise KeyError(f"{where}.{key}")
+        try:
+            stimulus = registry.id_of(rec["stimulus"])
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+        numbers = []
+        for key in ("headway_s", "brt_s"):
+            if key not in rec:
+                raise KeyError(f"{where}.{key}")
+            numbers.append(json_number(doc, "observations", i, key))  # names the field itself
+        try:
+            obs = Observation(rec["driver_id"], stimulus, *numbers)
+            if obs.driver_id != driver_id:
+                raise DriverMismatch(f"observation for {obs.driver_id!r} added to state of {driver_id!r}")
+        except ValueError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
         rows.append(obs)
     rows = rows[len(rows) - min(len(rows), max_history):]
     return (driver_id, max_history, np.array([o.stimulus for o in rows], dtype=np.intp),

@@ -356,8 +356,46 @@ class TestUpdate:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "alice.json", "alice.json.tmp", "model.json"]
 
+    def test_write_error_names_the_given_path(self, tmp_path, handmade_model_path, capfd):
+        # The temp file's random name was reported instead, different on every run.
+        (tmp_path / "adir").mkdir()
+        state, out = tmp_path / "nodir" / "x.json", tmp_path / "adir"
+        for argv, path in [(["update", "--state", str(state), "--event", "traffic_signal,1.2,0.8"], state),
+                           (["curve", "--stimulus", "traffic_signal", "--grid", "0.2,3.0,5",
+                             "--out", str(out)], out)]:
+            errors = []
+            for _ in range(2):
+                assert run([argv[0], "--model", str(handmade_model_path), *argv[1:]]) == 2
+                captured = capfd.readouterr()
+                assert captured.out == ""
+                errors.append(captured.err)
+            assert errors[0] == errors[1]
+            assert repr(str(path)) in errors[0] and ".tmp" not in errors[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "model.json"]
+        assert list(out.iterdir()) == []
+
 
 class TestPbrt:
+    def test_integer_model_entries_read_as_their_floats(self, tmp_path, handmade_model_path, capfd):
+        # A hand-written 0 where a saved model holds 0.0 reads as the same number.
+        doc = json.loads(handmade_model_path.read_text())
+        doc["beta"][2] = 0.0
+        twins = {"float": doc, "int": json.loads(json.dumps(doc), parse_float=lambda text: (
+            int(float(text)) if float(text).is_integer() else float(text)))}
+        ints = twins["int"]
+        entries = ints["beta"][2], ints["sigma_gamma"][0][1], ints["beta_cov"][0][1]
+        assert {type(v) for v in entries} == {int}
+        state = tmp_path / "x.json"
+        state.write_text(json.dumps({"driver_id": "x", "observations": [EVENT]}))
+        outputs = []
+        for kind, twin in twins.items():
+            model = tmp_path / f"{kind}.json"
+            model.write_text(json.dumps(twin))
+            assert run(["pbrt", "--model", str(model), "--state", str(state), "--stimulus",
+                        "traffic_signal"]) == 0
+            outputs.append(capfd.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+
     def test_stateless_population_percentiles_exact(self, handmade_model_path, capsys):
         assert run(["pbrt", "--model", str(handmade_model_path),
                     "--stimulus", "traffic_signal"]) == 0
@@ -727,10 +765,13 @@ class TestMalformedJson:
          "observations must be a list, got 'abc'"),
         ("state", {"driver_id": "x", "observations": {"a": 1}},
          "observations must be a list, got {'a': 1}"),
+        # Python's own message named no record here.
+        ("state", {"driver_id": "x", "observations": [EVENT, 3, EVENT]},
+         "observations[1] must be an object, got 3"),
     ], ids=["model-list", "model-null-stimuli", "state-list", "state-int-observations",
             "state-null-headway", "config-list", "state-object-observations",
             "state-empty-string-observations", "state-string-observations",
-            "state-keyed-object-observations"])
+            "state-keyed-object-observations", "state-number-record"])
     def test_wrong_shape_is_a_validation_error(self, tmp_path, handmade_model_path, capfd,
                                                kind, doc, detail):
         # detail is None where the message is Python's own (a list indexed by a key).
@@ -796,10 +837,14 @@ class TestMalformedJson:
     @pytest.mark.parametrize("field, value, message", [
         ("headway_s", True, "observations[1].headway_s must be a number, got True"),
         ("brt_s", "0.8", "observations[1].brt_s must be a number, got '0.8'"),
-        ("stimulus", "mystery", "unknown stimulus name 'mystery'"),
-        ("brt_s", MISSING, "missing field 'brt_s'"),
-        ("headway_s", ABOVE_BOUND, above_bound("headway_s", ABOVE_BOUND)),
-    ], ids=["headway-bool", "brt-string", "unknown-stimulus", "brt-missing", "headway-above-bound"])
+        ("stimulus", "mystery", "observations[1]: unknown stimulus name 'mystery'"),
+        ("brt_s", MISSING, "missing field 'observations[1].brt_s'"),
+        ("headway_s", ABOVE_BOUND, "observations[1]: " + above_bound("headway_s", ABOVE_BOUND)),
+        ("headway_s", math.nan, "observations[1]: headway_s must be positive, got nan"),
+        ("driver_id", "someone else",
+         "observations[1]: observation for 'someone else' added to state of 'x'"),
+    ], ids=["headway-bool", "brt-string", "unknown-stimulus", "brt-missing", "headway-above-bound",
+            "headway-nan", "foreign-owner"])
     def test_bad_state_field_names_file_and_field(self, tmp_path, handmade_model_path, capfd,
                                                   field, value, message):
         # Read with bare float(), "headway_s": true was stored as 1.0.
@@ -812,6 +857,19 @@ class TestMalformedJson:
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: state file {state}: {message}"]
+
+    def test_first_bad_record_in_file_order_is_named(self, tmp_path, handmade_model_path, capfd):
+        # Record 1's refusal was reported without naming it; record 2 is bad too.
+        state = tmp_path / "x.json"
+        doc = {"driver_id": "x", "observations": [
+            EVENT, {**EVENT, "brt_s": math.inf}, {**EVENT, "headway_s": True}]}
+        state.write_text(json.dumps(doc))
+        assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
+                    "--stimulus", "traffic_signal"]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: state file {state}: observations[1]: brt_s must be positive and finite, got inf"]
 
     def test_non_string_driver_id_names_file(self, tmp_path, handmade_model_path, capfd):
         # A state file with "driver_id": 5 was accepted.

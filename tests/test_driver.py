@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -486,8 +487,15 @@ MUTATIONS = {
     "number-id": lambda rec: rec.update(driver_id=7),
     "missing-key": lambda rec: rec.pop("headway_s"),
     "missing-name": lambda rec: rec.pop("stimulus"),
+    "missing-brt": lambda rec: rec.pop("brt_s"),
 }
 NOT_RECORDS = [None, 3, "record", ["driver_id", "stimulus"], []]
+MISSING = object()  # a header value that deletes the field
+HEADER_MUTATIONS = {
+    "driver_id": [True, 0, 1.5, "someone else", MISSING],
+    "max_history": [True, 0, 1.5, "3", MISSING],
+    "observations": [{"driver_id": "x"}, "[]", None],
+}
 
 
 class TestStateFileColumns:
@@ -530,3 +538,43 @@ class TestStateFileColumns:
             got = outcome(state_from_dict, doc, registry)
             assert got == outcome(state_columns_oracle, doc, registry), mutation
             assert (type(got[0]) is type) == (mutation not in ("int", "int-brt")), mutation
+            assert type(got[0]) is not type or "observations[1]" in got[1], mutation
+
+    def test_every_pair_of_mutations_in_one_record_is_read_alike(self):
+        # One record's fields are read in a fixed order, driver_id, stimulus, headway_s and
+        # brt_s, then the headway and response domains are checked, then the owner.
+        registry = StimulusRegistry(["a", "b"])
+        for first, second in itertools.permutations(MUTATIONS, 2):
+            doc = {"driver_id": "x", "observations": [
+                {"driver_id": "x", "stimulus": "ab"[i % 2], "headway_s": 1.5 + i, "brt_s": 0.5}
+                for i in range(3)]}
+            MUTATIONS[first](doc["observations"][1])
+            MUTATIONS[second](doc["observations"][1])
+            got = outcome(state_from_dict, doc, registry)
+            assert got == outcome(state_columns_oracle, doc, registry), (first, second)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=state_files(), data=st.data())
+    def test_bad_records_and_header_are_read_as_the_row_reader_reads_them(self, case, data):
+        # Two or three records with one or two mutations each, and/or header fields.
+        state, registry = case
+        doc = json.loads(json.dumps(state_to_dict(state, registry)))
+        records = doc["observations"]
+        mutate_records = data.draw(st.booleans()) and len(records) >= 2
+        if mutate_records:
+            for i in data.draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=3,
+                                        unique=True)):
+                if data.draw(st.booleans()):
+                    for mutation in data.draw(st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1,
+                                                       max_size=2, unique=True)):
+                        MUTATIONS[mutation](records[i])
+                else:
+                    records[i] = data.draw(st.sampled_from(NOT_RECORDS))
+        fields = st.sampled_from(sorted(HEADER_MUTATIONS))
+        for field in data.draw(st.lists(fields, min_size=0 if mutate_records else 1, unique=True)):
+            value = data.draw(st.sampled_from(HEADER_MUTATIONS[field]))
+            if value is MISSING:
+                doc.pop(field)
+            else:
+                doc[field] = value
+        assert outcome(state_from_dict, doc, registry) == outcome(state_columns_oracle, doc, registry)
