@@ -193,33 +193,31 @@ def state_from_dict(doc, registry):
     driver_id = doc["driver_id"]
     if not isinstance(driver_id, str):
         raise ValueError(f"driver_id must be a string, got {driver_id!r}")
-    max_history = DEFAULT_MAX_HISTORY
-    if "max_history" in doc:
-        max_history = json_number(doc, "max_history", integral=True)
-    state = DriverState(driver_id=driver_id, max_history=max_history)
-    records = json_list(doc, "observations") if "observations" in doc else []
-    rows = []
-    for i, rec in enumerate(records):
-        if type(rec) is not dict:
-            raise TypeError(f"observations[{i}] must be an object, got {rec!r}")
-        try:
-            owner, stimulus, headway_s = rec["driver_id"], registry.id_of(rec["stimulus"]), rec["headway_s"]
-            if type(headway_s) is not float:
-                headway_s = json_number(doc, "observations", i, "headway_s")
-            brt_s = rec["brt_s"]
-            if type(brt_s) is not float:
-                brt_s = json_number(doc, "observations", i, "brt_s")
-            if not (owner == driver_id and 0 < headway_s <= MAX_HEADWAY_S and 0 < brt_s <= MAX_BRT_S):
-                add_observation(state, Observation(owner, stimulus, headway_s, brt_s))  # raises its refusal
+    state = DriverState(driver_id, json_number(doc, "max_history", integral=True) if "max_history" in doc
+                        else DEFAULT_MAX_HISTORY)
+    id_of, stimulus, headway_s, brt_s = registry.id_of, [], [], []
+    for i, rec in enumerate(json_list(doc, "observations") if "observations" in doc else []):
+        try:  # the KeyError clause names a field missing from any read below
+            try:
+                owner, s, t = rec["driver_id"], id_of(rec["stimulus"]), rec["headway_s"]
+            except (TypeError, ValueError) as exc:  # not an object, or an unhashable or unknown stimulus name
+                if type(rec) is not dict:
+                    raise TypeError(f"observations[{i}] must be an object, got {rec!r}") from None
+                raise type(exc)(f"observations[{i}]: {exc}") from None
+            b = rec.get("brt_s")
+            if type(t) is not float or type(b) is not float:  # json_number reads an integer, refuses the rest
+                t, b = (json_number(doc, "observations", i, key) for key in ("headway_s", "brt_s"))
         except KeyError as exc:
             raise KeyError(f"observations[{i}].{exc.args[0]}") from None
-        except (TypeError, ValueError) as exc:
-            if str(exc).startswith(f"observations[{i}]."):  # json_number named the field
-                raise
-            raise type(exc)(f"observations[{i}]: {exc}") from None
-        rows.append((stimulus, headway_s, brt_s))
-    stimulus, headway_s, brt_s = zip(*rows) if rows else ((),) * 3
-    _keep_window(state, np.array(stimulus, dtype=np.intp), np.array(headway_s), np.array(brt_s))
+        if not (owner == driver_id and 0 < t <= MAX_HEADWAY_S and 0 < b <= MAX_BRT_S):
+            try:
+                add_observation(DriverState(driver_id), Observation(owner, s, t, b))  # raises its refusal
+            except ValueError as exc:
+                raise type(exc)(f"observations[{i}]: {exc}") from None
+        stimulus.append(s)
+        headway_s.append(t)
+        brt_s.append(b)
+    _keep_window(state, np.fromiter(stimulus, np.intp), np.fromiter(headway_s, float), np.fromiter(brt_s, float))
     return state
 
 

@@ -335,8 +335,8 @@ def atomic_write_text(path, text):
     through here.
 
     The temp file sits beside ``path`` under a fresh random name, with the
-    mode ``open(path, "w")`` gives; a failed write or rename removes it
-    and raises an OSError that names ``path``, not the temp file.
+    mode ``open(path, "w")`` gives; a failed write or rename removes it and
+    raises its OSError, naming ``path`` (not the temp file) if it has an errno.
     """
     target = Path(path)
     tmp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
@@ -350,6 +350,8 @@ def atomic_write_text(path, text):
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
+        if exc.errno is None:
+            raise
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 

@@ -330,7 +330,7 @@ class TestUpdate:
         assert np.array_equal(recomputed.pred_err_cov, expected.pred_err_cov)
 
     def test_atomic_write_keeps_old_state_on_failure(self, tmp_path, handmade_model_path,
-                                                     monkeypatch):
+                                                     monkeypatch, capfd):
         state = tmp_path / "carol.json"
         run(["update", "--model", str(handmade_model_path), "--state", str(state),
              "--event", "traffic_signal,1.2,0.8"])
@@ -343,6 +343,7 @@ class TestUpdate:
         code = run(["update", "--model", str(handmade_model_path), "--state", str(state),
                     "--event", "traffic_signal,2.0,0.9"])
         assert code == 2
+        assert "injected failure before rename" in capfd.readouterr().err  # an errno-less OSError keeps its text
         assert state.read_bytes() == before  # never a torn file
         assert sorted(p.name for p in tmp_path.iterdir()) == ["carol.json", "model.json"]
 
