@@ -7,6 +7,7 @@ still written). Data goes to stdout, diagnostics to stderr.
 
 import argparse
 import functools
+import json
 import math
 import sys
 from pathlib import Path
@@ -84,7 +85,7 @@ def cmd_update(args):
     obs = driver_mod.Observation(state.driver_id, stim_id, headway, brt)
     driver_mod.add_observation(state, obs)
     blup = driver_mod.compute_blup(state, model)
-    _atomic_write_text(args.state, driver_mod.state_text(driver_mod.state_to_dict(state, model.stimuli)))
+    _atomic_write_text(args.state, json.dumps(driver_mod.state_to_dict(state, model.stimuli)) + "\n")
     norm = float(np.linalg.norm(blup.gamma_hat))
     print(f"n={state.n} gamma_norm={norm!r}")
     return EXIT_OK

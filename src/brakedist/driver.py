@@ -19,12 +19,12 @@ Every query rebuilds X'X from the windowed history: no running sums and
 no prediction are kept, so ``compute_blup`` only reads the state.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAX_BRT_S, MAX_HEADWAY_S, Observation, design, json_list, json_number, read_json
+from .model import (MAX_BRT_S, MAX_HEADWAY_S, Observation, UnknownStimulus, check_brt, check_headway, design,
+                    field_name, json_list, json_number, read_json)
 from .model import build_design  # the benchmark's tracer wraps it
 from .numerics import NotPositiveDefinite, reduced_solve
 from .numerics import spd_solve  # the benchmark's tracer wraps it
@@ -160,65 +160,61 @@ def compute_blup(state, model):
     return BlupResult(gamma_hat=gamma_hat, pred_err_cov=pred_err)
 
 
+_DOMAINS = {"headway_s": (MAX_HEADWAY_S, check_headway), "brt_s": (MAX_BRT_S, check_brt)}  # (0, bound]
+_COLUMNS = ("stimulus", *_DOMAINS)  # a state file's window, oldest event first
+
+
 def state_to_dict(state, registry):
-    """JSON-ready dict for a driver state file."""
-    events = zip(state.stimulus.tolist(), state.headway_s.tolist(), state.brt_s.tolist())
-    return {
-        "driver_id": state.driver_id,
-        "max_history": state.max_history,
-        "observations": [{"driver_id": state.driver_id, "stimulus": registry.name_of(s),
-                          "headway_s": t, "brt_s": b} for s, t, b in events],
-    }
-
-
-# A state file's record, as json.dumps(..., indent=2) lays out state_to_dict's.
-_RECORD = ('    {\n      "driver_id": %s,\n      "stimulus": %s,\n'
-           '      "headway_s": %r,\n      "brt_s": %r\n    }')
-
-
-def state_text(doc):
-    """``json.dumps(doc, indent=2) + "\\n"`` for a ``state_to_dict`` document, byte for byte,
-    without the pure-Python encoder ``indent`` selects: strings via json.dumps, numbers via repr."""
-    records = doc["observations"]
-    quoted = {s: json.dumps(s) for s in {r["driver_id"] for r in records} | {r["stimulus"] for r in records}}
-    body = ",\n".join([_RECORD % (quoted[r["driver_id"]], quoted[r["stimulus"]], r["headway_s"], r["brt_s"])
-                       for r in records])
-    return '{\n  "driver_id": %s,\n  "max_history": %r,\n  "observations": %s\n}\n' % (
-        json.dumps(doc["driver_id"]), doc["max_history"], f"[\n{body}\n  ]" if records else "[]")
+    """JSON-ready dict for a driver state file: the header and the window's columns."""
+    return {"driver_id": state.driver_id, "max_history": state.max_history,
+            "stimulus": list(map(registry.name_of, state.stimulus.tolist())),
+            "headway_s": state.headway_s.tolist(), "brt_s": state.brt_s.tolist()}
 
 
 def state_from_dict(doc, registry):
-    """The state a state file's document holds, its records read once each in file
-    order. The first bad record raises its refusal, naming the record."""
+    """The state a state file's document holds, from its columns or the older layout's records. A refusal names
+    the entry; header, shape and owners, stimulus, headway_s, brt_s go in that order, type before domain."""
     driver_id = doc["driver_id"]
     if not isinstance(driver_id, str):
         raise ValueError(f"driver_id must be a string, got {driver_id!r}")
     state = DriverState(driver_id, json_number(doc, "max_history", integral=True) if "max_history" in doc
                         else DEFAULT_MAX_HISTORY)
-    id_of, stimulus, headway_s, brt_s = registry.id_of, [], [], []
-    for i, rec in enumerate(json_list(doc, "observations") if "observations" in doc else []):
-        try:  # the KeyError clause names a field missing from any read below
-            try:
-                owner, s, t = rec["driver_id"], id_of(rec["stimulus"]), rec["headway_s"]
-            except (TypeError, ValueError) as exc:  # not an object, or an unhashable or unknown stimulus name
-                if type(rec) is not dict:
-                    raise TypeError(f"observations[{i}] must be an object, got {rec!r}") from None
-                raise type(exc)(f"observations[{i}]: {exc}") from None
-            b = rec.get("brt_s")
-            if type(t) is not float or type(b) is not float:  # json_number reads an integer, refuses the rest
-                t, b = (json_number(doc, "observations", i, key) for key in ("headway_s", "brt_s"))
-        except KeyError as exc:
-            raise KeyError(f"observations[{i}].{exc.args[0]}") from None
-        if not (owner == driver_id and 0 < t <= MAX_HEADWAY_S and 0 < b <= MAX_BRT_S):
-            try:
-                add_observation(DriverState(driver_id), Observation(owner, s, t, b))  # raises its refusal
-            except ValueError as exc:
-                raise type(exc)(f"observations[{i}]: {exc}") from None
-        stimulus.append(s)
-        headway_s.append(t)
-        brt_s.append(b)
-    _keep_window(state, np.fromiter(stimulus, np.intp), np.fromiter(headway_s, float), np.fromiter(brt_s, float))
+    if "observations" in doc:
+        if doc.keys() & _COLUMNS:
+            raise ValueError("a state file holds observations or stimulus, headway_s and brt_s, not both")
+        (names, *numbers), path = _record_columns(doc, driver_id), lambda key, i: ("observations", i, key)
+    else:
+        names, *numbers = columns = [json_list(doc, key) if doc.keys() & _COLUMNS else [] for key in _COLUMNS]
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"stimulus, headway_s and brt_s must have equal lengths, got {[*map(len, columns)]}")
+        path = lambda key, i: (key, i)
+    for i, name in enumerate(names):
+        if type(name) is not str:
+            raise ValueError(f"{field_name(path('stimulus', i))} must be a string, got {name!r}")
+        if name not in registry.names:
+            raise UnknownStimulus(f"{field_name(path('stimulus', i))}: unknown stimulus name {name!r}")
+    for j, (key, (bound, check)) in enumerate(_DOMAINS.items()):
+        numbers[j] = column = np.array([v if type(v) is float else json_number(doc, *path(key, i))
+                                        for i, v in enumerate(numbers[j])], float)
+        for i in np.flatnonzero(~((column > 0) & (column <= bound))):
+            check(column[i], field_name(path(key, int(i))))  # raises at the first entry out of the domain
+    _keep_window(state, np.array(list(map(registry.id_of, names)), np.intp), *numbers)
     return state
+
+
+def _record_columns(doc, driver_id):
+    """The older layout's records as the three columns, each record's shape and owner checked in order."""
+    records = json_list(doc, "observations")
+    for i, rec in enumerate(records):
+        if type(rec) is not dict:
+            raise TypeError(f"observations[{i}] must be an object, got {rec!r}")
+        for key in ("driver_id", *_COLUMNS):
+            if key not in rec:
+                raise KeyError(f"observations[{i}].{key}")
+        if rec["driver_id"] != driver_id:
+            raise DriverMismatch(f"observations[{i}]: observation for {rec['driver_id']!r} "
+                                 f"added to state of {driver_id!r}")
+    return [[rec[key] for rec in records] for key in _COLUMNS]
 
 
 def load_driver_state(path, registry):

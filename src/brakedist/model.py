@@ -94,11 +94,7 @@ class Observation:
             raise ValueError(f"stimulus id must be a nonnegative integer, got {self.stimulus!r}")
         object.__setattr__(self, "stimulus", int(self.stimulus))
         object.__setattr__(self, "headway_s", check_headway(self.headway_s))
-        object.__setattr__(self, "brt_s", float(self.brt_s))
-        if not np.isfinite(self.brt_s) or self.brt_s <= 0:
-            raise ValueError(f"brt_s must be positive and finite, got {self.brt_s}")
-        if self.brt_s > MAX_BRT_S:
-            raise ValueError(f"brt_s {self.brt_s} exceeds sanity bound {MAX_BRT_S}")
+        object.__setattr__(self, "brt_s", check_brt(self.brt_s))
 
 
 @dataclass(frozen=True)
@@ -216,6 +212,16 @@ def check_headway(headway_s, name="headway_s"):
     if not headway_s <= MAX_HEADWAY_S:
         raise ValueError(f"{name} {headway_s} exceeds the headway bound {MAX_HEADWAY_S}")
     return headway_s
+
+
+def check_brt(brt_s, name="brt_s"):
+    """``brt_s`` as a float if it lies in (0, MAX_BRT_S], else a ValueError naming ``name``."""
+    brt_s = float(brt_s)
+    if not 0 < brt_s < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {brt_s}")
+    if brt_s > MAX_BRT_S:
+        raise ValueError(f"{name} {brt_s} exceeds sanity bound {MAX_BRT_S}")
+    return brt_s
 
 
 def feature_row(spec, stimulus, headway_s):
@@ -355,7 +361,7 @@ def atomic_write_text(path, text):
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
-def _field_name(path):
+def field_name(path):
     """A field's path as messages name it, e.g. ``observations[3].headway_s``."""
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).removeprefix(".")
 
@@ -370,13 +376,13 @@ def json_number(doc, *path, integral=False):
         value = value[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         error = TypeError if value is None or isinstance(value, (list, dict)) else ValueError
-        raise error(f"{_field_name(path)} must be a number, got {value!r}")
+        raise error(f"{field_name(path)} must be a number, got {value!r}")
     if integral and not (isinstance(value, int) or value.is_integer()):
-        raise ValueError(f"{_field_name(path)} must be an integer, got {value!r}")
+        raise ValueError(f"{field_name(path)} must be an integer, got {value!r}")
     try:
         return int(value) if integral else float(value)
     except OverflowError:
-        raise ValueError(f"{_field_name(path)} must be finite") from None
+        raise ValueError(f"{field_name(path)} must be finite") from None
 
 
 def json_array(doc, *path, shape):
@@ -395,15 +401,15 @@ def json_list(doc, *path):
     for key in path:
         value = value[key]
     if type(value) is not list:
-        raise TypeError(f"{_field_name(path)} must be a list, got {value!r}")
+        raise TypeError(f"{field_name(path)} must be a list, got {value!r}")
     return value
 
 
 def _checked_list(doc, path, value, shape):
     if type(value) is not list:
-        raise TypeError(f"{_field_name(path)} must be a list, got {value!r}")
+        raise TypeError(f"{field_name(path)} must be a list, got {value!r}")
     if len(value) != shape[0]:
-        raise ValueError(f"{_field_name(path)} must have {shape[0]} entries, got {len(value)}")
+        raise ValueError(f"{field_name(path)} must have {shape[0]} entries, got {len(value)}")
     if len(shape) > 1:
         return [_checked_list(doc, (*path, i), row, shape[1:]) for i, row in enumerate(value)]
     return [v if type(v) is float else json_number(doc, *path, i) for i, v in enumerate(value)]

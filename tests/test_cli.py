@@ -251,10 +251,12 @@ class TestUpdate:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("n=1 gamma_norm=")
-        doc = json.loads(state.read_text())
-        assert doc["driver_id"] == "alice"
-        assert len(doc["observations"]) == 1
-        assert "cached" not in doc  # predictions are recomputed, never persisted
+        # The header and the window's three columns, as json.dumps writes them.
+        text = state.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc) + "\n"
+        assert doc == {"driver_id": "alice", "max_history": 500, "stimulus": ["traffic_signal"],
+                       "headway_s": [1.2], "brt_s": [0.8]}  # no prediction: it is recomputed
 
     def test_validation_errors(self, tmp_path, handmade_model_path, capfd):
         state = tmp_path / "s.json"
@@ -292,7 +294,7 @@ class TestUpdate:
         state = tmp_path / "s.json"
         assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
                     "--event", f"traffic_signal,{MAX_HEADWAY_S!r},0.9"]) == 0
-        assert json.loads(state.read_text())["observations"][0]["headway_s"] == MAX_HEADWAY_S
+        assert json.loads(state.read_text())["headway_s"] == [MAX_HEADWAY_S]
         assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
                     "--stimulus", "traffic_signal"]) == 0
         out = capsys.readouterr().out
@@ -374,6 +376,30 @@ class TestUpdate:
             assert repr(str(path)) in errors[0] and ".tmp" not in errors[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "model.json"]
         assert list(out.iterdir()) == []
+
+    def test_record_file_is_served_as_its_column_twin_and_rewritten(self, tmp_path, handmade_model_path,
+                                                                     capfd):
+        # The older record layout is still read: pbrt and curve print and write the same
+        # bytes as for its column twin, and the next update rewrites it in the column layout.
+        model = str(handmade_model_path)
+        events = [("traffic_signal", 1.2, 0.8), ("lead_car_brake", 2.5, 1.1), ("traffic_signal", 0.9, 0.7)]
+        columns = {"driver_id": "x", "max_history": 500, "stimulus": [e[0] for e in events],
+                   "headway_s": [e[1] for e in events], "brt_s": [e[2] for e in events]}
+        records = {"driver_id": "x", "max_history": 500, "observations": [
+            {"driver_id": "x", "stimulus": s, "headway_s": t, "brt_s": b} for s, t, b in events]}
+        outputs = {}
+        for layout, doc in [("columns", columns), ("records", records)]:
+            state, curve = tmp_path / f"{layout}.json", tmp_path / f"{layout}.csv"
+            state.write_text(json.dumps(doc, indent=2))
+            assert run(["pbrt", "--model", model, "--state", str(state), "--stimulus", "lead_car_brake"]) == 0
+            assert run(["curve", "--model", model, "--state", str(state), "--stimulus", "lead_car_brake",
+                        "--grid", "0.2,3.0,50", "--out", str(curve)]) == 0
+            assert run(["update", "--model", model, "--state", str(state),
+                        "--event", "lead_car_brake,1.7,0.9"]) == 0
+            outputs[layout] = capfd.readouterr(), curve.read_bytes(), state.read_bytes()
+        assert outputs["records"] == outputs["columns"]
+        assert outputs["columns"][0].err == ""
+        assert json.loads(outputs["records"][2])["stimulus"] == [e[0] for e in events] + ["lead_car_brake"]
 
 
 class TestPbrt:
@@ -747,6 +773,8 @@ class TestCurve:
 
 
 EVENT = {"driver_id": "x", "stimulus": "traffic_signal", "headway_s": 1.2, "brt_s": 0.8}
+# Two good events of driver "x" in the column layout.
+COLUMNS = {"driver_id": "x", "stimulus": ["traffic_signal"] * 2, "headway_s": [1.2] * 2, "brt_s": [0.8] * 2}
 
 
 class TestMalformedJson:
@@ -769,10 +797,14 @@ class TestMalformedJson:
         # Python's own message named no record here.
         ("state", {"driver_id": "x", "observations": [EVENT, 3, EVENT]},
          "observations[1] must be an object, got 3"),
+        ("state", {**COLUMNS, "headway_s": 5}, "headway_s must be a list, got 5"),
+        ("state", {**COLUMNS, "stimulus": {"a": 1}}, "stimulus must be a list, got {'a': 1}"),
+        ("state", {**COLUMNS, "brt_s": [0.8, None]}, "brt_s[1] must be a number, got None"),
     ], ids=["model-list", "model-null-stimuli", "state-list", "state-int-observations",
             "state-null-headway", "config-list", "state-object-observations",
             "state-empty-string-observations", "state-string-observations",
-            "state-keyed-object-observations", "state-number-record"])
+            "state-keyed-object-observations", "state-number-record", "state-int-column",
+            "state-object-column", "state-null-response"])
     def test_wrong_shape_is_a_validation_error(self, tmp_path, handmade_model_path, capfd,
                                                kind, doc, detail):
         # detail is None where the message is Python's own (a list indexed by a key).
@@ -838,10 +870,10 @@ class TestMalformedJson:
     @pytest.mark.parametrize("field, value, message", [
         ("headway_s", True, "observations[1].headway_s must be a number, got True"),
         ("brt_s", "0.8", "observations[1].brt_s must be a number, got '0.8'"),
-        ("stimulus", "mystery", "observations[1]: unknown stimulus name 'mystery'"),
+        ("stimulus", "mystery", "observations[1].stimulus: unknown stimulus name 'mystery'"),
         ("brt_s", MISSING, "missing field 'observations[1].brt_s'"),
-        ("headway_s", ABOVE_BOUND, "observations[1]: " + above_bound("headway_s", ABOVE_BOUND)),
-        ("headway_s", math.nan, "observations[1]: headway_s must be positive, got nan"),
+        ("headway_s", ABOVE_BOUND, above_bound("observations[1].headway_s", ABOVE_BOUND)),
+        ("headway_s", math.nan, "observations[1].headway_s must be positive, got nan"),
         ("driver_id", "someone else",
          "observations[1]: observation for 'someone else' added to state of 'x'"),
     ], ids=["headway-bool", "brt-string", "unknown-stimulus", "brt-missing", "headway-above-bound",
@@ -860,17 +892,75 @@ class TestMalformedJson:
         assert captured.err.splitlines() == [f"error: state file {state}: {message}"]
 
     def test_first_bad_record_in_file_order_is_named(self, tmp_path, handmade_model_path, capfd):
-        # Record 1's refusal was reported without naming it; record 2 is bad too.
+        # Record 1's refusal was reported without naming it; record 2 is bad too. In one
+        # column, out-of-domain values are refused at the lowest index.
         state = tmp_path / "x.json"
         doc = {"driver_id": "x", "observations": [
-            EVENT, {**EVENT, "brt_s": math.inf}, {**EVENT, "headway_s": True}]}
+            EVENT, {**EVENT, "brt_s": math.inf}, {**EVENT, "brt_s": -1.0}]}
         state.write_text(json.dumps(doc))
         assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
                     "--stimulus", "traffic_signal"]) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: state file {state}: observations[1]: brt_s must be positive and finite, got inf"]
+            f"error: state file {state}: observations[1].brt_s must be positive and finite, got inf"]
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("headway_s", True, "headway_s[1] must be a number, got True"),
+        ("brt_s", "0.8", "brt_s[1] must be a number, got '0.8'"),
+        ("stimulus", "mystery", "stimulus[1]: unknown stimulus name 'mystery'"),
+        ("brt_s", MISSING, "stimulus, headway_s and brt_s must have equal lengths, got [2, 2, 1]"),
+        ("headway_s", ABOVE_BOUND, above_bound("headway_s[1]", ABOVE_BOUND)),
+        ("headway_s", math.nan, "headway_s[1] must be positive, got nan"),
+        ("brt_s", 61.0, "brt_s[1] 61.0 exceeds sanity bound 60.0"),
+    ], ids=["headway-bool", "brt-string", "unknown-stimulus", "brt-short", "headway-above-bound",
+            "headway-nan", "brt-above-bound"])
+    def test_bad_state_entry_names_file_and_entry(self, tmp_path, handmade_model_path, capfd,
+                                                  column, value, message):
+        # The column layout names the entry by its column and index.
+        state = tmp_path / "x.json"
+        doc = json.loads(json.dumps(COLUMNS))
+        if value is MISSING:
+            del doc[column][1]
+        else:
+            doc[column][1] = value
+        state.write_text(json.dumps(doc))
+        assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
+                    "--stimulus", "traffic_signal"]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: state file {state}: {message}"]
+
+    @pytest.mark.parametrize("layout", ["columns", "records"])
+    @pytest.mark.parametrize("name", [["a"], 5, None, True, {}], ids=["list", "number", "null", "bool", "object"])
+    def test_stimulus_name_that_is_not_a_string_is_named(self, tmp_path, handmade_model_path, capfd,
+                                                         layout, name):
+        # ["a"] was refused with Python's "unhashable type: 'list'", and 5 as an unknown name.
+        state = tmp_path / "x.json"
+        if layout == "columns":
+            doc, where = {**COLUMNS, "stimulus": ["traffic_signal", name]}, "stimulus[1]"
+        else:
+            doc = {"driver_id": "x", "observations": [EVENT, {**EVENT, "stimulus": name}]}
+            where = "observations[1].stimulus"
+        state.write_text(json.dumps(doc))
+        assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
+                    "--event", "traffic_signal,1.2,0.8"]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: state file {state}: {where} must be a string, got {name!r}"]
+        assert json.loads(state.read_text()) == doc
+
+    def test_both_layouts_in_one_file_are_refused(self, tmp_path, handmade_model_path, capfd):
+        state = tmp_path / "x.json"
+        state.write_text(json.dumps({**COLUMNS, "observations": [EVENT]}))
+        assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
+                    "--stimulus", "traffic_signal"]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: state file {state}: a state file holds observations or stimulus, headway_s and brt_s, "
+            "not both"]
 
     def test_non_string_driver_id_names_file(self, tmp_path, handmade_model_path, capfd):
         # A state file with "driver_id": 5 was accepted.

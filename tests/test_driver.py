@@ -16,7 +16,6 @@ from brakedist.driver import (
     compute_blup,
     load_driver_state,
     state_from_dict,
-    state_text,
     state_to_dict,
 )
 from brakedist.model import (MAX_HEADWAY_S, ModelSpec, Observation, StimulusRegistry, TrainedModel,
@@ -471,6 +470,7 @@ def outcome(read, doc, registry):
 
 
 # One record's mutations; each is a bad record but for the in-domain int.
+# ``mutate`` applies them to an entry of the column layout too.
 MUTATIONS = {
     "int": lambda rec: rec.update(headway_s=2),
     "int-brt": lambda rec: rec.update(brt_s=1),
@@ -483,98 +483,209 @@ MUTATIONS = {
     "null-number": lambda rec: rec.update(brt_s=None),
     "unknown-name": lambda rec: rec.update(stimulus="no such stimulus"),
     "list-name": lambda rec: rec.update(stimulus=["a"]),
+    "number-name": lambda rec: rec.update(stimulus=5),
+    "null-name": lambda rec: rec.update(stimulus=None),
     "foreign-id": lambda rec: rec.update(driver_id="someone else"),
     "number-id": lambda rec: rec.update(driver_id=7),
-    "missing-key": lambda rec: rec.pop("headway_s"),
-    "missing-name": lambda rec: rec.pop("stimulus"),
-    "missing-brt": lambda rec: rec.pop("brt_s"),
+    "missing-key": lambda rec: rec.pop("headway_s", None),
+    "missing-name": lambda rec: rec.pop("stimulus", None),
+    "missing-brt": lambda rec: rec.pop("brt_s", None),
 }
+# The column layout has no owner per entry: these read as written there.
+OWNER_MUTATIONS = ("foreign-id", "number-id")
 NOT_RECORDS = [None, 3, "record", ["driver_id", "stimulus"], []]
+COLUMNS = ("stimulus", "headway_s", "brt_s")
+LAYOUTS = ("columns", "records")
 MISSING = object()  # a header value that deletes the field
 HEADER_MUTATIONS = {
     "driver_id": [True, 0, 1.5, "someone else", MISSING],
     "max_history": [True, 0, 1.5, "3", MISSING],
-    "observations": [{"driver_id": "x"}, "[]", None],
+    "observations": [{"driver_id": "x"}, "[]", None, []],
+    "stimulus": [None, "ab", {}, MISSING],
+    "headway_s": [5, [], MISSING],
+    "brt_s": [None, MISSING],
 }
+
+
+def as_records(doc):
+    """A column-layout state document in the older record layout."""
+    records = [{"driver_id": doc["driver_id"], "stimulus": s, "headway_s": t, "brt_s": b}
+               for s, t, b in zip(*(doc[key] for key in COLUMNS))]
+    header = {key: doc[key] for key in ("driver_id", "max_history") if key in doc}
+    return {**header, "observations": records}
+
+
+def in_layout(doc, layout):
+    """A column-layout state document ``doc`` as ``layout`` lays it out."""
+    return as_records(doc) if layout == "records" else doc
+
+
+def mutate(doc, i, mutation):
+    """Apply a record mutation to event i of a state document in either layout.
+
+    In the column layout a changed field lands in its column, a removed one
+    drops the entry from its column, and a record that is not an object
+    stands in for the whole ``headway_s`` column. A column that is no
+    longer a list, or too short, keeps what it holds.
+    """
+    if "observations" in doc:
+        if isinstance(mutation, int):
+            doc["observations"][i] = NOT_RECORDS[mutation]
+        else:
+            MUTATIONS[mutation](doc["observations"][i])
+    elif isinstance(mutation, int):
+        doc["headway_s"] = NOT_RECORDS[mutation]
+    else:
+        held = [key for key in COLUMNS if isinstance(doc[key], list) and i < len(doc[key])]
+        rec = {"driver_id": doc["driver_id"], **{key: doc[key][i] for key in held}}
+        MUTATIONS[mutation](rec)
+        for key in held:
+            if key in rec:
+                doc[key][i] = rec[key]
+            else:
+                del doc[key][i]
+
+
+def three_events(**header):
+    """A column-layout document of three good events for registry ["a", "b"]."""
+    return {"driver_id": "x", **header, "stimulus": ["a", "b", "a"], "headway_s": [1.5, 2.5, 3.5],
+            "brt_s": [0.5, 0.5, 0.5]}
 
 
 class TestStateFileColumns:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=state_files())
     def test_text_is_what_json_dumps_writes(self, case):
+        # update writes json.dumps of state_to_dict's document and a newline:
+        # the header and three lists, which decode and encode to the same text.
         state, registry = case
-        doc = state_to_dict(state, registry)
-        text = state_text(doc)
-        assert text == json.dumps(doc, indent=2) + "\n"
-        assert outcome(state_from_dict, json.loads(text), registry) == outcome(
-            state_columns_oracle, json.loads(text), registry)
+        text = json.dumps(state_to_dict(state, registry)) + "\n"
+        doc = json.loads(text)
+        assert text == json.dumps(doc) + "\n"
+        assert list(doc) == ["driver_id", "max_history", *COLUMNS]
+        assert outcome(state_from_dict, doc, registry) == outcome(state_columns_oracle, doc, registry)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=state_files(), data=st.data())
+    def test_round_trip_keeps_the_columns_bit_for_bit(self, case, data):
+        # State to text to state, with eviction on the way in and, for a
+        # hand-edited window, max_history below the file's event count.
+        state, registry = case
+        doc = json.loads(json.dumps(state_to_dict(state, registry)))
+        doc["max_history"] = window = data.draw(st.integers(1, state.max_history))
+        loaded = state_from_dict(doc, registry)
+        assert (loaded.driver_id, loaded.max_history) == (state.driver_id, window)
+        for got, want in zip((loaded.stimulus, loaded.headway_s, loaded.brt_s),
+                             (state.stimulus, state.headway_s, state.brt_s)):
+            assert got.dtype == want.dtype and got.tobytes() == want[len(want) - min(len(want), window):].tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=state_files(), data=st.data())
+    def test_record_file_reads_as_its_column_twin(self, case, data):
+        # The older layout is gathered into the same columns: the same state,
+        # and for one bad value the same refusal but for the entry's name.
+        state, registry = case
+        doc = json.loads(json.dumps(state_to_dict(state, registry)))
+        records = as_records(doc)
+        if state.n and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, state.n - 1))
+            values = [m for m in MUTATIONS if m not in OWNER_MUTATIONS and not m.startswith("missing")]
+            mutation = data.draw(st.sampled_from(values))
+            mutate(doc, i, mutation)
+            mutate(records, i, mutation)
+        got, want = outcome(state_from_dict, records, registry), outcome(state_from_dict, doc, registry)
+        if type(want[0]) is type:
+            assert got[0] is want[0]
+        else:
+            assert got == want
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=state_files(), data=st.data())
     def test_one_bad_record_is_read_as_the_row_reader_reads_it(self, case, data):
         state, registry = case
-        doc = json.loads(json.dumps(state_to_dict(state, registry)))
-        records = doc["observations"]
-        if records:
-            i = data.draw(st.integers(0, len(records) - 1))
-            mutation = data.draw(st.sampled_from(sorted(MUTATIONS) + ["not-a-record"]))
-            if mutation == "not-a-record":
-                records[i] = data.draw(st.sampled_from(NOT_RECORDS))
-            else:
-                MUTATIONS[mutation](records[i])
+        doc = in_layout(json.loads(json.dumps(state_to_dict(state, registry))), data.draw(st.sampled_from(LAYOUTS)))
+        if state.n:
+            mutation = data.draw(st.sampled_from([*sorted(MUTATIONS), *range(len(NOT_RECORDS))]))
+            mutate(doc, data.draw(st.integers(0, state.n - 1)), mutation)
         assert outcome(state_from_dict, doc, registry) == outcome(state_columns_oracle, doc, registry)
 
     def test_every_mutation_is_refused_or_read_alike(self):
-        # Each mutation on its own, on the second of three records.
+        # Each mutation on its own, on the second of three events, named in
+        # each layout's own terms.
         registry = StimulusRegistry(["a", "b"])
-        for mutation in [*MUTATIONS, *range(len(NOT_RECORDS))]:
-            doc = {"driver_id": "x", "max_history": 2, "observations": [
-                {"driver_id": "x", "stimulus": "ab"[i % 2], "headway_s": 1.5 + i, "brt_s": 0.5}
-                for i in range(3)]}
-            if isinstance(mutation, int):
-                doc["observations"][1] = NOT_RECORDS[mutation]
-            else:
-                MUTATIONS[mutation](doc["observations"][1])
-            got = outcome(state_from_dict, doc, registry)
-            assert got == outcome(state_columns_oracle, doc, registry), mutation
-            assert (type(got[0]) is type) == (mutation not in ("int", "int-brt")), mutation
-            assert type(got[0]) is not type or "observations[1]" in got[1], mutation
+        for layout in LAYOUTS:
+            for mutation in [*MUTATIONS, *range(len(NOT_RECORDS))]:
+                doc = in_layout(three_events(max_history=2), layout)
+                mutate(doc, 1, mutation)
+                got = outcome(state_from_dict, doc, registry)
+                assert got == outcome(state_columns_oracle, doc, registry), (layout, mutation)
+                read = ["int", "int-brt"] + (list(OWNER_MUTATIONS) if layout == "columns" else [])
+                assert (type(got[0]) is type) == (mutation not in read), (layout, mutation)
+                if layout == "records" and type(got[0]) is type:
+                    assert "observations[1]" in got[1], mutation
+                if layout == "columns" and mutation not in read and mutation in MUTATIONS:
+                    assert ("[1]" in got[1]) == (not mutation.startswith("missing")), mutation
 
     def test_every_pair_of_mutations_in_one_record_is_read_alike(self):
-        # One record's fields are read in a fixed order, driver_id, stimulus, headway_s and
-        # brt_s, then the headway and response domains are checked, then the owner.
+        # One event's fields are checked in a fixed order: shape and owner,
+        # then stimulus, then headway_s's type and domain, then brt_s's.
         registry = StimulusRegistry(["a", "b"])
-        for first, second in itertools.permutations(MUTATIONS, 2):
-            doc = {"driver_id": "x", "observations": [
-                {"driver_id": "x", "stimulus": "ab"[i % 2], "headway_s": 1.5 + i, "brt_s": 0.5}
-                for i in range(3)]}
-            MUTATIONS[first](doc["observations"][1])
-            MUTATIONS[second](doc["observations"][1])
-            got = outcome(state_from_dict, doc, registry)
-            assert got == outcome(state_columns_oracle, doc, registry), (first, second)
+        for layout in LAYOUTS:
+            for first, second in itertools.permutations(MUTATIONS, 2):
+                doc = in_layout(three_events(), layout)
+                mutate(doc, 1, first)
+                mutate(doc, 1, second)
+                got = outcome(state_from_dict, doc, registry)
+                assert got == outcome(state_columns_oracle, doc, registry), (layout, first, second)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("events, column_message, record_message", [
+        # Headway before response, even at a higher index.
+        ({1: "infinity", 0: "negative"}, "headway_s[0] must be positive, got -1.0",
+         "observations[0].headway_s must be positive, got -1.0"),
+        ({0: "infinity", 2: "nan"}, "headway_s[2] must be positive, got nan",
+         "observations[2].headway_s must be positive, got nan"),
+        # In one column, a non-number before an out-of-domain value.
+        ({0: "nan", 2: "string-number"}, "headway_s[2] must be a number, got '1.5'",
+         "observations[2].headway_s must be a number, got '1.5'"),
+        # Each at its lowest index.
+        ({2: "infinity", 1: "int-out-of-domain"}, "brt_s[1] 61.0 exceeds sanity bound 60.0",
+         "observations[1].brt_s 61.0 exceeds sanity bound 60.0"),
+        # Stimulus names before numbers, read in order.
+        ({0: "nan", 2: "list-name", 1: "unknown-name"},
+         "stimulus[1]: unknown stimulus name 'no such stimulus'",
+         "observations[1].stimulus: unknown stimulus name 'no such stimulus'"),
+    ], ids=["columns-in-order", "headway-any-index", "type-before-domain", "lowest-index",
+            "stimulus-first"])
+    def test_refusal_order(self, layout, events, column_message, record_message):
+        registry = StimulusRegistry(["a", "b"])
+        doc = in_layout(three_events(), layout)
+        for i, mutation in events.items():
+            mutate(doc, i, mutation)
+        got = outcome(state_from_dict, doc, registry)
+        assert got == outcome(state_columns_oracle, doc, registry)
+        assert got[1] == (column_message if layout == "columns" else record_message)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=state_files(), data=st.data())
     def test_bad_records_and_header_are_read_as_the_row_reader_reads_them(self, case, data):
-        # Two or three records with one or two mutations each, and/or header fields.
+        # Two or three events with one or two mutations each, and/or header fields.
         state, registry = case
-        doc = json.loads(json.dumps(state_to_dict(state, registry)))
-        records = doc["observations"]
-        mutate_records = data.draw(st.booleans()) and len(records) >= 2
-        if mutate_records:
-            for i in data.draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=3,
-                                        unique=True)):
+        doc = in_layout(json.loads(json.dumps(state_to_dict(state, registry))), data.draw(st.sampled_from(LAYOUTS)))
+        mutate_events = data.draw(st.booleans()) and state.n >= 2
+        if mutate_events:
+            for i in data.draw(st.lists(st.integers(0, state.n - 1), min_size=2, max_size=3, unique=True)):
                 if data.draw(st.booleans()):
                     for mutation in data.draw(st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1,
                                                        max_size=2, unique=True)):
-                        MUTATIONS[mutation](records[i])
+                        mutate(doc, i, mutation)
                 else:
-                    records[i] = data.draw(st.sampled_from(NOT_RECORDS))
+                    mutate(doc, i, data.draw(st.integers(0, len(NOT_RECORDS) - 1)))
         fields = st.sampled_from(sorted(HEADER_MUTATIONS))
-        for field in data.draw(st.lists(fields, min_size=0 if mutate_records else 1, unique=True)):
+        for field in data.draw(st.lists(fields, min_size=0 if mutate_events else 1, unique=True)):
             value = data.draw(st.sampled_from(HEADER_MUTATIONS[field]))
             if value is MISSING:
-                doc.pop(field)
+                doc.pop(field, None)
             else:
                 doc[field] = value
         assert outcome(state_from_dict, doc, registry) == outcome(state_columns_oracle, doc, registry)
