@@ -10,8 +10,7 @@ together with the prediction-error covariance of
 (beta_hat + gamma_hat) - (beta + gamma), which feeds the conservative
 variance downstream. The push-through identity V^-1 X = X M^-1,
 M = sigma2 I + Sigma_gamma X'X, gives X' V^-1 [X | r] and M^-T by one p x p
-solve (``reduced_solve``), so no n x n matrix is formed; training evaluates
-its likelihood with the same solve, batched over drivers. It also makes the
+solve (``reduced_solve``), so no n x n matrix is formed. It also makes the
 prediction-error covariance a sum of PSD terms, sigma2 Sigma_gamma M^-T +
 A beta_cov A' with A = I - Sigma_gamma X' V^-1 X, so nothing cancels and
 nothing is clipped.

@@ -114,7 +114,9 @@ def reduced_solve(xtx, sigma_gamma, sigma2, rhs):
 
     Batched over leading axes of ``xtx`` and ``rhs``. With rhs = [X'X | X'r]
     the solution is [X' V^-1 X | X' V^-1 r]. M's eigenvalues are >= sigma2
-    and it needs no factor of Sigma_gamma, which may be singular.
+    and it needs no factor of Sigma_gamma, which may be singular. It is
+    serving's kernel (``driver.compute_blup``); training factors its own
+    per-driver systems (``training._PreparedDesigns``).
 
     Raises:
         NotPositiveDefinite: if M is singular or the solution not finite.

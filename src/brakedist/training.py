@@ -4,9 +4,10 @@ The marginal covariance of one driver's log responses is
 ``V_d = sigma2 * (I + X_d @ Lambda @ X_d.T)`` with ``Lambda = Sigma_gamma /
 sigma2``, block diagonal across drivers, so the Gaussian likelihood
 factors per driver and the full n x n covariance is never materialized:
-each evaluation solves the same p x p push-through system as serving
-(``numerics.reduced_solve``), for all drivers at once, and takes log det V_d
-from Sylvester's determinant identity (``_PreparedDesigns``). For a fixed
+each driver's [X_d | y_d] is reduced once to its (p + 1) x (p + 1) QR
+factor, and each evaluation factors one p x p matrix per driver by
+Cholesky, for all drivers at once, which gives log det V_d, the GLS cross
+products and r'V^-1 r as a sum of squares (``_PreparedDesigns``). For a fixed
 Lambda, beta has the closed-form GLS solution (``gls_beta`` over
 ``marginal_cov`` blocks is its dense reference) and sigma2 the closed form
 r'(V / sigma2)^-1 r / N, so the search runs over Lambda alone, on lme4's
@@ -16,8 +17,8 @@ stored in logs: theta holds the factor's entries on a boolean mask
 (``chol_mask``). The search is trust-region Newton on the deviance's
 analytic gradient and Hessian, built only at the points it accepts, from
 Lambda = diag(X'X / N)^-1; the search's own solve at the point it ends on
-also gives beta, sigma2 and beta's covariance. The deviance and
-the start need only each driver's X'X, X'y and y'y. Everything outside
+also gives beta, sigma2 and beta's covariance. The deviance needs only
+each driver's QR factor, and the start only diag(X'X). Everything outside
 the search takes the variance parameters as the model stores them,
 (sigma2, Sigma_gamma): ``log_likelihood`` evaluates the same kernel there.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design,
                     check_covariance, json_array, json_list, json_number, read_json)
-from .numerics import NotPositiveDefinite, generalized_inverse, reduced_solve, spd_solve
+from .numerics import NotPositiveDefinite, generalized_inverse, spd_solve
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -114,36 +115,38 @@ def _factor(theta, free):
 
 
 class _PreparedDesigns:
-    """Per-driver sufficient statistics for fast likelihood evaluation.
+    """Each driver's design, compressed once for fast likelihood evaluation.
 
-    The cross products X'X, X'y, y'y per driver do not depend on the
-    variance parameters, so they are formed once, from each driver's row
-    span of one design over all rows in ``ts.drivers`` order. Each likelihood
-    evaluation then solves the serving path's batched p x p push-through
-    system (``numerics.reduced_solve``) at sigma2 = 1, M = I_p + Lambda X'X,
-    whose eigenvalues are >= 1, and uses Sylvester's determinant identity
-    and (V / sigma2)^-1 = I - X Lambda X' (V / sigma2)^-1:
+    [X_d | y_d] = Q_d R_d, with Q_d's columns orthonormal and R_d = [[R_x, r_y],
+    [0, rho_d]] upper triangular, (p + 1) x (p + 1); zero rows pad it for a
+    driver with n_d <= p events, whose rho_d is then 0 (Golub & Van Loan,
+    Matrix Computations, 4th ed., sec. 5.3). The QR runs batched over the
+    drivers that share an event count, from one design over all rows in
+    ``ts.drivers`` order. With T_d = I + R_x Lambda R_x' = C_d C_d' and
+    [Z_x | z_y] = C_d^-1 [R_x | r_y],
 
-        M^-T [X'X | X'y] = X' (V / sigma2)^-1 [X | y],
-        log det (V / sigma2) = log det M,
-        r' (V / sigma2)^-1 r = r'r - (X'r)' Lambda X' (V / sigma2)^-1 r,
+        X' (V / sigma2)^-1 [X | y] = Z_x' [Z_x | z_y],
+        log det (V / sigma2) = log det T = 2 sum log diag C,
+        r' (V / sigma2)^-1 r = |z_y - Z_x beta|^2 + rho^2,
 
-    which keeps the cost independent of the per-driver observation
-    counts and never materializes any n x n matrix.
+    so the cost is independent of the event counts, no n x n matrix is
+    formed, and the quadratic form is a sum of squares that cannot cancel
+    (lme4's penalized residual sum of squares; Bates et al. 2015, sec. 3).
     """
 
     def __init__(self, ts):
-        X, y = build_design(ts.spec, [o for obs in ts.drivers.values() for o in obs])
-        cuts = np.cumsum([len(obs) for obs in ts.drivers.values()])[:-1]
-        spans = list(zip(np.split(X, cuts), np.split(y, cuts)))
-        self.xtx = np.stack([X_d.T @ X_d for X_d, _ in spans])
-        self.xty = np.stack([X_d.T @ y_d for X_d, y_d in spans])
-        self.yty = np.array([float(y_d @ y_d) for _, y_d in spans])
-        self.xtxy = np.concatenate([self.xtx, self.xty[:, :, None]], axis=2)
-        self.total_n = X.shape[0]
+        xy = np.column_stack(build_design(ts.spec, [o for obs in ts.drivers.values() for o in obs]))
+        counts = np.array([len(obs) for obs in ts.drivers.values()])
+        starts, p, self.total_n = np.cumsum(counts) - counts, xy.shape[1] - 1, xy.shape[0]
+        self.r = np.zeros((counts.size, p + 1, p + 1))
+        for n in np.unique(counts):
+            group = np.flatnonzero(counts == n)
+            self.r[group, : min(n, p + 1)] = np.linalg.qr(xy[starts[group, None] + np.arange(n)], mode="r")
+        self.mean_square = np.einsum("ij,ij->j", xy[:, :p], xy[:, :p]) / self.total_n  # diag(X'X / N)
 
     def solve(self, lam):
-        """The GLS fit at Lambda = Sigma_gamma / sigma2, by one batched solve.
+        """The GLS fit at Lambda = Sigma_gamma / sigma2, by one batched
+        Cholesky factorization of the T_d and one forward substitution.
 
         Returns (logdet, q, beta, info, cov, u, P): sum_d log det (V_d / sigma2),
         q = sum_d r_d' (V_d / sigma2)^-1 r_d at the GLS beta, beta, info =
@@ -152,24 +155,28 @@ class _PreparedDesigns:
         blocks P_d.
 
         Raises:
-            NotPositiveDefinite: if a reduced system is numerically singular.
+            NotPositiveDefinite: if a T_d fails to factor or its factor is not finite.
         """
-        p = self.xtx.shape[-1]
-        m, W = reduced_solve(self.xtx, lam, 1.0, self.xtxy)
-        sign, logdet_m = np.linalg.slogdet(m)
-        if np.any(sign <= 0):
-            raise NotPositiveDefinite("reduced covariance system is numerically singular")
-        info = W[:, :, :p].sum(axis=0)
+        p = self.r.shape[-1] - 1
+        z = self.r[:, :p].copy()  # [R_x | r_y], overwritten by C^-1 [R_x | r_y]
+        try:
+            c = np.linalg.cholesky(z[:, :, :p] @ lam @ z[:, :, :p].swapaxes(1, 2) + np.eye(p))
+            if not np.all(np.isfinite(c)):
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("a reduced covariance system is singular or not finite") from None
+        for i in range(p):
+            z[:, i] = (z[:, i] - np.einsum("dk,dkj->dj", c[:, i, :i], z[:, :i])) / c[:, i, i, None]
+        zx, zy = z[:, :, :p], z[:, :, p]
+        P = zx.swapaxes(1, 2) @ zx
+        info = P.sum(axis=0)
         info = 0.5 * (info + info.T)
         cov = generalized_inverse(info)
-        beta = cov @ W[:, :, p].sum(axis=0)
-
-        # Residual quadratic form from exact residual cross products.
-        xtr = self.xty - self.xtx @ beta
-        rtr = self.yty - 2.0 * self.xty @ beta + (self.xtx @ beta) @ beta
-        u = W[:, :, p] - W[:, :, :p] @ beta
-        q = float(np.sum(rtr - np.einsum("di,di->d", xtr @ lam, u)))
-        return float(np.sum(logdet_m)), q, beta, info, cov, u, W[:, :, :p]
+        beta = cov @ np.einsum("dij,di->j", zx, zy)
+        w = zy - zx @ beta
+        logdet = 2.0 * float(np.sum(np.log(np.diagonal(c, axis1=1, axis2=2))))
+        q = float(np.sum(w * w) + np.sum(self.r[:, p, p] ** 2))
+        return logdet, q, beta, info, cov, np.einsum("dij,di->dj", zx, w), P
 
     def deviance(self, theta, free):
         """-loglik at the closed-form sigma2 = q / N, and the point it was
@@ -178,7 +185,7 @@ class _PreparedDesigns:
         entries on the mask ``free`` of Lambda's Cholesky factor L
         (diagonal in logs). (inf, None) where theta is infeasible.
 
-        The deviance is (N log 2pi + N log(q / N) + sum_d log det M_d + N) / 2.
+        The deviance is (N log 2pi + N log(q / N) + sum_d log det T_d + N) / 2.
         """
         if np.max(np.abs(theta)) > _PARAM_BOUND:
             return np.inf, None
@@ -188,7 +195,7 @@ class _PreparedDesigns:
         except NotPositiveDefinite:
             return np.inf, None
         logdet, q, *_ = solved
-        if not q > 0:  # cancelled to nothing, far from the optimum
+        if not q > 0:  # every residual fitted exactly
             return np.inf, None
         n = self.total_n
         return 0.5 * (n * (LOG2PI + math.log(q / n) + 1.0) + logdet), (L, solved)
@@ -199,7 +206,7 @@ class _PreparedDesigns:
 
         beta and sigma2 sit at their optima, so the gradient in Lambda is
         G = (info - (N / q) sum_d u_d u_d') / 2 (Pinheiro & Bates 1996). Along
-        symmetric E and F, dq[E] = -sum_d u_d' E u_d, d2 sum_d log det M_d[E, F]
+        symmetric E and F, dq[E] = -sum_d u_d' E u_d, d2 sum_d log det T_d[E, F]
         = -sum_d tr(P_d E P_d F) and d2q[E, F] = 2 sum_d u_d' E P_d F u_d
         - 2 b_E' info^- b_F, b_E = sum_d P_d E u_d. Theta moves Lambda = L L'
         along E_a = A_a L' + L A_a', A_a = dL / dtheta_a, adding G : d2Lambda.
@@ -395,8 +402,7 @@ def fit(ts, opts=None):
         accepted = latest[1]
         return prepared.derivatives(accepted, free)
 
-    mean_square = prepared.xtx.sum(axis=0).diagonal() / prepared.total_n
-    log_scale = -0.5 * np.log(mean_square, out=np.zeros(p), where=mean_square > 0)
+    log_scale = -0.5 * np.log(prepared.mean_square, out=np.zeros(p), where=prepared.mean_square > 0)
     theta = np.clip(np.diag(log_scale)[free], -_PARAM_BOUND, _PARAM_BOUND)
     _, neg_loglik, iterations, _, converged = nelder_mead(deviance, theta, opts.max_iter,
                                                           derivatives=derivatives)
