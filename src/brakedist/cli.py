@@ -17,7 +17,7 @@ import numpy as np
 from . import driver as driver_mod
 from . import pbrt as pbrt_mod
 from . import simgen, training
-from .model import ModelSpec, TrainingSet, check_headway, read_observations_csv, write_observations_csv
+from .model import check_headway, parse_number, read_observations_csv, write_observations_csv
 from .model import atomic_write_text as _atomic_write_text
 
 EXIT_OK = 0
@@ -34,20 +34,14 @@ def cmd_simulate(args):
     if args.seed is not None:
         config.seed = args.seed
     ts, truth = simgen.generate(config)
-    observations = [o for obs in ts.drivers.values() for o in obs]
-    write_observations_csv(args.out, observations, config.stimuli)
+    write_observations_csv(args.out, ts)
     simgen.write_ground_truth(truth, Path(args.out).with_suffix(".truth.json"))
-    print(f"rows={len(observations)}")
+    print(f"rows={ts.num_observations}")
     return EXIT_OK
 
 
 def cmd_train(args):
-    registry, observations = read_observations_csv(args.data)
-    ts = TrainingSet.from_observations(
-        spec=ModelSpec(num_stimuli=len(registry), degree=args.degree),
-        stimuli=registry,
-        observations=observations,
-    )
+    ts = read_observations_csv(args.data, args.degree)
     model = training.fit(ts, training.FitOptions(block_diagonal=args.block_diagonal))
     training.save_model(model, args.out)
     info = model.fit_info
@@ -55,11 +49,12 @@ def cmd_train(args):
     return EXIT_OK if info.converged else EXIT_NO_CONVERGENCE
 
 
-def _parse(option, field, text, kind=float, noun="a number"):
-    """``kind(text)``, or a ValueError naming ``option``, ``field`` and ``text``."""
+def _parse(option, field, text, integral=False):
+    """``parse_number(text, integral)``, or a ValueError naming ``option``, ``field`` and ``text``."""
     try:
-        return kind(text)
+        return parse_number(text, integral)
     except ValueError:
+        noun = "an integer" if integral else "a number"
         raise ValueError(f"{option} {field} must be {noun}, got {text!r}") from None
 
 
@@ -124,7 +119,7 @@ def cmd_curve(args):
     if len(parts) != 3:
         raise ValueError('--grid must be "min,max,steps"')
     lo, hi = _parse("--grid", "min", parts[0]), _parse("--grid", "max", parts[1])
-    steps = _parse("--grid", "steps", parts[2], int, "an integer")
+    steps = _parse("--grid", "steps", parts[2], integral=True)
     if not 0 < lo < hi < math.inf or steps < 2:
         raise ValueError("grid needs 0 < min < max < inf and steps >= 2")
     grid = np.linspace(lo, hi, steps)

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,30 +162,75 @@ class TrainedModel:
 
 @dataclass(eq=False)
 class TrainingSet:
-    """Multi-driver observation pool used to fit the population model."""
+    """Multi-driver study used to fit the population model, held as columns.
+
+    ``driver_ids`` lists the drivers in order of first appearance and
+    ``counts`` their event counts; the event columns ``stimulus`` (ids),
+    ``headway_s`` and ``brt_s`` hold each driver's rows in turn, in input
+    order. ``drivers`` derives a dict of ``Observation`` lists from them on
+    each read, for the benchmark and the tests; nothing that simulates,
+    reads or fits a study reads it. A driver with no events is refused, and
+    so is the first event with a stimulus id, headway or response outside
+    its domain, with ``feature_row``'s or ``check_brt``'s error.
+    """
 
     spec: ModelSpec
     stimuli: StimulusRegistry
-    drivers: dict
+    driver_ids: tuple
+    counts: np.ndarray
+    stimulus: np.ndarray
+    headway_s: np.ndarray
+    brt_s: np.ndarray
 
     def __post_init__(self):
-        if not self.drivers:
+        self.driver_ids, self.counts = tuple(self.driver_ids), np.asarray(self.counts, np.intp)
+        self.stimulus, self.headway_s = np.asarray(self.stimulus, np.intp), np.asarray(self.headway_s, float)
+        self.brt_s = np.asarray(self.brt_s, float)
+        if not self.driver_ids:
             raise ValueError("training set has no drivers")
-        for driver_id, obs in self.drivers.items():
-            if not obs:
-                raise ValueError(f"driver {driver_id!r} has no observations")
+        sizes = {self.counts.sum(), self.stimulus.size, self.headway_s.size, self.brt_s.size}
+        if len(self.driver_ids) != self.counts.size or len(sizes) > 1:
+            raise ValueError("driver ids, counts and event columns disagree in length")
+        for i in np.flatnonzero(self.counts < 1)[:1]:
+            raise ValueError(f"driver {self.driver_ids[i]!r} has no observations")
+        bad = (self.stimulus < 0) | (self.stimulus >= self.spec.num_stimuli)
+        for i in np.flatnonzero(bad | _outside_domain(self.headway_s, self.brt_s))[:1]:
+            feature_row(self.spec, int(self.stimulus[i]), self.headway_s[i])  # raises for the id or headway
+            check_brt(self.brt_s[i])
+
+    @classmethod
+    def from_rows(cls, spec, stimuli, driver_id, stimulus, headway_s, brt_s):
+        """A training set from per-event columns in any order, ``driver_id``
+        naming each event's driver: the events are grouped by driver in
+        order of first appearance, each driver's kept in input order."""
+        index = {}
+        driver = np.fromiter((index.setdefault(d, len(index)) for d in driver_id), np.intp, len(driver_id))
+        order = np.argsort(driver, kind="stable")
+        return cls(spec, stimuli, tuple(index), np.bincount(driver, minlength=len(index)),
+                   np.asarray(stimulus, np.intp)[order], np.asarray(headway_s, float)[order],
+                   np.asarray(brt_s, float)[order])
 
     @classmethod
     def from_observations(cls, spec, stimuli, observations):
         """Group a flat observation list by driver, preserving order."""
-        drivers = {}
-        for o in observations:
-            drivers.setdefault(o.driver_id, []).append(o)
-        return cls(spec=spec, stimuli=stimuli, drivers=drivers)
+        keys = ("driver_id", "stimulus", "headway_s", "brt_s")
+        return cls.from_rows(spec, stimuli, *([getattr(o, key) for o in observations] for key in keys))
+
+    @property
+    def drivers(self):
+        columns = self.stimulus.tolist(), self.headway_s.tolist(), self.brt_s.tolist()
+        ends = np.cumsum(self.counts).tolist()
+        return {d: [Observation(d, *row) for row in zip(*(c[end - n : end] for c in columns))]
+                for d, n, end in zip(self.driver_ids, self.counts.tolist(), ends)}
 
     @property
     def num_observations(self):
-        return sum(len(v) for v in self.drivers.values())
+        return self.brt_s.size
+
+
+def _outside_domain(headway_s, brt_s):
+    """Mask of the events whose headway ``check_headway`` or response ``check_brt`` refuses."""
+    return ~((headway_s > 0) & (headway_s <= MAX_HEADWAY_S) & (brt_s > 0) & (brt_s <= MAX_BRT_S))
 
 
 def check_covariance(name, a, p, tol):
@@ -273,23 +319,23 @@ def build_design(spec, observations):
     return design(spec, stimulus, headway), np.log(brt)
 
 
-def read_observations_csv(path):
-    """Read observation rows from a CSV file in one pass.
+def read_observations_csv(path, degree=2):
+    """Read an observation CSV into a ``TrainingSet`` of polynomial degree ``degree``.
 
     The header must be ``driver_id,stimulus,headway_s,brt_s`` and the
     stimulus column carries names; the registry lists them in order of
-    first appearance.
-
-    Returns:
-        (registry, observations)
+    first appearance, and the events are grouped by driver as
+    ``TrainingSet.from_rows`` groups them. Numbers are read by
+    ``parse_number``. The rows are checked as columns; only a file that
+    fails is read again row by row, to name its first bad line.
 
     Raises:
         ValueError: naming the file, on a byte that is not UTF-8 or a
             malformed header or row, with the 1-based line number of the
-            first bad line, or on a file with no rows.
+            first bad line, or on a file with no rows; and as ``ModelSpec``
+            does for ``degree``.
     """
     data = Path(path).read_bytes()
-    ids, observations = {}, []
     try:
         try:
             text = data.decode("utf-8")
@@ -302,22 +348,54 @@ def read_observations_csv(path):
             raise ValueError(
                 f"line 1: expected header {','.join(OBSERVATION_CSV_HEADER)}, got {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                driver_id, name, headway, brt = row
-                stim_id = ids.setdefault(name, len(ids))
-                observations.append(Observation(driver_id, stim_id, float(headway), float(brt)))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        if not ids:
+        records = list(reader)
+        rows = [row for row in records if row]
+        if not rows:
             raise ValueError("CSV contains no observations")
+        try:
+            if set(map(len, rows)) != {4}:
+                raise ValueError
+            driver_id, names, headway, brt = zip(*rows)
+            if not _NUMBER_CHARS.fullmatch("".join(headway + brt)):
+                raise ValueError
+            headway = np.fromiter(map(float, headway), float, len(rows))
+            brt = np.fromiter(map(float, brt), float, len(rows))
+            if _outside_domain(headway, brt).any():
+                raise ValueError
+        except ValueError:  # name the first bad line, checking the rows one by one
+            for lineno, row in enumerate(records, start=2):
+                try:
+                    if len(row) not in (0, 4):
+                        raise ValueError(f"expected 4 fields, got {len(row)}")
+                    if row:
+                        headway, brt = parse_number(row[2]), parse_number(row[3])
+                        check_headway(headway)
+                        check_brt(brt)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+            raise
     except ValueError as exc:
         raise ValueError(f"observation file {path}: {exc}") from None
-    return StimulusRegistry(ids), observations
+    ids = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    stimulus = np.fromiter(map(ids.__getitem__, names), np.intp, len(rows))
+    return TrainingSet.from_rows(ModelSpec(len(ids), degree), StimulusRegistry(ids), driver_id, stimulus,
+                                 headway, brt)
+
+
+# Of the text that ``float`` reads, these characters leave only ASCII decimal
+# and exponent forms and lowercase nan and inf, which is all that ``repr`` writes.
+_NUMBER_CHARS = re.compile(r"[0-9.eE+\-naif]*")
+
+
+def parse_number(text, integral=False):
+    """``text`` as a float where it is an ASCII decimal or exponent form,
+    ``nan`` or ``inf`` (every float's ``repr`` is one), or as an int where
+    ``integral`` and it is ASCII digits; else the ValueError ``float`` gives
+    for text it cannot read. Python's other spellings, such as ``1_5``,
+    non-ASCII digits, ``Infinity`` and surrounding blanks, are refused."""
+    if not re.fullmatch(r"[+-]?[0-9]+" if integral else _NUMBER_CHARS, text):
+        raise ValueError(f"could not convert string to {'int' if integral else 'float'}: {text!r}")
+    return int(text) if integral else float(text)
 
 
 def _not_utf8(data, exc):
@@ -325,13 +403,15 @@ def _not_utf8(data, exc):
     return f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start} ({exc.reason})"
 
 
-def write_observations_csv(path, observations, registry):
-    """Write observations as CSV with stimulus names from the registry."""
+def write_observations_csv(path, ts):
+    """Write a training set's events as CSV, driver by driver, with
+    stimulus names from its registry and numbers as ``repr`` writes them."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(OBSERVATION_CSV_HEADER)
-    for o in observations:
-        writer.writerow([o.driver_id, registry.name_of(o.stimulus), repr(o.headway_s), repr(o.brt_s)])
+    driver_id = [d for d, n in zip(ts.driver_ids, ts.counts.tolist()) for _ in range(n)]
+    writer.writerows(zip(driver_id, map(ts.stimuli.names.__getitem__, ts.stimulus.tolist()),
+                         map(repr, ts.headway_s.tolist()), map(repr, ts.brt_s.tolist())))
     atomic_write_text(path, buf.getvalue())
 
 

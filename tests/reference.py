@@ -10,8 +10,13 @@ import math
 import numpy as np
 
 from brakedist.driver import DEFAULT_MAX_HISTORY, DriverMismatch, DriverState
-from brakedist.model import UnknownStimulus, build_design, check_brt, check_headway, json_number
+from brakedist.model import TrainingSet, UnknownStimulus, build_design, check_brt, check_headway, json_number
 from brakedist.numerics import spd_solve
+
+
+def grouped(spec, stimuli, drivers):
+    """The training set of ``drivers``, a dict of each driver's observation list."""
+    return TrainingSet.from_observations(spec, stimuli, [o for obs in drivers.values() for o in obs])
 
 
 def henderson_oracle(state, model):

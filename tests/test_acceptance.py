@@ -16,13 +16,13 @@ from scipy.stats import multivariate_normal, norm
 
 import brakedist.cli as cli
 from brakedist.driver import DriverState, add_observation, compute_blup
-from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainedModel, TrainingSet, feature_row
+from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainedModel, feature_row
 from brakedist.numerics import is_psd
 from brakedist.pbrt import PbrtEstimate, estimate_pbrt, norm_quantile, percentile
 from brakedist.simgen import default_config, generate
 from brakedist.training import FitOptions, fit, load_model, log_likelihood, save_model
 
-from reference import henderson_oracle
+from reference import grouped, henderson_oracle
 
 
 @contextmanager
@@ -110,7 +110,7 @@ def test_criterion_2_likelihood_oracle():
                     for _ in range(n_d)
                 ]
             assert total <= 200
-            ts = TrainingSet(spec=spec, stimuli=registry, drivers=drivers)
+            ts = grouped(spec, registry, drivers)
             sg = random_spd(rng, spec.p)
             sigma2 = float(rng.uniform(0.02, 0.3))
 

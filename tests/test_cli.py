@@ -359,6 +359,32 @@ class TestUpdate:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "alice.json", "alice.json.tmp", "model.json"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["update", "--event", "traffic_signal,1_5,0.8"], "--event headway must be a number, got '1_5'"),
+        (["update", "--event", "traffic_signal,1.2,\u0660.8"],
+         "--event brt must be a number, got '\u0660.8'"),
+        (["update", "--event", "traffic_signal, 1.2,0.8"], "--event headway must be a number, got ' 1.2'"),
+        (["update", "--event", "traffic_signal,Infinity,0.8"],
+         "--event headway must be a number, got 'Infinity'"),
+        (["curve", "--grid", "0.2,3.0,1_0"], "--grid steps must be an integer, got '1_0'"),
+        (["curve", "--grid", "0.2,3.0,\u0665"], "--grid steps must be an integer, got '\u0665'"),
+        (["curve", "--grid", "\u0660.2,3.0,5"], "--grid min must be a number, got '\u0660.2'"),
+        (["pbrt", "--percentiles", "5_0"], "--percentiles level must be a number, got '5_0'"),
+    ], ids=["underscore", "arabic-indic-digit", "blank", "Infinity", "steps-underscore",
+            "steps-arabic-indic-digit", "min-arabic-indic-digit", "level-underscore"])
+    def test_python_only_number_spellings_are_refused(self, tmp_path, handmade_model_path, capfd,
+                                                      argv, message):
+        # float() and int() read 1_5 as 15 and Arabic-Indic digits as ASCII ones; only
+        # the forms that repr writes, and integers, are numbers here.
+        state, curve = tmp_path / "s.json", tmp_path / "c.csv"
+        extra = {"update": ["--state", str(state)], "pbrt": ["--stimulus", "traffic_signal"],
+                 "curve": ["--stimulus", "traffic_signal", "--out", str(curve)]}[argv[0]]
+        assert run([argv[0], "--model", str(handmade_model_path), *extra, *argv[1:]]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not state.exists() and not curve.exists()
+
     def test_write_error_names_the_given_path(self, tmp_path, handmade_model_path, capfd):
         # The temp file's random name was reported instead, different on every run.
         (tmp_path / "adir").mkdir()
@@ -1061,11 +1087,10 @@ class TestRoundTrip:
     def test_csv_observations_survive_round_trip(self, tmp_path, tiny_sim_config_path):
         data = tmp_path / "d.csv"
         run(["simulate", "--out", str(data), "--config", str(tiny_sim_config_path)])
-        reg, obs = read_observations_csv(data)
         from brakedist.model import write_observations_csv
 
         again = tmp_path / "again.csv"
-        write_observations_csv(again, obs, reg)
+        write_observations_csv(again, read_observations_csv(data))
         assert again.read_bytes() == data.read_bytes()
 
 

@@ -1,18 +1,23 @@
+import csv
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brakedist import model as model_mod
 from brakedist import numerics
 from brakedist.model import (
+    MAX_BRT_S,
     MAX_DEGREE,
     MAX_HEADWAY_S,
     ModelSpec,
     Observation,
     StimulusRegistry,
     TrainedModel,
+    TrainingSet,
     UnknownStimulus,
     build_design,
     design,
@@ -223,10 +228,11 @@ class TestObservationCsv:
             Observation("b", 1, 0.875, 0.6600000000000001),
         ]
         path = tmp_path / "obs.csv"
-        write_observations_csv(path, obs, reg)
-        reg2, obs2 = read_observations_csv(path)
-        assert reg2 == reg
-        assert obs2 == obs
+        write_observations_csv(path, TrainingSet.from_observations(ModelSpec(2, 1), reg, obs))
+        ts = read_observations_csv(path, degree=1)
+        assert ts.stimuli == reg
+        assert ts.spec == ModelSpec(2, 1)
+        assert ts.drivers == {"a": obs[:2], "b": obs[2:]}
 
     def test_registry_from_first_appearance(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -236,9 +242,9 @@ class TestObservationCsv:
             "a,early,2.0,0.6\n"
             "b,later,1.5,0.7\n"
         )
-        reg, obs = read_observations_csv(path)
-        assert reg.names == ("later", "early")
-        assert [o.stimulus for o in obs] == [0, 1, 0]
+        ts = read_observations_csv(path)
+        assert ts.stimuli.names == ("later", "early")
+        assert ts.stimulus.tolist() == [0, 1, 0]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -282,3 +288,119 @@ class TestObservationCsv:
             with pytest.raises(ValueError, match=f"^observation file {re.escape(str(path))}: "
                                                  f"{re.escape(message)}$"):
                 read_observations_csv(path)
+
+    def test_refusal_order_across_kinds_of_problem(self, tmp_path):
+        # The rows are checked as columns, each kind of problem at once; the
+        # first bad line in file order is still the one named, whatever its kind.
+        path = tmp_path / "obs.csv"
+        rows = ["a,x,1.0", "a,x,-2.0,0.6", "a,x,1.5,0.5", "b,x,1_5,0.5", "b,x,2.0,0.7"]
+        for fix, message in [
+            (None, "line 2: expected 4 fields, got 3"),
+            (0, "line 3: headway_s must be positive, got -2.0"),
+            (1, "line 5: could not convert string to float: '1_5'"),
+        ]:
+            if fix is not None:
+                rows[fix] = "a,x,1.0,0.5"
+            path.write_text("driver_id,stimulus,headway_s,brt_s\n" + "\n".join(rows) + "\n")
+            with pytest.raises(ValueError, match=f"^observation file {re.escape(str(path))}: "
+                                                 f"{re.escape(message)}$"):
+                read_observations_csv(path)
+        rows[3] = "b,x,1.5,0.5"
+        path.write_text("driver_id,stimulus,headway_s,brt_s\n" + "\n".join(rows) + "\n")
+        assert read_observations_csv(path).num_observations == 5
+
+    @pytest.mark.parametrize("field", ["1_5", "\u0661.5", "\u0661\u0665", " 1.5", "1.5 ", "\t1.5", "Infinity",
+                                       "NaN", "INF", "+Inf", "1,5", "0x1p0", "", "1.5\n"])
+    def test_python_only_number_spellings_are_refused(self, tmp_path, field):
+        # float() reads 1_5 as 15.0 and Arabic-Indic digits as ASCII ones, so such a
+        # headway once loaded silently; it is now refused as an unparsable field.
+        path = tmp_path / "obs.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([["driver_id", "stimulus", "headway_s", "brt_s"],
+                                      ["a", "x", "1.0", "0.5"], ["a", "x", field, "0.5"]])
+        message = f"observation file {path}: line 3: could not convert string to float: {field!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_observations_csv(path)
+
+    @pytest.mark.parametrize("field, value", [("15", 15.0), ("1.", 1.0), (".5", 0.5), ("+1.5", 1.5),
+                                              ("15e-1", 1.5), ("1.5E+0", 1.5), (repr(0.1 + 0.2), 0.1 + 0.2)])
+    def test_ascii_decimal_and_exponent_forms_are_read(self, tmp_path, field, value):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"driver_id,stimulus,headway_s,brt_s\na,x,{field},{field}\n")
+        ts = read_observations_csv(path)
+        assert ts.headway_s.tolist() == [value] and ts.brt_s.tolist() == [value]
+
+    @pytest.mark.parametrize("headway, brt, message", [
+        ("nan", "0.5", "headway_s must be positive, got nan"),
+        ("-inf", "0.5", "headway_s must be positive, got -inf"),
+        ("inf", "0.5", f"headway_s inf exceeds the headway bound {MAX_HEADWAY_S}"),
+        ("1.0", "inf", "brt_s must be positive and finite, got inf"),
+        ("1.0", "-nan", "brt_s must be positive and finite, got nan"),
+    ])
+    def test_nan_and_inf_reach_the_domain_refusals(self, tmp_path, headway, brt, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"driver_id,stimulus,headway_s,brt_s\na,x,1.0,0.5\na,x,{headway},{brt}\n")
+        with pytest.raises(ValueError, match=f": line 3: {re.escape(message)}$"):
+            read_observations_csv(path)
+
+    def test_interleaved_drivers_group_in_first_appearance_order(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text(
+            "driver_id,stimulus,headway_s,brt_s\n"
+            "b,s,1.0,0.51\n"
+            "a,t,2.0,0.52\n"
+            "b,t,3.0,0.53\n"
+            "c,s,4.0,0.54\n"
+            "a,s,5.0,0.55\n"
+            "b,s,6.0,0.56\n"
+        )
+        ts = read_observations_csv(path)
+        assert ts.driver_ids == ("b", "a", "c")
+        assert ts.counts.tolist() == [3, 2, 1]
+        assert ts.stimuli.names == ("s", "t")
+        assert ts.headway_s.tolist() == [1.0, 3.0, 6.0, 2.0, 5.0, 4.0]
+        assert ts.brt_s.tolist() == [0.51, 0.53, 0.56, 0.52, 0.55, 0.54]
+        assert ts.stimulus.tolist() == [0, 1, 0, 1, 0, 0]
+        assert ts.drivers == {
+            "b": [Observation("b", 0, 1.0, 0.51), Observation("b", 1, 3.0, 0.53),
+                  Observation("b", 0, 6.0, 0.56)],
+            "a": [Observation("a", 1, 2.0, 0.52), Observation("a", 0, 5.0, 0.55)],
+            "c": [Observation("c", 0, 4.0, 0.54)],
+        }
+        # The writer writes the grouped order, which reads back to the same set.
+        write_observations_csv(tmp_path / "again.csv", ts)
+        again = read_observations_csv(tmp_path / "again.csv")
+        assert again.drivers == ts.drivers and again.stimuli == ts.stimuli
+
+
+class TestTrainingSet:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.integers(0, 2),
+                              st.floats(1e-3, MAX_HEADWAY_S), st.floats(1e-3, MAX_BRT_S)), min_size=1))
+    def test_drivers_returns_the_observations_grouped_by_driver(self, rows):
+        observations = [Observation(*row) for row in rows]
+        ts = TrainingSet.from_observations(SPEC, StimulusRegistry(["s0", "s1", "s2"]), observations)
+        want = {}
+        for o in observations:
+            want.setdefault(o.driver_id, []).append(o)
+        assert ts.drivers == want
+        assert list(ts.drivers) == list(want) == list(ts.driver_ids)
+        assert ts.counts.tolist() == [len(obs) for obs in want.values()]
+        assert ts.num_observations == len(observations)
+        assert ts.drivers is not ts.drivers  # built on each read, never cached
+
+    @pytest.mark.parametrize("change, message", [
+        ({"driver_ids": ()}, "training set has no drivers"),
+        ({"counts": [3, 0]}, "driver 'b' has no observations"),
+        ({"counts": [1, 1]}, "driver ids, counts and event columns disagree in length"),
+        ({"brt_s": [0.5, 0.6]}, "driver ids, counts and event columns disagree in length"),
+        ({"stimulus": [0, 3, 0]}, "stimulus id 3 out of range [0, 3)"),
+        ({"headway_s": [1.0, 0.0, 2.0]}, "headway_s must be positive, got 0.0"),
+        ({"brt_s": [0.5, 0.6, MAX_BRT_S + 1.0]}, f"brt_s {MAX_BRT_S + 1.0} exceeds sanity bound {MAX_BRT_S}"),
+    ], ids=["no-drivers", "empty-driver", "counts", "columns", "stimulus", "headway", "brt"])
+    def test_refusals(self, change, message):
+        columns = {"driver_ids": ("a", "b"), "counts": [2, 1], "stimulus": [0, 1, 0],
+                   "headway_s": [1.0, 2.0, 3.0], "brt_s": [0.5, 0.6, 0.7]}
+        TrainingSet(SPEC, StimulusRegistry(["s0", "s1", "s2"]), **columns)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainingSet(SPEC, StimulusRegistry(["s0", "s1", "s2"]), **{**columns, **change})

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainingSet
+from brakedist.model import ModelSpec, Observation, StimulusRegistry, TrainingSet, build_design
 from brakedist.numerics import NotPositiveDefinite, is_psd
 from brakedist.training import (
     FitOptions,
@@ -25,7 +25,7 @@ from brakedist.training import (
     trust_newton,
 )
 
-from reference import trust_step_oracle
+from reference import grouped, trust_step_oracle
 
 REG1 = StimulusRegistry(["stim"])
 
@@ -44,7 +44,7 @@ def random_training_set(rng, spec, n_drivers, n_per_driver, registry=None):
             obs.append(Observation(f"d{d}", s, float(rng.uniform(0.3, 9.0)),
                                    float(rng.uniform(0.3, 5.0))))
         drivers[f"d{d}"] = obs
-    return TrainingSet(spec=spec, stimuli=registry, drivers=drivers)
+    return grouped(spec, registry, drivers)
 
 
 class TestVarianceParams:
@@ -181,11 +181,7 @@ class TestLogLikelihood:
     def test_single_observation_standard_normal(self):
         # One driver, one observation; the profiled beta zeroes the
         # residual, sigma2=1 and Sigma_gamma ~ 0 leave -log(2 pi)/2.
-        ts = TrainingSet(
-            spec=ModelSpec(1, 0),
-            stimuli=REG1,
-            drivers={"d0": [simple_obs("d0", 0, 1.0, 0.7)]},
-        )
+        ts = grouped(ModelSpec(1, 0), REG1, {"d0": [simple_obs("d0", 0, 1.0, 0.7)]})
         assert log_likelihood(ts, 1.0, np.zeros((1, 1))) == pytest.approx(
             -0.5 * math.log(2 * math.pi), abs=1e-10)
 
@@ -193,7 +189,7 @@ class TestLogLikelihood:
         # Identical responses: the profiled mean fits exactly, so only the
         # log-determinant term moves.
         drivers = {f"d{i}": [simple_obs(f"d{i}", 0, 1.0 + i, 0.3)] for i in range(4)}
-        ts = TrainingSet(spec=ModelSpec(1, 0), stimuli=REG1, drivers=drivers)
+        ts = grouped(ModelSpec(1, 0), REG1, drivers)
         ll1 = log_likelihood(ts, 1.0, np.zeros((1, 1)))
         ll2 = log_likelihood(ts, 4.0, np.zeros((1, 1)))
         assert ll2 < ll1
@@ -297,7 +293,7 @@ class TestLogLikelihood:
                             float(rng.uniform(0.3, 5.0)))
                 for _ in range(int(rng.integers(1, 9)))
             ]
-        ts = TrainingSet(spec=spec, stimuli=registry, drivers=drivers)
+        ts = grouped(spec, registry, drivers)
         a = rng.standard_normal((spec.p, round(rank_share * spec.p))) * 0.3
         sg = a @ a.T + 10.0**log10_ridge * np.eye(spec.p)
         sigma2 = math.exp(2.0 * log_sigma)
@@ -380,7 +376,7 @@ class TestPreparedSolve:
                                   float(rng.uniform(0.3, 5.0))) for _ in range(n)]
             for d, n in enumerate(counts)
         }
-        ts = TrainingSet(spec=spec, stimuli=registry, drivers=drivers)
+        ts = grouped(spec, registry, drivers)
         a = rng.standard_normal((spec.p, spec.p)) * 0.3
         lam = a @ a.T
         logdet, q, beta, info, _, u, P = _PreparedDesigns(ts).solve(lam)
@@ -400,6 +396,55 @@ class TestPreparedSolve:
         assert np.allclose(np.linalg.inv(info), want_cov, rtol=1e-9, atol=1e-12)
         assert np.allclose(u, want_u, rtol=1e-9, atol=1e-11)
         assert np.allclose(P, want_P, rtol=1e-9, atol=1e-11)
+
+
+class TestColumnarStudy:
+    @staticmethod
+    def twins(ts):
+        """``ts`` and the same rows rebuilt from ``Observation`` objects."""
+        return ts, TrainingSet.from_observations(ts.spec, ts.stimuli,
+                                                 [o for obs in ts.drivers.values() for o in obs])
+
+    @staticmethod
+    def assert_same_fit(a, b, opts):
+        pa, pb = _PreparedDesigns(a), _PreparedDesigns(b)
+        for name in ("r", "rx", "mean_square"):
+            assert getattr(pa, name).tobytes() == getattr(pb, name).tobytes(), name
+        ma, mb = fit(a, opts), fit(b, opts)
+        for name in ("beta", "sigma_gamma", "beta_cov"):
+            assert getattr(ma, name).tobytes() == getattr(mb, name).tobytes(), name
+        assert (ma.sigma2, ma.fit_info.loglik, ma.fit_info.iterations) == \
+            (mb.sigma2, mb.fit_info.loglik, mb.fit_info.iterations)
+
+    def test_default_study_fits_bit_for_bit_as_observations(self):
+        # The simulator's columns hold one event count, so set-up factors one
+        # group, from a view of the design's rows.
+        from brakedist.simgen import default_config, generate
+
+        columnar, from_objects = self.twins(generate(default_config())[0])
+        assert np.unique(columnar.counts).size == 1
+        self.assert_same_fit(columnar, from_objects, FitOptions(block_diagonal=True))
+
+    def test_ragged_study_fits_bit_for_bit_as_observations(self):
+        # 1 to 14 events per driver, some repeated apart from each other, so
+        # that some R factors are padded (n_d <= p = 6) and some groups are
+        # gathered rather than viewed; built from columns directly.
+        rng = np.random.default_rng(28)
+        spec = ModelSpec(2, 2)
+        counts = np.r_[rng.permutation(np.arange(1, 15)), 3, 3, 12, 1]
+        n = int(counts.sum())
+        ids = [f"d{d}" for d in range(counts.size)]
+        columnar = TrainingSet(spec, StimulusRegistry(["s0", "s1"]), ids, counts, rng.integers(0, 2, n),
+                               rng.uniform(0.3, 9.0, n), rng.uniform(0.3, 5.0, n))
+        columnar, from_objects = self.twins(columnar)
+        self.assert_same_fit(columnar, from_objects, FitOptions(max_iter=400))
+        # Each driver's factor is its own QR factor, padded with zero rows.
+        prepared = _PreparedDesigns(columnar)
+        for d, obs in enumerate(from_objects.drivers.values()):
+            assert len(obs) == counts[d]
+            r = np.linalg.qr(np.column_stack(build_design(spec, obs)), mode="r")
+            assert np.allclose(np.abs(prepared.r[: r.shape[0], :, d]), np.abs(r), rtol=1e-12, atol=1e-12)
+            assert not prepared.r[r.shape[0]:, :, d].any()
 
 
 def dense_mvn_loglik(ts, sigma2, sigma_gamma, beta=None):
@@ -568,7 +613,7 @@ def make_identical_driver_data(seed, n_drivers, n_per_driver, sigma2, beta):
             y = mu + rng.normal(scale=math.sqrt(sigma2))
             obs.append(Observation(f"d{d}", 0, t, math.exp(y)))
         drivers[f"d{d}"] = obs
-    return TrainingSet(spec=spec, stimuli=REG1, drivers=drivers)
+    return grouped(spec, REG1, drivers)
 
 
 class TestFit:
@@ -595,7 +640,7 @@ class TestFit:
                 y = (-0.3 + gam[0]) + (0.15 + gam[1]) * t + rng.normal(scale=0.2)
                 obs.append(Observation(f"d{d}", 0, t, math.exp(y)))
             drivers[f"d{d}"] = obs
-        ts = TrainingSet(spec=spec, stimuli=REG1, drivers=drivers)
+        ts = grouped(spec, REG1, drivers)
         model = fit(ts, FitOptions(max_iter=1500))
         ll_true = log_likelihood(ts, 0.04, sg_true)
         assert model.fit_info.loglik >= ll_true
@@ -610,8 +655,7 @@ class TestFit:
         assert np.array_equal(m1.sigma_gamma, m2.sigma_gamma)
 
     def test_requires_two_drivers(self):
-        ts = TrainingSet(spec=ModelSpec(1, 0), stimuli=REG1,
-                         drivers={"solo": [simple_obs("solo", 0, 1.0, 0.1)]})
+        ts = grouped(ModelSpec(1, 0), REG1, {"solo": [simple_obs("solo", 0, 1.0, 0.1)]})
         with pytest.raises(ValueError, match="at least 2 drivers"):
             fit(ts)
 
@@ -652,7 +696,7 @@ class TestFit:
         drivers = {f"d{d}": [Observation(f"d{d}", 0, float(rng.uniform(0.3, 9.0)),
                                          float(rng.uniform(0.3, 5.0))) for _ in range(5)]
                    for d in range(8)}
-        ts = TrainingSet(spec=ModelSpec(2, 1), stimuli=StimulusRegistry(["a", "b"]), drivers=drivers)
+        ts = grouped(ModelSpec(2, 1), StimulusRegistry(["a", "b"]), drivers)
         X, _ = build_design(ts.spec, [o for obs in drivers.values() for o in obs])
         rms = np.sqrt(np.mean(X**2, axis=0))
         original = training.nelder_mead
@@ -881,8 +925,7 @@ class TestFit:
                     Observation(f"d{d}", int(rng.integers(0, 2)), float(t),
                                 math.exp(-0.5 + g + 0.01 * rng.normal() + 0.1 * rng.normal()))
                     for t in rng.uniform(300, 900, 12)]
-            ts = TrainingSet(spec=ModelSpec(2, 2), stimuli=StimulusRegistry(["s0", "s1"]),
-                             drivers=drivers)
+            ts = grouped(ModelSpec(2, 2), StimulusRegistry(["s0", "s1"]), drivers)
         else:
             ts = random_training_set(np.random.default_rng(study), ModelSpec(2, 2), 10, 8)
             block_diagonal = True
