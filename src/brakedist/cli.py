@@ -58,6 +58,14 @@ def _parse(option, field, text, integral=False):
         raise ValueError(f"{option} {field} must be {noun}, got {text!r}") from None
 
 
+def _option_type(kind):
+    """An argparse ``type`` that reads a ``kind`` (float or int) as ``parse_number``
+    does; argparse's refusal names ``kind``, as it did for ``type=kind``."""
+    read = functools.partial(parse_number, integral=kind is int)
+    read.__name__ = kind.__name__
+    return read
+
+
 def _parse_event(text):
     parts = text.split(",")
     if len(parts) != 3:
@@ -144,7 +152,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="generate a synthetic training study")
     p_sim.add_argument("--out", required=True, help="observation CSV output path")
     p_sim.add_argument("--config", default=None, help="sim config JSON (default: committed config)")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_sim.add_argument("--seed", type=_option_type(int), default=None, help="override the config seed")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_train = sub.add_parser("train", help="fit the population model from a CSV")
@@ -152,7 +160,7 @@ def build_parser():
     p_train.add_argument("--out", required=True, help="model JSON output path")
     p_train.add_argument("--block-diagonal", action="store_true",
                          help="restrict the random-effect covariance to per-stimulus blocks")
-    p_train.add_argument("--degree", type=int, default=2)
+    p_train.add_argument("--degree", type=_option_type(int), default=2)
     p_train.set_defaults(func=cmd_train)
 
     p_upd = sub.add_parser("update", help="append one event and refresh the driver state")
@@ -166,7 +174,7 @@ def build_parser():
     p_pbrt.add_argument("--model", required=True)
     p_pbrt.add_argument("--state", default=None)
     p_pbrt.add_argument("--stimulus", required=True)
-    p_pbrt.add_argument("--t-star", type=float, default=None, dest="t_star")
+    p_pbrt.add_argument("--t-star", type=_option_type(float), default=None, dest="t_star")
     p_pbrt.add_argument("--percentiles", default="10,50,90")
     p_pbrt.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
     p_pbrt.set_defaults(func=cmd_pbrt)
@@ -175,7 +183,7 @@ def build_parser():
     p_curve.add_argument("--model", required=True)
     p_curve.add_argument("--state", default=None)
     p_curve.add_argument("--stimulus", required=True)
-    p_curve.add_argument("--t-star", type=float, default=None, dest="t_star")
+    p_curve.add_argument("--t-star", type=_option_type(float), default=None, dest="t_star")
     p_curve.add_argument("--grid", required=True, help='"min,max,steps"')
     p_curve.add_argument("--out", required=True)
     p_curve.set_defaults(func=cmd_curve)

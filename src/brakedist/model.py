@@ -11,8 +11,8 @@ import csv
 import io
 import json
 import os
-import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -193,10 +193,7 @@ class TrainingSet:
             raise ValueError("driver ids, counts and event columns disagree in length")
         for i in np.flatnonzero(self.counts < 1)[:1]:
             raise ValueError(f"driver {self.driver_ids[i]!r} has no observations")
-        bad = (self.stimulus < 0) | (self.stimulus >= self.spec.num_stimuli)
-        for i in np.flatnonzero(bad | _outside_domain(self.headway_s, self.brt_s))[:1]:
-            feature_row(self.spec, int(self.stimulus[i]), self.headway_s[i])  # raises for the id or headway
-            check_brt(self.brt_s[i])
+        _refuse_outside_domain(self.spec, self.stimulus, self.headway_s, self.brt_s)
 
     @classmethod
     def from_rows(cls, spec, stimuli, driver_id, stimulus, headway_s, brt_s):
@@ -218,19 +215,13 @@ class TrainingSet:
 
     @property
     def drivers(self):
-        columns = self.stimulus.tolist(), self.headway_s.tolist(), self.brt_s.tolist()
-        ends = np.cumsum(self.counts).tolist()
-        return {d: [Observation(d, *row) for row in zip(*(c[end - n : end] for c in columns))]
-                for d, n, end in zip(self.driver_ids, self.counts.tolist(), ends)}
+        rows = zip(self.stimulus.tolist(), self.headway_s.tolist(), self.brt_s.tolist())
+        return {d: [Observation(d, s, t, b) for s, t, b in islice(rows, n)]
+                for d, n in zip(self.driver_ids, self.counts.tolist())}
 
     @property
     def num_observations(self):
         return self.brt_s.size
-
-
-def _outside_domain(headway_s, brt_s):
-    """Mask of the events whose headway ``check_headway`` or response ``check_brt`` refuses."""
-    return ~((headway_s > 0) & (headway_s <= MAX_HEADWAY_S) & (brt_s > 0) & (brt_s <= MAX_BRT_S))
 
 
 def check_covariance(name, a, p, tol):
@@ -294,15 +285,26 @@ def design(spec, stimulus, headway):
     serving all build their rows here. The first row that feature_row
     refuses raises feature_row's error."""
     n = stimulus.size
-    in_domain = (headway > 0) & (headway <= MAX_HEADWAY_S)
-    bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~in_domain
-    for i in bad.nonzero()[0]:
-        # feature_row raises the error it would raise for this row.
-        feature_row(spec, int(stimulus[i]), float(headway[i]))
+    _refuse_outside_domain(spec, stimulus, headway)
     powers = np.arange(spec.degree + 1)
     X = np.zeros((n, spec.p))
     X[np.arange(n)[:, None], stimulus[:, None] * powers.size + powers] = headway[:, None] ** powers
     return X
+
+
+def _refuse_outside_domain(spec, stimulus, headway_s, brt_s=None):
+    """Raise ``feature_row``'s error for the first event whose stimulus id or
+    headway it refuses, or ``check_brt``'s for one whose response (if given)
+    that refuses: the arrays are checked at once, and the first bad event alone
+    is explained by the scalar checks."""
+    bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~((headway_s > 0) & (headway_s <= MAX_HEADWAY_S))
+    if brt_s is not None:
+        bad |= ~((brt_s > 0) & (brt_s <= MAX_BRT_S))
+    for i in bad.nonzero()[0][:1]:
+        feature_row(spec, int(stimulus[i]), float(headway_s[i]))
+        if brt_s is not None:
+            check_brt(brt_s[i])
+        raise AssertionError(f"event {i} fails a domain mask but passes the scalar checks")
 
 
 def build_design(spec, observations):
@@ -325,16 +327,18 @@ def read_observations_csv(path, degree=2):
     The header must be ``driver_id,stimulus,headway_s,brt_s`` and the
     stimulus column carries names; the registry lists them in order of
     first appearance, and the events are grouped by driver as
-    ``TrainingSet.from_rows`` groups them. Numbers are read by
-    ``parse_number``. The rows are checked as columns; only a file that
-    fails is read again row by row, to name its first bad line.
+    ``TrainingSet.from_rows`` groups them. Numbers are read as
+    ``parse_number`` reads them. The rows are checked as columns, the
+    domains by ``TrainingSet``; only a file that fails is read again row by
+    row, to name its first bad line.
 
     Raises:
-        ValueError: naming the file, on a byte that is not UTF-8 or a
-            malformed header or row, with the 1-based line number of the
-            first bad line, or on a file with no rows; and as ``ModelSpec``
-            does for ``degree``.
+        ValueError: as ``ModelSpec`` does for ``degree``; then naming the
+            file, on a byte that is not UTF-8 or a malformed header or row,
+            with the 1-based line number of the first bad line, or on a
+            file with no rows.
     """
+    ModelSpec(1, degree)  # a bad degree is refused before the file is read
     data = Path(path).read_bytes()
     try:
         try:
@@ -356,12 +360,11 @@ def read_observations_csv(path, degree=2):
             if set(map(len, rows)) != {4}:
                 raise ValueError
             driver_id, names, headway, brt = zip(*rows)
-            if not _NUMBER_CHARS.fullmatch("".join(headway + brt)):
+            if "".join(headway + brt).strip(_NUMBER_CHARS[False]):  # parse_number's test, on all at once
                 raise ValueError
-            headway = np.fromiter(map(float, headway), float, len(rows))
-            brt = np.fromiter(map(float, brt), float, len(rows))
-            if _outside_domain(headway, brt).any():
-                raise ValueError
+            ids = {name: i for i, name in enumerate(dict.fromkeys(names))}
+            return TrainingSet.from_rows(ModelSpec(len(ids), degree), StimulusRegistry(ids), driver_id,
+                                         [*map(ids.__getitem__, names)], [*map(float, headway)], [*map(float, brt)])
         except ValueError:  # name the first bad line, checking the rows one by one
             for lineno, row in enumerate(records, start=2):
                 try:
@@ -373,18 +376,15 @@ def read_observations_csv(path, degree=2):
                         check_brt(brt)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
-            raise
+            raise AssertionError("the column checks refused rows that the row checks pass") from None
     except ValueError as exc:
         raise ValueError(f"observation file {path}: {exc}") from None
-    ids = {name: i for i, name in enumerate(dict.fromkeys(names))}
-    stimulus = np.fromiter(map(ids.__getitem__, names), np.intp, len(rows))
-    return TrainingSet.from_rows(ModelSpec(len(ids), degree), StimulusRegistry(ids), driver_id, stimulus,
-                                 headway, brt)
 
 
 # Of the text that ``float`` reads, these characters leave only ASCII decimal
-# and exponent forms and lowercase nan and inf, which is all that ``repr`` writes.
-_NUMBER_CHARS = re.compile(r"[0-9.eE+\-naif]*")
+# and exponent forms and lowercase nan and inf, which is all that ``repr``
+# writes; of the text ``int`` reads, these leave only ASCII digits with a sign.
+_NUMBER_CHARS = "0123456789+-.eEnaif", "0123456789+-"
 
 
 def parse_number(text, integral=False):
@@ -393,9 +393,12 @@ def parse_number(text, integral=False):
     ``integral`` and it is ASCII digits; else the ValueError ``float`` gives
     for text it cannot read. Python's other spellings, such as ``1_5``,
     non-ASCII digits, ``Infinity`` and surrounding blanks, are refused."""
-    if not re.fullmatch(r"[+-]?[0-9]+" if integral else _NUMBER_CHARS, text):
-        raise ValueError(f"could not convert string to {'int' if integral else 'float'}: {text!r}")
-    return int(text) if integral else float(text)
+    try:
+        if text.strip(_NUMBER_CHARS[integral]):  # a character outside the set
+            raise ValueError
+        return int(text) if integral else float(text)
+    except ValueError:
+        raise ValueError(f"could not convert string to {'int' if integral else 'float'}: {text!r}") from None
 
 
 def _not_utf8(data, exc):

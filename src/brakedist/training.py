@@ -124,11 +124,8 @@ class _PreparedDesigns:
     Matrix Computations, 4th ed., sec. 5.3). The QR runs batched over the
     drivers that share an event count, on ``design``'s rows for the training
     set's columns; where those drivers are consecutive, as in a study with
-    one count, the batch is a reshaped view of their rows, not a copy. ``r``
-    holds the factors with the drivers on the last axis, so that each step of
-    the forward substitution runs over contiguous rows, and ``rx`` holds
-    R_x with the drivers first, as the batched products and Cholesky take
-    them. With T_d = I + R_x Lambda R_x' = C_d C_d' and
+    one count, the batch is a reshaped view of their rows, not a copy. With
+    T_d = I + R_x Lambda R_x' = C_d C_d' and
     [Z_x | z_y] = C_d^-1 [R_x | r_y],
 
         X' (V / sigma2)^-1 [X | y] = Z_x' [Z_x | z_y],
@@ -144,7 +141,7 @@ class _PreparedDesigns:
         xy = np.column_stack((design(ts.spec, ts.stimulus, ts.headway_s), np.log(ts.brt_s)))
         counts = ts.counts
         starts, p, self.total_n = np.cumsum(counts) - counts, xy.shape[1] - 1, xy.shape[0]
-        r = np.zeros((counts.size, p + 1, p + 1))
+        self.r = np.zeros((counts.size, p + 1, p + 1))
         for n in np.unique(counts):
             group = np.flatnonzero(counts == n)
             first = starts[group[0]]
@@ -152,9 +149,7 @@ class _PreparedDesigns:
                 rows = xy[first : first + group.size * n].reshape(group.size, n, p + 1)
             else:
                 rows = xy[starts[group, None] + np.arange(n)]
-            r[group, : min(n, p + 1)] = np.linalg.qr(rows, mode="r")
-        self.rx = r[:, :p, :p].copy()
-        self.r = np.ascontiguousarray(r.transpose(1, 2, 0))
+            self.r[group, : min(n, p + 1)] = np.linalg.qr(rows, mode="r")
         self.mean_square = np.einsum("ij,ij->j", xy[:, :p], xy[:, :p]) / self.total_n  # diag(X'X / N)
 
     def solve(self, lam):
@@ -170,19 +165,21 @@ class _PreparedDesigns:
         Raises:
             NotPositiveDefinite: if a T_d fails to factor or its factor is not finite.
         """
-        p = self.r.shape[0] - 1
+        p = self.r.shape[-1] - 1
+        rx = self.r[:, :p, :p]
         try:
-            c = np.linalg.cholesky(self.rx @ lam @ self.rx.swapaxes(1, 2) + np.eye(p))
+            c = np.linalg.cholesky(rx @ lam @ rx.swapaxes(1, 2) + np.eye(p))
             if not np.all(np.isfinite(c)):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite("a reduced covariance system is singular or not finite") from None
-        ct = np.ascontiguousarray(c.transpose(1, 2, 0))
-        z = self.r[:p].copy()  # [R_x | r_y], overwritten by C^-1 [R_x | r_y]
+        # [Z_x | z_y] = C^-1 [R_x | r_y] by forward substitution, with the drivers on the
+        # last axis so that each step reads contiguous rows; then drivers first again.
+        ct, z = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (c, self.r[:, :p]))
         for i in range(p):
             z[i] -= np.einsum("kd,kjd->jd", ct[i, :i], z[:i])
             z[i] /= ct[i, i]
-        z = np.ascontiguousarray(z.transpose(2, 0, 1))  # drivers first again, for the batched products
+        z = np.ascontiguousarray(z.transpose(2, 0, 1))
         zx, zy = z[:, :, :p], z[:, :, p]
         P = zx.swapaxes(1, 2) @ zx
         info = P.sum(axis=0)
@@ -191,7 +188,7 @@ class _PreparedDesigns:
         beta = cov @ np.einsum("dij,di->j", zx, zy)
         w = zy - zx @ beta
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(c, axis1=1, axis2=2))))
-        q = float(np.sum(w * w) + np.sum(self.r[p, p] ** 2))
+        q = float(np.sum(w * w) + np.sum(self.r[:, p, p] ** 2))
         return logdet, q, beta, info, cov, np.einsum("dij,di->dj", zx, w), P
 
     def deviance(self, theta, free):

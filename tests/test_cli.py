@@ -385,6 +385,26 @@ class TestUpdate:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not state.exists() and not curve.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["pbrt", "--model", "m.json", "--stimulus", "traffic_signal", "--t-star", "1_5"],
+         "--t-star: invalid float value: '1_5'"),
+        (["curve", "--model", "m.json", "--stimulus", "traffic_signal", "--grid", "0.2,3.0,5", "--out", "OUT",
+          "--t-star", "\u0661.5"], "--t-star: invalid float value: '\u0661.5'"),
+        (["simulate", "--out", "OUT", "--seed", "\u0663"], "--seed: invalid int value: '\u0663'"),
+        (["train", "--data", "d.csv", "--out", "OUT", "--degree", "1_0"], "--degree: invalid int value: '1_0'"),
+    ], ids=["t-star-underscore", "t-star-arabic-indic-digit", "seed-arabic-indic-digit", "degree-underscore"])
+    def test_python_only_number_spellings_in_options_are_usage_errors(self, tmp_path, capfd, argv,
+                                                                       message):
+        # argparse's type=float and type=int read --t-star 1_5 as 15 s and --seed \u0663 as 3.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([str(out) if a == "OUT" else a for a in argv])
+        assert exc.value.code == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(f"error: argument {message}")
+        assert not out.exists()
+
     def test_write_error_names_the_given_path(self, tmp_path, handmade_model_path, capfd):
         # The temp file's random name was reported instead, different on every run.
         (tmp_path / "adir").mkdir()

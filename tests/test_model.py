@@ -256,6 +256,10 @@ class TestObservationCsv:
                                              "CSV contains no observations$"):
             read_observations_csv(path)
 
+    def test_bad_degree_is_refused_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'degree must be in [0, {MAX_DEGREE}], got 26')}$"):
+            read_observations_csv(tmp_path / "missing.csv", degree=MAX_DEGREE + 1)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text(
@@ -397,7 +401,9 @@ class TestTrainingSet:
         ({"stimulus": [0, 3, 0]}, "stimulus id 3 out of range [0, 3)"),
         ({"headway_s": [1.0, 0.0, 2.0]}, "headway_s must be positive, got 0.0"),
         ({"brt_s": [0.5, 0.6, MAX_BRT_S + 1.0]}, f"brt_s {MAX_BRT_S + 1.0} exceeds sanity bound {MAX_BRT_S}"),
-    ], ids=["no-drivers", "empty-driver", "counts", "columns", "stimulus", "headway", "brt"])
+        # The first bad event is named, whichever of its columns is out of the domain.
+        ({"headway_s": [1.0, 2.0, -3.0], "brt_s": [0.5, math.nan, 0.7]}, "brt_s must be positive and finite, got nan"),
+    ], ids=["no-drivers", "empty-driver", "counts", "columns", "stimulus", "headway", "brt", "first-bad-event"])
     def test_refusals(self, change, message):
         columns = {"driver_ids": ("a", "b"), "counts": [2, 1], "stimulus": [0, 1, 0],
                    "headway_s": [1.0, 2.0, 3.0], "brt_s": [0.5, 0.6, 0.7]}

@@ -408,7 +408,7 @@ class TestColumnarStudy:
     @staticmethod
     def assert_same_fit(a, b, opts):
         pa, pb = _PreparedDesigns(a), _PreparedDesigns(b)
-        for name in ("r", "rx", "mean_square"):
+        for name in ("r", "mean_square"):
             assert getattr(pa, name).tobytes() == getattr(pb, name).tobytes(), name
         ma, mb = fit(a, opts), fit(b, opts)
         for name in ("beta", "sigma_gamma", "beta_cov"):
@@ -443,8 +443,8 @@ class TestColumnarStudy:
         for d, obs in enumerate(from_objects.drivers.values()):
             assert len(obs) == counts[d]
             r = np.linalg.qr(np.column_stack(build_design(spec, obs)), mode="r")
-            assert np.allclose(np.abs(prepared.r[: r.shape[0], :, d]), np.abs(r), rtol=1e-12, atol=1e-12)
-            assert not prepared.r[r.shape[0]:, :, d].any()
+            assert np.allclose(np.abs(prepared.r[d, : r.shape[0]]), np.abs(r), rtol=1e-12, atol=1e-12)
+            assert not prepared.r[d, r.shape[0]:].any()
 
 
 def dense_mvn_loglik(ts, sigma2, sigma_gamma, beta=None):
