@@ -107,8 +107,8 @@ def _load_estimate(args):
 
 def cmd_pbrt(args):
     est = _load_estimate(args)
-    levels = [_parse("--percentiles", "level", v) for v in args.percentiles.split(",") if v.strip()]
-    if not levels or any(not 0.0 < q < 100.0 for q in levels):
+    levels = [_parse("--percentiles", "level", v) for v in args.percentiles.split(",")]
+    if any(not 0.0 < q < 100.0 for q in levels):
         raise ValueError("percentile levels must lie in (0, 100)")
     # Every row is computed before any is printed, so a failure prints nothing.
     lines = ["q,percentile_naive,percentile_conservative" if args.conservative else "q,percentile_naive"]

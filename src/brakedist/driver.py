@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MAX_BRT_S, MAX_HEADWAY_S, Observation, UnknownStimulus, check_brt, check_headway, design,
-                    field_name, json_list, json_number, read_json)
+from .model import (Observation, UnknownStimulus, check_brt, check_headway, design, json_array, json_list,
+                    json_number, read_json, refuse_outside_domain)
 from .model import build_design  # the benchmark's tracer wraps it
 from .numerics import NotPositiveDefinite, reduced_solve
 from .numerics import spd_solve  # the benchmark's tracer wraps it
@@ -142,7 +142,7 @@ def compute_blup(state, model):
             resid = y - X @ model.beta
             xtx = X.T @ X
             # W = [X' V^-1 X | X' V^-1 r | M^-T].
-            _, W = reduced_solve(xtx, sg, model.sigma2, np.column_stack([xtx, X.T @ resid, eye]))
+            W = reduced_solve(xtx, sg, model.sigma2, np.column_stack([xtx, X.T @ resid, eye]))
             gamma_hat = sg @ W[:, p]
 
             info = W[:, :p]  # X' V^-1 X
@@ -159,10 +159,6 @@ def compute_blup(state, model):
     return BlupResult(gamma_hat=gamma_hat, pred_err_cov=pred_err)
 
 
-_DOMAINS = {"headway_s": (MAX_HEADWAY_S, check_headway), "brt_s": (MAX_BRT_S, check_brt)}  # (0, bound]
-_COLUMNS = ("stimulus", *_DOMAINS)  # a state file's window, oldest event first
-
-
 def state_to_dict(state, registry):
     """JSON-ready dict for a driver state file: the header and the window's columns."""
     return {"driver_id": state.driver_id, "max_history": state.max_history,
@@ -171,49 +167,32 @@ def state_to_dict(state, registry):
 
 
 def state_from_dict(doc, registry):
-    """The state a state file's document holds, from its columns or the older layout's records. A refusal names
-    the entry; header, shape and owners, stimulus, headway_s, brt_s go in that order, type before domain."""
+    """The state a state file's document holds, its columns all absent for no events. A refusal names the entry:
+    header, ``observations`` (the older layout, refused), shape, stimulus, headway_s, brt_s, type before domain."""
     driver_id = doc["driver_id"]
     if not isinstance(driver_id, str):
         raise ValueError(f"driver_id must be a string, got {driver_id!r}")
     state = DriverState(driver_id, json_number(doc, "max_history", integral=True) if "max_history" in doc
                         else DEFAULT_MAX_HISTORY)
-    if "observations" in doc:
-        if doc.keys() & _COLUMNS:
-            raise ValueError("a state file holds observations or stimulus, headway_s and brt_s, not both")
-        (names, *numbers), path = _record_columns(doc, driver_id), lambda key, i: ("observations", i, key)
-    else:
-        names, *numbers = columns = [json_list(doc, key) if doc.keys() & _COLUMNS else [] for key in _COLUMNS]
-        if len(set(map(len, columns))) > 1:
-            raise ValueError(f"stimulus, headway_s and brt_s must have equal lengths, got {[*map(len, columns)]}")
-        path = lambda key, i: (key, i)
+    if "observations" in doc:  # the older layout is refused, never read as an empty window that drops its events
+        raise TypeError("observations: records are no longer read; a state file holds stimulus, headway_s and brt_s")
+    keys = ("stimulus", "headway_s", "brt_s")  # the window, oldest event first
+    if not doc.keys() & keys:
+        return state
+    names, *_ = columns = [json_list(doc, key) for key in keys]
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"stimulus, headway_s and brt_s must have equal lengths, got {[*map(len, columns)]}")
     for i, name in enumerate(names):
         if type(name) is not str:
-            raise ValueError(f"{field_name(path('stimulus', i))} must be a string, got {name!r}")
+            raise ValueError(f"stimulus[{i}] must be a string, got {name!r}")
         if name not in registry.names:
-            raise UnknownStimulus(f"{field_name(path('stimulus', i))}: unknown stimulus name {name!r}")
-    for j, (key, (bound, check)) in enumerate(_DOMAINS.items()):
-        numbers[j] = column = np.array([v if type(v) is float else json_number(doc, *path(key, i))
-                                        for i, v in enumerate(numbers[j])], float)
-        for i in np.flatnonzero(~((column > 0) & (column <= bound))):
-            check(column[i], field_name(path(key, int(i))))  # raises at the first entry out of the domain
-    _keep_window(state, np.array(list(map(registry.id_of, names)), np.intp), *numbers)
+            raise UnknownStimulus(f"stimulus[{i}]: unknown stimulus name {name!r}")
+    headway_s = json_array(doc, "headway_s", shape=(len(names),))
+    refuse_outside_domain(lambda i: check_headway(headway_s[i], f"headway_s[{i}]"), False, headway_s)
+    brt_s = json_array(doc, "brt_s", shape=(len(names),))
+    refuse_outside_domain(lambda i: check_brt(brt_s[i], f"brt_s[{i}]"), False, brt_s=brt_s)
+    _keep_window(state, np.array(list(map(registry.id_of, names)), np.intp), headway_s, brt_s)
     return state
-
-
-def _record_columns(doc, driver_id):
-    """The older layout's records as the three columns, each record's shape and owner checked in order."""
-    records = json_list(doc, "observations")
-    for i, rec in enumerate(records):
-        if type(rec) is not dict:
-            raise TypeError(f"observations[{i}] must be an object, got {rec!r}")
-        for key in ("driver_id", *_COLUMNS):
-            if key not in rec:
-                raise KeyError(f"observations[{i}].{key}")
-        if rec["driver_id"] != driver_id:
-            raise DriverMismatch(f"observations[{i}]: observation for {rec['driver_id']!r} "
-                                 f"added to state of {driver_id!r}")
-    return [[rec[key] for rec in records] for key in _COLUMNS]
 
 
 def load_driver_state(path, registry):

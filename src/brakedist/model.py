@@ -193,7 +193,7 @@ class TrainingSet:
             raise ValueError("driver ids, counts and event columns disagree in length")
         for i in np.flatnonzero(self.counts < 1)[:1]:
             raise ValueError(f"driver {self.driver_ids[i]!r} has no observations")
-        _refuse_outside_domain(self.spec, self.stimulus, self.headway_s, self.brt_s)
+        _refuse_bad_events(self.spec, self.stimulus, self.headway_s, self.brt_s)
 
     @classmethod
     def from_rows(cls, spec, stimuli, driver_id, stimulus, headway_s, brt_s):
@@ -285,25 +285,32 @@ def design(spec, stimulus, headway):
     serving all build their rows here. The first row that feature_row
     refuses raises feature_row's error."""
     n = stimulus.size
-    _refuse_outside_domain(spec, stimulus, headway)
+    _refuse_bad_events(spec, stimulus, headway)
     powers = np.arange(spec.degree + 1)
     X = np.zeros((n, spec.p))
     X[np.arange(n)[:, None], stimulus[:, None] * powers.size + powers] = headway[:, None] ** powers
     return X
 
 
-def _refuse_outside_domain(spec, stimulus, headway_s, brt_s=None):
-    """Raise ``feature_row``'s error for the first event whose stimulus id or
-    headway it refuses, or ``check_brt``'s for one whose response (if given)
-    that refuses: the arrays are checked at once, and the first bad event alone
-    is explained by the scalar checks."""
-    bad = (stimulus < 0) | (stimulus >= spec.num_stimuli) | ~((headway_s > 0) & (headway_s <= MAX_HEADWAY_S))
-    if brt_s is not None:
-        bad |= ~((brt_s > 0) & (brt_s <= MAX_BRT_S))
-    for i in bad.nonzero()[0][:1]:
+def _refuse_bad_events(spec, stimulus, headway_s, brt_s=None):
+    """``refuse_outside_domain`` with ``feature_row``'s checks, then ``check_brt`` if ``brt_s`` is given."""
+    def explain(i):
         feature_row(spec, int(stimulus[i]), float(headway_s[i]))
         if brt_s is not None:
             check_brt(brt_s[i])
+
+    refuse_outside_domain(explain, (stimulus < 0) | (stimulus >= spec.num_stimuli), headway_s, brt_s)
+
+
+def refuse_outside_domain(explain, bad, headway_s=None, brt_s=None):
+    """Call ``explain(i)``, which raises the scalar checks' error, at the first event i flagged by the mask ``bad``
+    or with a headway or response (if given) outside (0, MAX_HEADWAY_S] or (0, MAX_BRT_S]; AssertionError if not."""
+    if headway_s is not None:
+        bad = bad | ~((headway_s > 0) & (headway_s <= MAX_HEADWAY_S))
+    if brt_s is not None:
+        bad = bad | ~((brt_s > 0) & (brt_s <= MAX_BRT_S))
+    for i in bad.nonzero()[0][:1]:
+        explain(int(i))
         raise AssertionError(f"event {i} fails a domain mask but passes the scalar checks")
 
 
@@ -335,8 +342,8 @@ def read_observations_csv(path, degree=2):
     Raises:
         ValueError: as ``ModelSpec`` does for ``degree``; then naming the
             file, on a byte that is not UTF-8 or a malformed header or row,
-            with the 1-based line number of the first bad line, or on a
-            file with no rows.
+            with the 1-based number of the physical line that the first bad
+            row starts on, or on a file with no rows.
     """
     ModelSpec(1, degree)  # a bad degree is refused before the file is read
     data = Path(path).read_bytes()
@@ -352,8 +359,7 @@ def read_observations_csv(path, degree=2):
             raise ValueError(
                 f"line 1: expected header {','.join(OBSERVATION_CSV_HEADER)}, got {header}"
             )
-        records = list(reader)
-        rows = [row for row in records if row]
+        rows = [row for row in reader if row]
         if not rows:
             raise ValueError("CSV contains no observations")
         try:
@@ -366,7 +372,9 @@ def read_observations_csv(path, degree=2):
             return TrainingSet.from_rows(ModelSpec(len(ids), degree), StimulusRegistry(ids), driver_id,
                                          [*map(ids.__getitem__, names)], [*map(float, headway)], [*map(float, brt)])
         except ValueError:  # name the first bad line, checking the rows one by one
-            for lineno, row in enumerate(records, start=2):
+            reader = csv.reader(io.StringIO(text, newline=""))
+            end = 1  # the physical line the last row read ends on: a quoted field may hold newlines
+            for row in islice(reader, 1, None):
                 try:
                     if len(row) not in (0, 4):
                         raise ValueError(f"expected 4 fields, got {len(row)}")
@@ -375,7 +383,8 @@ def read_observations_csv(path, degree=2):
                         check_headway(headway)
                         check_brt(brt)
                 except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
+                    raise ValueError(f"line {end + 1}: {exc}") from None
+                end = reader.line_num
             raise AssertionError("the column checks refused rows that the row checks pass") from None
     except ValueError as exc:
         raise ValueError(f"observation file {path}: {exc}") from None
@@ -445,7 +454,7 @@ def atomic_write_text(path, text):
 
 
 def field_name(path):
-    """A field's path as messages name it, e.g. ``observations[3].headway_s``."""
+    """A field's path as messages name it, e.g. ``fit_info.loglik`` or ``beta_cov[3][1]``."""
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).removeprefix(".")
 
 

@@ -110,7 +110,7 @@ def is_psd(a, tol):
 
 
 def reduced_solve(xtx, sigma_gamma, sigma2, rhs):
-    """The push-through system M = sigma2 I + Sigma_gamma X'X and M^-T rhs.
+    """M^-T rhs for the push-through system M = sigma2 I + Sigma_gamma X'X.
 
     Batched over leading axes of ``xtx`` and ``rhs``. With rhs = [X'X | X'r]
     the solution is [X' V^-1 X | X' V^-1 r]. M's eigenvalues are >= sigma2
@@ -128,4 +128,4 @@ def reduced_solve(xtx, sigma_gamma, sigma2, rhs):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("reduced system is singular or not finite") from None
-    return m, W
+    return W

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from brakedist.driver import DEFAULT_MAX_HISTORY, DriverMismatch, DriverState
+from brakedist.driver import DEFAULT_MAX_HISTORY, DriverState
 from brakedist.model import TrainingSet, UnknownStimulus, build_design, check_brt, check_headway, json_number
 from brakedist.numerics import spd_solve
 
@@ -85,13 +85,12 @@ def state_columns_oracle(doc, registry):
     (stimulus ids, headways, responses), read one entry at a time.
 
     The document holds the ``stimulus``, ``headway_s`` and ``brt_s`` lists
-    (all absent: no events), or the older ``observations`` records. Checks
-    run in the documented order: the header; the shape (each column a list,
-    the lengths equal) or each record in turn (an object, every field there,
-    the state's owner); every stimulus name; then every headway's type, then
-    every headway's domain, then the same for every response. A refusal
-    names its entry as its layout spells it, ``headway_s[1]`` or
-    ``observations[1].headway_s``.
+    (all absent: no events). Checks run in the documented order: the
+    header; no ``observations`` key (the older record layout, refused as
+    the wrong shape); the shape (each column a list, the lengths equal);
+    every stimulus name; then every headway's type, then every headway's
+    domain, then the same for every response. A refusal names its entry,
+    e.g. ``headway_s[1]``.
     """
     driver_id = doc["driver_id"]
     if not isinstance(driver_id, str):
@@ -100,68 +99,35 @@ def state_columns_oracle(doc, registry):
     if "max_history" in doc:
         max_history = json_number(doc, "max_history", integral=True)
     DriverState(driver_id=driver_id, max_history=max_history)  # checks the window
-    keys = ("stimulus", "headway_s", "brt_s")
     if "observations" in doc:
-        if any(key in doc for key in keys):
-            raise ValueError("a state file holds observations or stimulus, headway_s and brt_s, not both")
-        records = doc["observations"]
-        if not isinstance(records, list):
-            raise TypeError(f"observations must be a list, got {records!r}")
-        for i, rec in enumerate(records):
-            if not isinstance(rec, dict):
-                raise TypeError(f"observations[{i}] must be an object, got {rec!r}")
-            for key in ("driver_id", *keys):
-                if key not in rec:
-                    raise KeyError(f"observations[{i}].{key}")
-            if rec["driver_id"] != driver_id:
-                raise DriverMismatch(f"observations[{i}]: observation for {rec['driver_id']!r} "
-                                     f"added to state of {driver_id!r}")
-        n = len(records)
-
-        def path(key, i):
-            return "observations", i, key
-
-        def name(key, i):
-            return f"observations[{i}].{key}"
-    else:
-        lengths, has_columns = [], any(key in doc for key in keys)
-        for key in keys:
-            if has_columns:
-                if key not in doc:
-                    raise KeyError(key)
-                if not isinstance(doc[key], list):
-                    raise TypeError(f"{key} must be a list, got {doc[key]!r}")
-                lengths.append(len(doc[key]))
-            else:
-                lengths.append(0)
-        if min(lengths) != max(lengths):
-            raise ValueError(f"stimulus, headway_s and brt_s must have equal lengths, got {lengths}")
-        n = lengths[0]
-
-        def path(key, i):
-            return key, i
-
-        def name(key, i):
-            return f"{key}[{i}]"
-
-    def entry(key, i):
-        value = doc
-        for step in path(key, i):
-            value = value[step]
-        return value
+        raise TypeError("observations: records are no longer read; a state file holds stimulus, headway_s and brt_s")
+    keys = ("stimulus", "headway_s", "brt_s")
+    lengths, has_columns = [], any(key in doc for key in keys)
+    for key in keys:
+        if has_columns:
+            if key not in doc:
+                raise KeyError(key)
+            if not isinstance(doc[key], list):
+                raise TypeError(f"{key} must be a list, got {doc[key]!r}")
+            lengths.append(len(doc[key]))
+        else:
+            lengths.append(0)
+    if min(lengths) != max(lengths):
+        raise ValueError(f"stimulus, headway_s and brt_s must have equal lengths, got {lengths}")
+    n = lengths[0]
 
     rows = []
     for i in range(n):
-        stimulus = entry("stimulus", i)
+        stimulus = doc["stimulus"][i]
         if not isinstance(stimulus, str):
-            raise ValueError(f"{name('stimulus', i)} must be a string, got {stimulus!r}")
+            raise ValueError(f"stimulus[{i}] must be a string, got {stimulus!r}")
         if stimulus not in registry.names:
-            raise UnknownStimulus(f"{name('stimulus', i)}: unknown stimulus name {stimulus!r}")
+            raise UnknownStimulus(f"stimulus[{i}]: unknown stimulus name {stimulus!r}")
         rows.append([registry.names.index(stimulus)])
     for key, check in (("headway_s", check_headway), ("brt_s", check_brt)):
-        values = [json_number(doc, *path(key, i)) for i in range(n)]  # names the entry itself
+        values = [json_number(doc, key, i) for i in range(n)]  # names the entry itself
         for i, value in enumerate(values):
-            rows[i].append(check(value, name(key, i)))
+            rows[i].append(check(value, f"{key}[{i}]"))
     rows = rows[len(rows) - min(len(rows), max_history):]
     return (driver_id, max_history, np.array([r[0] for r in rows], dtype=np.intp),
             np.array([r[1] for r in rows], dtype=float), np.array([r[2] for r in rows], dtype=float))

@@ -423,30 +423,6 @@ class TestUpdate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "model.json"]
         assert list(out.iterdir()) == []
 
-    def test_record_file_is_served_as_its_column_twin_and_rewritten(self, tmp_path, handmade_model_path,
-                                                                     capfd):
-        # The older record layout is still read: pbrt and curve print and write the same
-        # bytes as for its column twin, and the next update rewrites it in the column layout.
-        model = str(handmade_model_path)
-        events = [("traffic_signal", 1.2, 0.8), ("lead_car_brake", 2.5, 1.1), ("traffic_signal", 0.9, 0.7)]
-        columns = {"driver_id": "x", "max_history": 500, "stimulus": [e[0] for e in events],
-                   "headway_s": [e[1] for e in events], "brt_s": [e[2] for e in events]}
-        records = {"driver_id": "x", "max_history": 500, "observations": [
-            {"driver_id": "x", "stimulus": s, "headway_s": t, "brt_s": b} for s, t, b in events]}
-        outputs = {}
-        for layout, doc in [("columns", columns), ("records", records)]:
-            state, curve = tmp_path / f"{layout}.json", tmp_path / f"{layout}.csv"
-            state.write_text(json.dumps(doc, indent=2))
-            assert run(["pbrt", "--model", model, "--state", str(state), "--stimulus", "lead_car_brake"]) == 0
-            assert run(["curve", "--model", model, "--state", str(state), "--stimulus", "lead_car_brake",
-                        "--grid", "0.2,3.0,50", "--out", str(curve)]) == 0
-            assert run(["update", "--model", model, "--state", str(state),
-                        "--event", "lead_car_brake,1.7,0.9"]) == 0
-            outputs[layout] = capfd.readouterr(), curve.read_bytes(), state.read_bytes()
-        assert outputs["records"] == outputs["columns"]
-        assert outputs["columns"][0].err == ""
-        assert json.loads(outputs["records"][2])["stimulus"] == [e[0] for e in events] + ["lead_car_brake"]
-
 
 class TestPbrt:
     def test_integer_model_entries_read_as_their_floats(self, tmp_path, handmade_model_path, capfd):
@@ -459,7 +435,7 @@ class TestPbrt:
         entries = ints["beta"][2], ints["sigma_gamma"][0][1], ints["beta_cov"][0][1]
         assert {type(v) for v in entries} == {int}
         state = tmp_path / "x.json"
-        state.write_text(json.dumps({"driver_id": "x", "observations": [EVENT]}))
+        state.write_text(json.dumps(COLUMNS))
         outputs = []
         for kind, twin in twins.items():
             model = tmp_path / f"{kind}.json"
@@ -661,6 +637,10 @@ class TestPbrt:
             ("0,50", "percentile levels must lie in (0, 100)"),
             # Read with bare float(), this named neither the option nor the level.
             ("10,abc", "--percentiles level must be a number, got 'abc'"),
+            # Empty levels were skipped: "10,,90" printed two rows.
+            ("10,,90", "--percentiles level must be a number, got ''"),
+            ("10,90,", "--percentiles level must be a number, got ''"),
+            ("", "--percentiles level must be a number, got ''"),
         ]:
             assert run(["pbrt", "--model", str(handmade_model_path),
                         "--stimulus", "traffic_signal", "--percentiles", levels]) == 3
@@ -818,7 +798,9 @@ class TestCurve:
             assert not out.exists()
 
 
+# One good event of driver "x" in the older record layout, which is no longer read.
 EVENT = {"driver_id": "x", "stimulus": "traffic_signal", "headway_s": 1.2, "brt_s": 0.8}
+RECORD_REFUSAL = "observations: records are no longer read; a state file holds stimulus, headway_s and brt_s"
 # Two good events of driver "x" in the column layout.
 COLUMNS = {"driver_id": "x", "stimulus": ["traffic_signal"] * 2, "headway_s": [1.2] * 2, "brt_s": [0.8] * 2}
 
@@ -829,20 +811,16 @@ class TestMalformedJson:
         ("model", {"spec": {"num_stimuli": 2, "degree": 2, "stimuli": None}},
          "spec.stimuli must be a list, got None"),
         ("state", [], None),
-        ("state", {"driver_id": "x", "observations": 5}, "observations must be a list, got 5"),
-        ("state", {"driver_id": "x", "observations": [{**EVENT, "headway_s": None}]},
-         "observations[0].headway_s must be a number, got None"),
+        # A file in the older record layout is refused whole, whatever its records hold.
+        ("state", {"driver_id": "x", "observations": 5}, RECORD_REFUSAL),
+        ("state", {"driver_id": "x", "observations": [{**EVENT, "headway_s": None}]}, RECORD_REFUSAL),
         ("config", [], None),
         # These four were served as an empty history, or refused naming no field.
-        ("state", {"driver_id": "x", "observations": {}}, "observations must be a list, got {}"),
-        ("state", {"driver_id": "x", "observations": ""}, "observations must be a list, got ''"),
-        ("state", {"driver_id": "x", "observations": "abc"},
-         "observations must be a list, got 'abc'"),
-        ("state", {"driver_id": "x", "observations": {"a": 1}},
-         "observations must be a list, got {'a': 1}"),
-        # Python's own message named no record here.
-        ("state", {"driver_id": "x", "observations": [EVENT, 3, EVENT]},
-         "observations[1] must be an object, got 3"),
+        ("state", {"driver_id": "x", "observations": {}}, RECORD_REFUSAL),
+        ("state", {"driver_id": "x", "observations": ""}, RECORD_REFUSAL),
+        ("state", {"driver_id": "x", "observations": "abc"}, RECORD_REFUSAL),
+        ("state", {"driver_id": "x", "observations": {"a": 1}}, RECORD_REFUSAL),
+        ("state", {"driver_id": "x", "observations": [EVENT, 3, EVENT]}, RECORD_REFUSAL),
         ("state", {**COLUMNS, "headway_s": 5}, "headway_s must be a list, got 5"),
         ("state", {**COLUMNS, "stimulus": {"a": 1}}, "stimulus must be a list, got {'a': 1}"),
         ("state", {**COLUMNS, "brt_s": [0.8, None]}, "brt_s[1] must be a number, got None"),
@@ -914,42 +892,45 @@ class TestMalformedJson:
             assert captured.err.splitlines() == [f"error: {kind} file {bad} {message}"]
 
     @pytest.mark.parametrize("field, value, message", [
-        ("headway_s", True, "observations[1].headway_s must be a number, got True"),
-        ("brt_s", "0.8", "observations[1].brt_s must be a number, got '0.8'"),
-        ("stimulus", "mystery", "observations[1].stimulus: unknown stimulus name 'mystery'"),
-        ("brt_s", MISSING, "missing field 'observations[1].brt_s'"),
-        ("headway_s", ABOVE_BOUND, above_bound("observations[1].headway_s", ABOVE_BOUND)),
-        ("headway_s", math.nan, "observations[1].headway_s must be positive, got nan"),
-        ("driver_id", "someone else",
-         "observations[1]: observation for 'someone else' added to state of 'x'"),
+        ("headway_s", True, "headway_s[1] must be a number, got True"),
+        ("brt_s", "0.8", "brt_s[1] must be a number, got '0.8'"),
+        ("stimulus", "mystery", "stimulus[1]: unknown stimulus name 'mystery'"),
+        ("brt_s", MISSING, "missing field 'brt_s'"),
+        ("headway_s", ABOVE_BOUND, above_bound("headway_s[1]", ABOVE_BOUND)),
+        ("headway_s", math.nan, "headway_s[1] must be positive, got nan"),
     ], ids=["headway-bool", "brt-string", "unknown-stimulus", "brt-missing", "headway-above-bound",
-            "headway-nan", "foreign-owner"])
+            "headway-nan"])
     def test_bad_state_field_names_file_and_field(self, tmp_path, handmade_model_path, capfd,
                                                   field, value, message):
-        # Read with bare float(), "headway_s": true was stored as 1.0.
+        # Read with bare float(), "headway_s": true was stored as 1.0. update
+        # refuses the file before the new event is added, and leaves it as it was.
         state = tmp_path / "x.json"
-        event = {key: v for key, v in {**EVENT, field: value}.items() if v is not MISSING}
-        doc = {"driver_id": "x", "observations": [EVENT, event]}
+        doc = json.loads(json.dumps(COLUMNS))
+        if value is MISSING:
+            del doc[field]
+        else:
+            doc[field][1] = value
         state.write_text(json.dumps(doc))
-        assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
-                    "--stimulus", "traffic_signal"]) == 3
+        before = state.read_bytes()
+        assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
+                    "--event", "traffic_signal,1.2,0.8"]) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: state file {state}: {message}"]
+        assert state.read_bytes() == before
 
     def test_first_bad_record_in_file_order_is_named(self, tmp_path, handmade_model_path, capfd):
-        # Record 1's refusal was reported without naming it; record 2 is bad too. In one
+        # Event 1's refusal was reported without naming it; event 2 is bad too. In one
         # column, out-of-domain values are refused at the lowest index.
         state = tmp_path / "x.json"
-        doc = {"driver_id": "x", "observations": [
-            EVENT, {**EVENT, "brt_s": math.inf}, {**EVENT, "brt_s": -1.0}]}
-        state.write_text(json.dumps(doc))
+        state.write_text(json.dumps({**COLUMNS, "stimulus": ["traffic_signal"] * 3, "headway_s": [1.2] * 3,
+                                     "brt_s": [0.8, math.inf, -1.0]}))
         assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
                     "--stimulus", "traffic_signal"]) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: state file {state}: observations[1].brt_s must be positive and finite, got inf"]
+            f"error: state file {state}: brt_s[1] must be positive and finite, got inf"]
 
     @pytest.mark.parametrize("column, value, message", [
         ("headway_s", True, "headway_s[1] must be a number, got True"),
@@ -982,36 +963,48 @@ class TestMalformedJson:
     def test_stimulus_name_that_is_not_a_string_is_named(self, tmp_path, handmade_model_path, capfd,
                                                          layout, name):
         # ["a"] was refused with Python's "unhashable type: 'list'", and 5 as an unknown name.
+        # In the older record layout, the file is refused as that layout before any name is read.
         state = tmp_path / "x.json"
         if layout == "columns":
-            doc, where = {**COLUMNS, "stimulus": ["traffic_signal", name]}, "stimulus[1]"
+            doc = {**COLUMNS, "stimulus": ["traffic_signal", name]}
+            message = f"stimulus[1] must be a string, got {name!r}"
         else:
             doc = {"driver_id": "x", "observations": [EVENT, {**EVENT, "stimulus": name}]}
-            where = "observations[1].stimulus"
+            message = f"has the wrong shape: {RECORD_REFUSAL}"
         state.write_text(json.dumps(doc))
         assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
                     "--event", "traffic_signal,1.2,0.8"]) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: state file {state}: {where} must be a string, got {name!r}"]
+        assert captured.err.splitlines() == [refusal("state file", state, message)]
         assert json.loads(state.read_text()) == doc
 
-    def test_both_layouts_in_one_file_are_refused(self, tmp_path, handmade_model_path, capfd):
-        state = tmp_path / "x.json"
-        state.write_text(json.dumps({**COLUMNS, "observations": [EVENT]}))
-        assert run(["pbrt", "--model", str(handmade_model_path), "--state", str(state),
-                    "--stimulus", "traffic_signal"]) == 3
+    @pytest.mark.parametrize("command", ["update", "pbrt", "curve"])
+    @pytest.mark.parametrize("doc", [
+        {"driver_id": "x", "max_history": 500, "observations": [EVENT, EVENT]},
+        {"driver_id": "x", "observations": []},
+        {"driver_id": "x", "observations": None},
+        {**COLUMNS, "observations": [EVENT]},
+    ], ids=["records", "empty", "null", "beside-columns"])
+    def test_record_layout_is_refused(self, tmp_path, handmade_model_path, capfd, command, doc):
+        # The older layout was read, and rewritten as columns by update. A file holding
+        # observations is now refused, never served as an empty history, and left as it was.
+        state, curve = tmp_path / "x.json", tmp_path / "curve.csv"
+        state.write_text(json.dumps(doc))
+        before = state.read_bytes()
+        args = {"update": ["--event", "traffic_signal,1.2,0.8"], "pbrt": ["--stimulus", "traffic_signal"],
+                "curve": ["--stimulus", "traffic_signal", "--grid", "0.2,3.0,50", "--out", str(curve)]}[command]
+        assert run([command, "--model", str(handmade_model_path), "--state", str(state), *args]) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"error: state file {state}: a state file holds observations or stimulus, headway_s and brt_s, "
-            "not both"]
+        assert captured.err.splitlines() == [refusal("state file", state, f"has the wrong shape: {RECORD_REFUSAL}")]
+        assert state.read_bytes() == before
+        assert not curve.exists()
 
     def test_non_string_driver_id_names_file(self, tmp_path, handmade_model_path, capfd):
         # A state file with "driver_id": 5 was accepted.
         state = tmp_path / "x.json"
-        state.write_text(json.dumps({"driver_id": 5, "observations": []}))
+        state.write_text(json.dumps({**COLUMNS, "driver_id": 5}))
         assert run(["update", "--model", str(handmade_model_path), "--state", str(state),
                     "--event", "traffic_signal,1.2,0.8"]) == 3
         captured = capfd.readouterr()

@@ -427,9 +427,9 @@ class TestStateFile:
 
     def test_load_keeps_the_newest_window(self):
         registry = scalar_model().stimuli
-        events = [{"driver_id": "a", "stimulus": "stim", "headway_s": 1.0 + i, "brt_s": 1.0}
-                  for i in range(503)]
-        state = state_from_dict({"driver_id": "a", "observations": events}, registry)
+        doc = {"driver_id": "a", "stimulus": ["stim"] * 503, "headway_s": [1.0 + i for i in range(503)],
+               "brt_s": [1.0] * 503}
+        state = state_from_dict(doc, registry)
         assert state.n == 500 and state.headway_s[0] == 4.0
         assert state.stimulus.dtype == np.intp and not state.stimulus.flags.writeable
 
@@ -469,8 +469,8 @@ def outcome(read, doc, registry):
     return tuple((c.dtype, c.tolist()) if isinstance(c, np.ndarray) else c for c in result)
 
 
-# One record's mutations; each is a bad record but for the in-domain int.
-# ``mutate`` applies them to an entry of the column layout too.
+# One event's mutations; each makes a bad event but for the in-domain ints.
+# ``mutate`` applies them to an entry of the column layout.
 MUTATIONS = {
     "int": lambda rec: rec.update(headway_s=2),
     "int-brt": lambda rec: rec.update(brt_s=1),
@@ -485,17 +485,13 @@ MUTATIONS = {
     "list-name": lambda rec: rec.update(stimulus=["a"]),
     "number-name": lambda rec: rec.update(stimulus=5),
     "null-name": lambda rec: rec.update(stimulus=None),
-    "foreign-id": lambda rec: rec.update(driver_id="someone else"),
-    "number-id": lambda rec: rec.update(driver_id=7),
     "missing-key": lambda rec: rec.pop("headway_s", None),
     "missing-name": lambda rec: rec.pop("stimulus", None),
     "missing-brt": lambda rec: rec.pop("brt_s", None),
 }
-# The column layout has no owner per entry: these read as written there.
-OWNER_MUTATIONS = ("foreign-id", "number-id")
-NOT_RECORDS = [None, 3, "record", ["driver_id", "stimulus"], []]
+# Stand-ins for a whole headway_s column: not a list, or not the right list.
+BAD_COLUMNS = [None, 3, "record", ["driver_id", "stimulus"], []]
 COLUMNS = ("stimulus", "headway_s", "brt_s")
-LAYOUTS = ("columns", "records")
 MISSING = object()  # a header value that deletes the field
 HEADER_MUTATIONS = {
     "driver_id": [True, 0, 1.5, "someone else", MISSING],
@@ -505,45 +501,35 @@ HEADER_MUTATIONS = {
     "headway_s": [5, [], MISSING],
     "brt_s": [None, MISSING],
 }
+RECORD_REFUSAL = "observations: records are no longer read; a state file holds stimulus, headway_s and brt_s"
+
+
+def mutate(doc, i, mutation):
+    """Apply an event mutation to event i of a column-layout state document.
+
+    A changed field lands in its column, a removed one drops the entry from
+    its column, and an index into ``BAD_COLUMNS`` replaces the whole
+    ``headway_s`` column. A column that is no longer a list, or too short,
+    keeps what it holds.
+    """
+    if isinstance(mutation, int):
+        doc["headway_s"] = BAD_COLUMNS[mutation]
+        return
+    held = [key for key in COLUMNS if isinstance(doc[key], list) and i < len(doc[key])]
+    rec = {key: doc[key][i] for key in held}
+    MUTATIONS[mutation](rec)
+    for key in held:
+        if key in rec:
+            doc[key][i] = rec[key]
+        else:
+            del doc[key][i]
 
 
 def as_records(doc):
     """A column-layout state document in the older record layout."""
     records = [{"driver_id": doc["driver_id"], "stimulus": s, "headway_s": t, "brt_s": b}
                for s, t, b in zip(*(doc[key] for key in COLUMNS))]
-    header = {key: doc[key] for key in ("driver_id", "max_history") if key in doc}
-    return {**header, "observations": records}
-
-
-def in_layout(doc, layout):
-    """A column-layout state document ``doc`` as ``layout`` lays it out."""
-    return as_records(doc) if layout == "records" else doc
-
-
-def mutate(doc, i, mutation):
-    """Apply a record mutation to event i of a state document in either layout.
-
-    In the column layout a changed field lands in its column, a removed one
-    drops the entry from its column, and a record that is not an object
-    stands in for the whole ``headway_s`` column. A column that is no
-    longer a list, or too short, keeps what it holds.
-    """
-    if "observations" in doc:
-        if isinstance(mutation, int):
-            doc["observations"][i] = NOT_RECORDS[mutation]
-        else:
-            MUTATIONS[mutation](doc["observations"][i])
-    elif isinstance(mutation, int):
-        doc["headway_s"] = NOT_RECORDS[mutation]
-    else:
-        held = [key for key in COLUMNS if isinstance(doc[key], list) and i < len(doc[key])]
-        rec = {"driver_id": doc["driver_id"], **{key: doc[key][i] for key in held}}
-        MUTATIONS[mutation](rec)
-        for key in held:
-            if key in rec:
-                doc[key][i] = rec[key]
-            else:
-                del doc[key][i]
+    return {"driver_id": doc["driver_id"], "observations": records}
 
 
 def three_events(**header):
@@ -579,99 +565,73 @@ class TestStateFileColumns:
                              (state.stimulus, state.headway_s, state.brt_s)):
             assert got.dtype == want.dtype and got.tobytes() == want[len(want) - min(len(want), window):].tobytes()
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(case=state_files(), data=st.data())
-    def test_record_file_reads_as_its_column_twin(self, case, data):
-        # The older layout is gathered into the same columns: the same state,
-        # and for one bad value the same refusal but for the entry's name.
-        state, registry = case
-        doc = json.loads(json.dumps(state_to_dict(state, registry)))
-        records = as_records(doc)
-        if state.n and data.draw(st.booleans()):
-            i = data.draw(st.integers(0, state.n - 1))
-            values = [m for m in MUTATIONS if m not in OWNER_MUTATIONS and not m.startswith("missing")]
-            mutation = data.draw(st.sampled_from(values))
-            mutate(doc, i, mutation)
-            mutate(records, i, mutation)
-        got, want = outcome(state_from_dict, records, registry), outcome(state_from_dict, doc, registry)
-        if type(want[0]) is type:
-            assert got[0] is want[0]
-        else:
-            assert got == want
-
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=state_files(), data=st.data())
     def test_one_bad_record_is_read_as_the_row_reader_reads_it(self, case, data):
         state, registry = case
-        doc = in_layout(json.loads(json.dumps(state_to_dict(state, registry))), data.draw(st.sampled_from(LAYOUTS)))
+        doc = json.loads(json.dumps(state_to_dict(state, registry)))
         if state.n:
-            mutation = data.draw(st.sampled_from([*sorted(MUTATIONS), *range(len(NOT_RECORDS))]))
+            mutation = data.draw(st.sampled_from([*sorted(MUTATIONS), *range(len(BAD_COLUMNS))]))
             mutate(doc, data.draw(st.integers(0, state.n - 1)), mutation)
         assert outcome(state_from_dict, doc, registry) == outcome(state_columns_oracle, doc, registry)
 
     def test_every_mutation_is_refused_or_read_alike(self):
-        # Each mutation on its own, on the second of three events, named in
-        # each layout's own terms.
+        # Each mutation on its own, on the second of three events: refused
+        # naming that entry, or a missing one naming the column.
         registry = StimulusRegistry(["a", "b"])
-        for layout in LAYOUTS:
-            for mutation in [*MUTATIONS, *range(len(NOT_RECORDS))]:
-                doc = in_layout(three_events(max_history=2), layout)
-                mutate(doc, 1, mutation)
-                got = outcome(state_from_dict, doc, registry)
-                assert got == outcome(state_columns_oracle, doc, registry), (layout, mutation)
-                read = ["int", "int-brt"] + (list(OWNER_MUTATIONS) if layout == "columns" else [])
-                assert (type(got[0]) is type) == (mutation not in read), (layout, mutation)
-                if layout == "records" and type(got[0]) is type:
-                    assert "observations[1]" in got[1], mutation
-                if layout == "columns" and mutation not in read and mutation in MUTATIONS:
-                    assert ("[1]" in got[1]) == (not mutation.startswith("missing")), mutation
+        for mutation in [*MUTATIONS, *range(len(BAD_COLUMNS))]:
+            doc = three_events(max_history=2)
+            mutate(doc, 1, mutation)
+            got = outcome(state_from_dict, doc, registry)
+            assert got == outcome(state_columns_oracle, doc, registry), mutation
+            read = mutation in ("int", "int-brt")
+            assert (type(got[0]) is type) == (not read), mutation
+            if not read and mutation in MUTATIONS:
+                assert ("[1]" in got[1]) == (not mutation.startswith("missing")), mutation
 
     def test_every_pair_of_mutations_in_one_record_is_read_alike(self):
-        # One event's fields are checked in a fixed order: shape and owner,
-        # then stimulus, then headway_s's type and domain, then brt_s's.
+        # One event's fields are checked in a fixed order: shape, then
+        # stimulus, then headway_s's type and domain, then brt_s's.
         registry = StimulusRegistry(["a", "b"])
-        for layout in LAYOUTS:
-            for first, second in itertools.permutations(MUTATIONS, 2):
-                doc = in_layout(three_events(), layout)
-                mutate(doc, 1, first)
-                mutate(doc, 1, second)
-                got = outcome(state_from_dict, doc, registry)
-                assert got == outcome(state_columns_oracle, doc, registry), (layout, first, second)
+        for first, second in itertools.permutations(MUTATIONS, 2):
+            doc = three_events()
+            mutate(doc, 1, first)
+            mutate(doc, 1, second)
+            got = outcome(state_from_dict, doc, registry)
+            assert got == outcome(state_columns_oracle, doc, registry), (first, second)
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("events, column_message, record_message", [
+    @pytest.mark.parametrize("layout", ["columns", "records"])
+    @pytest.mark.parametrize("events, message", [
         # Headway before response, even at a higher index.
-        ({1: "infinity", 0: "negative"}, "headway_s[0] must be positive, got -1.0",
-         "observations[0].headway_s must be positive, got -1.0"),
-        ({0: "infinity", 2: "nan"}, "headway_s[2] must be positive, got nan",
-         "observations[2].headway_s must be positive, got nan"),
+        ({1: "infinity", 0: "negative"}, "headway_s[0] must be positive, got -1.0"),
+        ({0: "infinity", 2: "nan"}, "headway_s[2] must be positive, got nan"),
         # In one column, a non-number before an out-of-domain value.
-        ({0: "nan", 2: "string-number"}, "headway_s[2] must be a number, got '1.5'",
-         "observations[2].headway_s must be a number, got '1.5'"),
+        ({0: "nan", 2: "string-number"}, "headway_s[2] must be a number, got '1.5'"),
         # Each at its lowest index.
-        ({2: "infinity", 1: "int-out-of-domain"}, "brt_s[1] 61.0 exceeds sanity bound 60.0",
-         "observations[1].brt_s 61.0 exceeds sanity bound 60.0"),
+        ({2: "infinity", 1: "int-out-of-domain"}, "brt_s[1] 61.0 exceeds sanity bound 60.0"),
         # Stimulus names before numbers, read in order.
-        ({0: "nan", 2: "list-name", 1: "unknown-name"},
-         "stimulus[1]: unknown stimulus name 'no such stimulus'",
-         "observations[1].stimulus: unknown stimulus name 'no such stimulus'"),
+        ({0: "nan", 2: "list-name", 1: "unknown-name"}, "stimulus[1]: unknown stimulus name 'no such stimulus'"),
     ], ids=["columns-in-order", "headway-any-index", "type-before-domain", "lowest-index",
             "stimulus-first"])
-    def test_refusal_order(self, layout, events, column_message, record_message):
+    def test_refusal_order(self, layout, events, message):
+        # The same events as records are refused as the older layout before
+        # any of them is read.
         registry = StimulusRegistry(["a", "b"])
-        doc = in_layout(three_events(), layout)
+        doc = three_events()
         for i, mutation in events.items():
             mutate(doc, i, mutation)
+        if layout == "records":
+            doc, message = as_records(doc), RECORD_REFUSAL
         got = outcome(state_from_dict, doc, registry)
         assert got == outcome(state_columns_oracle, doc, registry)
-        assert got[1] == (column_message if layout == "columns" else record_message)
+        assert got[1] == message
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=state_files(), data=st.data())
     def test_bad_records_and_header_are_read_as_the_row_reader_reads_them(self, case, data):
         # Two or three events with one or two mutations each, and/or header fields.
         state, registry = case
-        doc = in_layout(json.loads(json.dumps(state_to_dict(state, registry))), data.draw(st.sampled_from(LAYOUTS)))
+        doc = json.loads(json.dumps(state_to_dict(state, registry)))
         mutate_events = data.draw(st.booleans()) and state.n >= 2
         if mutate_events:
             for i in data.draw(st.lists(st.integers(0, state.n - 1), min_size=2, max_size=3, unique=True)):
@@ -680,7 +640,7 @@ class TestStateFileColumns:
                                                        max_size=2, unique=True)):
                         mutate(doc, i, mutation)
                 else:
-                    mutate(doc, i, data.draw(st.integers(0, len(NOT_RECORDS) - 1)))
+                    mutate(doc, i, data.draw(st.integers(0, len(BAD_COLUMNS) - 1)))
         fields = st.sampled_from(sorted(HEADER_MUTATIONS))
         for field in data.draw(st.lists(fields, min_size=0 if mutate_events else 1, unique=True)):
             value = data.draw(st.sampled_from(HEADER_MUTATIONS[field]))

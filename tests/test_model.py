@@ -313,6 +313,21 @@ class TestObservationCsv:
         path.write_text("driver_id,stimulus,headway_s,brt_s\n" + "\n".join(rows) + "\n")
         assert read_observations_csv(path).num_observations == 5
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("rows, message", [
+        (['"a\nb",x,1.0,0.5', "c,x,1.0,0.5", "d,x,nan,0.5"], "line 5: headway_s must be positive, got nan"),
+        (["c,x,1.0,0.5", '"a\nb",x,nan,0.5', "d,x,1.0,0.5"], "line 3: headway_s must be positive, got nan"),
+        (['"a\n\nb",x,1.0,0.5', "c,x,1.0"], "line 5: expected 4 fields, got 3"),
+    ], ids=["after", "within", "blank-line-in-field"])
+    def test_bad_line_is_counted_in_physical_lines(self, tmp_path, rows, message, newline):
+        # Rows were counted, not lines: a quoted field holding a newline made the
+        # refusal name the line before the bad one. A row is named by its first line.
+        path = tmp_path / "obs.csv"
+        text = "\n".join(["driver_id,stimulus,headway_s,brt_s", *rows, ""])
+        path.write_bytes(text.replace("\n", newline).encode())
+        with pytest.raises(ValueError, match=f"^observation file {re.escape(str(path))}: {re.escape(message)}$"):
+            read_observations_csv(path)
+
     @pytest.mark.parametrize("field", ["1_5", "\u0661.5", "\u0661\u0665", " 1.5", "1.5 ", "\t1.5", "Infinity",
                                        "NaN", "INF", "+Inf", "1,5", "0x1p0", "", "1.5\n"])
     def test_python_only_number_spellings_are_refused(self, tmp_path, field):
