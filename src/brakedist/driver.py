@@ -10,7 +10,7 @@ together with the prediction-error covariance of
 (beta_hat + gamma_hat) - (beta + gamma), which feeds the conservative
 variance downstream. The push-through identity V^-1 X = X M^-1,
 M = sigma2 I + Sigma_gamma X'X, gives X' V^-1 [X | r] and M^-T by one p x p
-solve (``reduced_solve``), so no n x n matrix is formed. It also makes the
+LU solve, so no n x n matrix is formed. It also makes the
 prediction-error covariance a sum of PSD terms, sigma2 Sigma_gamma M^-T +
 A beta_cov A' with A = I - Sigma_gamma X' V^-1 X, so nothing cancels and
 nothing is clipped.
@@ -25,7 +25,7 @@ import numpy as np
 from .model import (Observation, UnknownStimulus, check_brt, check_headway, design, json_array, json_list,
                     json_number, read_json, refuse_outside_domain)
 from .model import build_design  # the benchmark's tracer wraps it
-from .numerics import NotPositiveDefinite, reduced_solve
+from .numerics import NotPositiveDefinite
 from .numerics import spd_solve  # the benchmark's tracer wraps it
 
 DEFAULT_MAX_HISTORY = 500
@@ -141,8 +141,11 @@ def compute_blup(state, model):
         with np.errstate(over="raise", invalid="raise"):
             resid = y - X @ model.beta
             xtx = X.T @ X
-            # W = [X' V^-1 X | X' V^-1 r | M^-T].
-            W = reduced_solve(xtx, sg, model.sigma2, np.column_stack([xtx, X.T @ resid, eye]))
+            # W = M^-T [X'X | X'r | I] = [X' V^-1 X | X' V^-1 r | M^-T]. M's eigenvalues
+            # are >= sigma2, and it needs no factor of Sigma_gamma, which may be singular.
+            W = np.linalg.solve((sg @ xtx + model.sigma2 * eye).T, np.column_stack([xtx, X.T @ resid, eye]))
+            if not np.isfinite(W).all():
+                raise FloatingPointError
             gamma_hat = sg @ W[:, p]
 
             info = W[:, :p]  # X' V^-1 X
@@ -153,7 +156,7 @@ def compute_blup(state, model):
             a = eye - sg_info
             pred_err = model.sigma2 * (sg @ W[:, p + 1:]) + a @ model.beta_cov @ a.T
             pred_err = 0.5 * (pred_err + pred_err.T)
-    except (NotPositiveDefinite, FloatingPointError):
+    except (np.linalg.LinAlgError, FloatingPointError):
         raise NotPositiveDefinite(f"marginal covariance of driver {state.driver_id!r}'s "
                                   f"{state.n} events is singular or not finite") from None
     return BlupResult(gamma_hat=gamma_hat, pred_err_cov=pred_err)

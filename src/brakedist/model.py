@@ -183,8 +183,8 @@ class TrainingSet:
     brt_s: np.ndarray
 
     def __post_init__(self):
-        self.driver_ids, self.counts = tuple(self.driver_ids), np.asarray(self.counts, np.intp)
-        self.stimulus, self.headway_s = np.asarray(self.stimulus, np.intp), np.asarray(self.headway_s, float)
+        self.driver_ids, self.counts = tuple(self.driver_ids), _integers(self.counts, "event count")
+        self.stimulus, self.headway_s = _integers(self.stimulus, "stimulus id"), np.asarray(self.headway_s, float)
         self.brt_s = np.asarray(self.brt_s, float)
         if not self.driver_ids:
             raise ValueError("training set has no drivers")
@@ -204,14 +204,8 @@ class TrainingSet:
         driver = np.fromiter((index.setdefault(d, len(index)) for d in driver_id), np.intp, len(driver_id))
         order = np.argsort(driver, kind="stable")
         return cls(spec, stimuli, tuple(index), np.bincount(driver, minlength=len(index)),
-                   np.asarray(stimulus, np.intp)[order], np.asarray(headway_s, float)[order],
+                   np.asarray(stimulus)[order], np.asarray(headway_s, float)[order],
                    np.asarray(brt_s, float)[order])
-
-    @classmethod
-    def from_observations(cls, spec, stimuli, observations):
-        """Group a flat observation list by driver, preserving order."""
-        keys = ("driver_id", "stimulus", "headway_s", "brt_s")
-        return cls.from_rows(spec, stimuli, *([getattr(o, key) for o in observations] for key in keys))
 
     @property
     def drivers(self):
@@ -222,6 +216,16 @@ class TrainingSet:
     @property
     def num_observations(self):
         return self.brt_s.size
+
+
+def _integers(values, name):
+    """``values`` as an intp array; the first entry that differs from its cast, such as 0.9, is a ValueError."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # nan, inf and huge floats cast to an integer they differ from
+        ints = values.astype(np.intp, copy=False)
+    for value in values[ints != values][:1].tolist():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return ints
 
 
 def check_covariance(name, a, p, tol):
@@ -351,7 +355,7 @@ def read_observations_csv(path, degree=2):
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            line = len(data[: exc.start + 1].splitlines())  # lines end at \r, \n or \r\n, as in the row walk
             raise ValueError(f"line {line}: {_not_utf8(data, exc)}") from None
         reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)

@@ -107,25 +107,3 @@ def is_psd(a, tol):
     """
     eigs = np.linalg.eigvalsh(check_symmetric(a))
     return bool(eigs[0] >= -tol * max(1.0, -eigs[0], eigs[-1]))
-
-
-def reduced_solve(xtx, sigma_gamma, sigma2, rhs):
-    """M^-T rhs for the push-through system M = sigma2 I + Sigma_gamma X'X.
-
-    Batched over leading axes of ``xtx`` and ``rhs``. With rhs = [X'X | X'r]
-    the solution is [X' V^-1 X | X' V^-1 r]. M's eigenvalues are >= sigma2
-    and it needs no factor of Sigma_gamma, which may be singular. It is
-    serving's kernel (``driver.compute_blup``); training factors its own
-    per-driver systems (``training._PreparedDesigns``).
-
-    Raises:
-        NotPositiveDefinite: if M is singular or the solution not finite.
-    """
-    m = sigma_gamma @ xtx + sigma2 * np.eye(xtx.shape[-1])
-    try:
-        W = np.linalg.solve(m.swapaxes(-1, -2), rhs)
-        if not np.all(np.isfinite(W)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("reduced system is singular or not finite") from None
-    return W

@@ -102,21 +102,17 @@ def percentile(est, q, conservative=True):
         raise ValueError(f"percentile at level {q:g} is too large for a float") from None
 
 
-def lognormal_pdf(t, mu, var):
-    sd = math.sqrt(var)
-    z = (math.log(t) - mu) / sd
-    return math.exp(-0.5 * z * z) / (t * sd * SQRT2PI)
-
-
 def density_curve(est, conservative, grid):
     """Lognormal density sampled on a grid of positive times.
 
     Returns a list of (t, pdf) pairs in grid order.
     """
-    var = est.var_conservative if conservative else est.var_naive
+    sd = math.sqrt(est.var_conservative if conservative else est.var_naive)
     points = []
     for t in grid:
         if not t > 0:
             raise ValueError(f"grid points must be positive, got {t}")
-        points.append((float(t), lognormal_pdf(float(t), est.mu, var)))
+        t = float(t)
+        z = (math.log(t) - est.mu) / sd
+        points.append((t, math.exp(-0.5 * z * z) / (t * sd * SQRT2PI)))
     return points

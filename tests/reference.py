@@ -16,7 +16,9 @@ from brakedist.numerics import spd_solve
 
 def grouped(spec, stimuli, drivers):
     """The training set of ``drivers``, a dict of each driver's observation list."""
-    return TrainingSet.from_observations(spec, stimuli, [o for obs in drivers.values() for o in obs])
+    events = [o for obs in drivers.values() for o in obs]
+    keys = ("driver_id", "stimulus", "headway_s", "brt_s")
+    return TrainingSet.from_rows(spec, stimuli, *([getattr(o, key) for o in events] for key in keys))
 
 
 def henderson_oracle(state, model):

@@ -21,6 +21,7 @@ from brakedist.driver import (
 from brakedist.model import (MAX_HEADWAY_S, ModelSpec, Observation, StimulusRegistry, TrainedModel,
                              build_design, design)
 from brakedist.numerics import NotPositiveDefinite, spd_solve
+from brakedist.pbrt import estimate_pbrt, percentile
 
 from reference import henderson_oracle, state_columns_oracle
 
@@ -312,6 +313,63 @@ class TestComputeBlup:
             add_observation(state, Observation("d", 0, MAX_HEADWAY_S, 1.0))
         with pytest.raises(NotPositiveDefinite, match="driver 'd''s 2 events is singular or not finite"):
             compute_blup(state, model)
+
+
+class TestWindowMetamorphic:
+    """The BLUP and every percentile depend on the window only as a multiset of
+    events, and under a block-diagonal model only on each stimulus's own events.
+    Each transform's effect is known exactly, so the check needs no oracle."""
+
+    LEVELS = (0.01, 0.1, 0.5, 0.9, 0.99)
+
+    @staticmethod
+    def events(rng, model, n, stimulus=None):
+        stimuli = rng.integers(0, model.spec.num_stimuli, n) if stimulus is None else np.full(n, stimulus)
+        return [(s, t, b) for s, t, b in zip(stimuli.tolist(), rng.uniform(0.3, 9.0, n).tolist(),
+                                             rng.uniform(0.3, 5.0, n).tolist())]
+
+    @staticmethod
+    def state_of(events):
+        state = DriverState("d")
+        for event in events:
+            add_observation(state, Observation("d", *event))
+        return state
+
+    def percentiles(self, model, blup):
+        return np.array([percentile(estimate_pbrt(model, blup, s), q, conservative)
+                         for s in range(model.spec.num_stimuli) for q in self.LEVELS for conservative in (True, False)])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60))
+    def test_event_order_does_not_matter(self, seed, n):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, beta_cov_scale=0.02)
+        events = self.events(rng, model, n)
+        want = compute_blup(self.state_of(events), model)
+        got = compute_blup(self.state_of([events[i] for i in rng.permutation(n)]), model)
+        assert rel_err(got.gamma_hat, want.gamma_hat) <= 1e-8
+        assert rel_err(got.pred_err_cov, want.pred_err_cov) <= 1e-8
+        assert rel_err(self.percentiles(model, got), self.percentiles(model, want)) <= 1e-8
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 30))
+    def test_an_event_leaves_other_stimuli_offsets_unchanged(self, seed, n):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, beta_cov_scale=0.02)
+        k = model.spec.degree + 1
+        model.sigma_gamma *= np.kron(np.eye(model.spec.num_stimuli), np.ones((k, k)))  # block-diagonal
+        events = self.events(rng, model, n)
+        s = int(rng.integers(0, model.spec.num_stimuli))
+        want = compute_blup(self.state_of(events), model)
+        got = compute_blup(self.state_of(events + self.events(rng, model, 1, s)), model)
+        for other in set(range(model.spec.num_stimuli)) - {s}:
+            block = slice(other * k, (other + 1) * k)
+            assert np.linalg.norm(got.gamma_hat[block] - want.gamma_hat[block]) <= \
+                1e-8 * np.linalg.norm(want.gamma_hat[block])
+            # So is its block of pred_err_cov once the window holds an event; an
+            # empty window's is Sigma_gamma alone, without beta_cov's share.
+            if n:
+                assert rel_err(got.pred_err_cov[block, block], want.pred_err_cov[block, block]) <= 1e-8
 
 
 class TestDenseOracle:

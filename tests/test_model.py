@@ -222,16 +222,13 @@ class TestBuildDesign:
 class TestObservationCsv:
     def test_round_trip(self, tmp_path):
         reg = StimulusRegistry(["traffic_signal", "lead_car_brake"])
-        obs = [
-            Observation("a", 0, 1.25, 0.7312498712),
-            Observation("a", 1, 3.5, 1.125),
-            Observation("b", 1, 0.875, 0.6600000000000001),
-        ]
+        rows = [("a", 0, 1.25, 0.7312498712), ("a", 1, 3.5, 1.125), ("b", 1, 0.875, 0.6600000000000001)]
         path = tmp_path / "obs.csv"
-        write_observations_csv(path, TrainingSet.from_observations(ModelSpec(2, 1), reg, obs))
+        write_observations_csv(path, TrainingSet.from_rows(ModelSpec(2, 1), reg, *zip(*rows)))
         ts = read_observations_csv(path, degree=1)
         assert ts.stimuli == reg
         assert ts.spec == ModelSpec(2, 1)
+        obs = [Observation(*row) for row in rows]
         assert ts.drivers == {"a": obs[:2], "b": obs[2:]}
 
     def test_registry_from_first_appearance(self, tmp_path):
@@ -328,6 +325,19 @@ class TestObservationCsv:
         with pytest.raises(ValueError, match=f"^observation file {re.escape(str(path))}: {re.escape(message)}$"):
             read_observations_csv(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_not_utf8_byte_is_named_by_its_physical_line(self, tmp_path, newline):
+        # A byte that is not UTF-8 and a nan in the same field are named by the same line.
+        path = tmp_path / "obs.csv"
+        head = newline.join(["driver_id,stimulus,headway_s,brt_s", "a,x,1.0,0.5", "a,x,1.0,0.5", "b,x,"]).encode()
+        for field, message in [(b"nan", "line 4: headway_s must be positive, got nan"),
+                               (b"1.\xff", f"line 4: not UTF-8: byte 0xff at offset {len(head) + 2} "
+                                           "(invalid start byte)")]:
+            path.write_bytes(head + field + b",0.5" + newline.encode())
+            with pytest.raises(ValueError, match=f"^observation file {re.escape(str(path))}: "
+                                                 f"{re.escape(message)}$"):
+                read_observations_csv(path)
+
     @pytest.mark.parametrize("field", ["1_5", "\u0661.5", "\u0661\u0665", " 1.5", "1.5 ", "\t1.5", "Infinity",
                                        "NaN", "INF", "+Inf", "1,5", "0x1p0", "", "1.5\n"])
     def test_python_only_number_spellings_are_refused(self, tmp_path, field):
@@ -398,7 +408,7 @@ class TestTrainingSet:
                               st.floats(1e-3, MAX_HEADWAY_S), st.floats(1e-3, MAX_BRT_S)), min_size=1))
     def test_drivers_returns_the_observations_grouped_by_driver(self, rows):
         observations = [Observation(*row) for row in rows]
-        ts = TrainingSet.from_observations(SPEC, StimulusRegistry(["s0", "s1", "s2"]), observations)
+        ts = TrainingSet.from_rows(SPEC, StimulusRegistry(["s0", "s1", "s2"]), *zip(*rows))
         want = {}
         for o in observations:
             want.setdefault(o.driver_id, []).append(o)
@@ -418,10 +428,21 @@ class TestTrainingSet:
         ({"brt_s": [0.5, 0.6, MAX_BRT_S + 1.0]}, f"brt_s {MAX_BRT_S + 1.0} exceeds sanity bound {MAX_BRT_S}"),
         # The first bad event is named, whichever of its columns is out of the domain.
         ({"headway_s": [1.0, 2.0, -3.0], "brt_s": [0.5, math.nan, 0.7]}, "brt_s must be positive and finite, got nan"),
-    ], ids=["no-drivers", "empty-driver", "counts", "columns", "stimulus", "headway", "brt", "first-bad-event"])
+        # A fraction is refused, not truncated to an integer.
+        ({"stimulus": [0, 0.9, 0]}, "stimulus id must be an integer, got 0.9"),
+        ({"stimulus": [0, 1, math.nan]}, "stimulus id must be an integer, got nan"),
+        ({"counts": [2.5, 0.5]}, "event count must be an integer, got 2.5"),
+    ], ids=["no-drivers", "empty-driver", "counts", "columns", "stimulus", "headway", "brt", "first-bad-event",
+            "fractional-stimulus", "nan-stimulus", "fractional-count"])
     def test_refusals(self, change, message):
         columns = {"driver_ids": ("a", "b"), "counts": [2, 1], "stimulus": [0, 1, 0],
                    "headway_s": [1.0, 2.0, 3.0], "brt_s": [0.5, 0.6, 0.7]}
         TrainingSet(SPEC, StimulusRegistry(["s0", "s1", "s2"]), **columns)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrainingSet(SPEC, StimulusRegistry(["s0", "s1", "s2"]), **{**columns, **change})
+
+    def test_from_rows_refuses_a_fractional_stimulus_id(self):
+        # from_rows hands the ids to the constructor's check as given, not cast to integers.
+        with pytest.raises(ValueError, match=r"^stimulus id must be an integer, got 0\.9$"):
+            TrainingSet.from_rows(ModelSpec(2, 1), StimulusRegistry(["a", "b"]), ["d", "d"], [0.9, 1.7],
+                                  [1.0, 2.0], [0.5, 0.6])

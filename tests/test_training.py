@@ -402,8 +402,7 @@ class TestColumnarStudy:
     @staticmethod
     def twins(ts):
         """``ts`` and the same rows rebuilt from ``Observation`` objects."""
-        return ts, TrainingSet.from_observations(ts.spec, ts.stimuli,
-                                                 [o for obs in ts.drivers.values() for o in obs])
+        return ts, grouped(ts.spec, ts.stimuli, ts.drivers)
 
     @staticmethod
     def assert_same_fit(a, b, opts):
@@ -445,6 +444,60 @@ class TestColumnarStudy:
             r = np.linalg.qr(np.column_stack(build_design(spec, obs)), mode="r")
             assert np.allclose(np.abs(prepared.r[d, : r.shape[0]]), np.abs(r), rtol=1e-12, atol=1e-12)
             assert not prepared.r[d, r.shape[0]:].any()
+
+
+class TestFitMetamorphic:
+    """Transforms of the default study whose effect on the fit is known exactly.
+    Each needs no oracle: the fit of the transformed study must be the plain
+    fit, mapped, to 1e-8 relative in norm."""
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        from brakedist.simgen import default_config, generate
+
+        ts = generate(default_config())[0]
+        return ts, {block: fit(ts, FitOptions(block_diagonal=block)) for block in (True, False)}
+
+    @staticmethod
+    def assert_close(got, want):
+        got, want = np.asarray(got, float), np.asarray(want, float)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    def assert_fit(self, got, want, beta=None, copies=1):
+        """``got`` is ``want`` with ``beta`` for its beta, of a study that holds
+        each of ``want``'s drivers ``copies`` times."""
+        self.assert_close(got.beta, want.beta if beta is None else beta)
+        self.assert_close(got.sigma2, want.sigma2)
+        self.assert_close(got.sigma_gamma, want.sigma_gamma)
+        self.assert_close(got.beta_cov, want.beta_cov / copies)
+        self.assert_close(got.fit_info.loglik, want.fit_info.loglik * copies)
+        assert got.fit_info.converged
+
+    @pytest.mark.parametrize("block", [True, False], ids=["block-diagonal", "full"])
+    def test_every_driver_duplicated_doubles_the_information(self, plain, block):
+        ts, models = plain
+        twice = TrainingSet(ts.spec, ts.stimuli, ts.driver_ids + tuple(f"{d}'" for d in ts.driver_ids),
+                            *(np.tile(column, 2) for column in (ts.counts, ts.stimulus, ts.headway_s, ts.brt_s)))
+        self.assert_fit(fit(twice, FitOptions(block_diagonal=block)), models[block], copies=2)
+
+    @pytest.mark.parametrize("block", [True, False], ids=["block-diagonal", "full"])
+    def test_drivers_in_reverse_order_fit_alike(self, plain, block):
+        ts, models = plain
+        ends = np.cumsum(ts.counts)[:-1]
+        events = [np.concatenate(np.split(column, ends)[::-1]) for column in (ts.stimulus, ts.headway_s, ts.brt_s)]
+        reverse = TrainingSet(ts.spec, ts.stimuli, ts.driver_ids[::-1], ts.counts[::-1], *events)
+        self.assert_fit(fit(reverse, FitOptions(block_diagonal=block)), models[block])
+
+    @pytest.mark.parametrize("block", [True, False], ids=["block-diagonal", "full"])
+    def test_scaled_responses_move_only_the_intercepts(self, plain, block):
+        # log(brt * e^0.1) = log(brt) + 0.1: each stimulus's intercept moves by 0.1.
+        ts, models = plain
+        scaled = TrainingSet(ts.spec, ts.stimuli, ts.driver_ids, ts.counts, ts.stimulus, ts.headway_s,
+                             ts.brt_s * math.exp(0.1))
+        shift = np.zeros(ts.spec.p)
+        shift[:: ts.spec.degree + 1] = 0.1  # each stimulus block opens with its intercept
+        want = models[block]
+        self.assert_fit(fit(scaled, FitOptions(block_diagonal=block)), want, beta=want.beta + shift)
 
 
 def dense_mvn_loglik(ts, sigma2, sigma_gamma, beta=None):
