@@ -3,10 +3,12 @@
 Stands in for a driving-simulator data collection: draws per-driver
 coefficient offsets from a population covariance, samples headways
 uniformly per stimulus type, and emits observed response times
-``brt = exp(X beta + X gamma_d + eps)``. Sampling is Box-Muller on a
-counter-based PRNG (Philox) keyed by (seed, driver index), so any
-driver's stream can be regenerated independently and the whole dataset
-is bit-reproducible for a given config.
+``brt = exp(X beta + X gamma_d + eps)``. Each driver draws one block of
+uniforms from a counter-based PRNG (Philox) keyed by (seed, driver index):
+[headways | Box-Muller pairs for gamma_d | pairs for the noise], u1 = 1 - U,
+with any redraw after all of them. So any driver can be regenerated alone,
+many drivers' blocks are transformed at once without changing a bit, and
+the whole dataset is bit-reproducible for a given config.
 
 The committed default config is the canonical fixture for the test
 suite; its parameter values were tuned once so that the generated data
@@ -21,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MAX_BRT_S, MAX_HEADWAY_S, ModelSpec, StimulusRegistry, TrainingSet, atomic_write_text,
-                    check_covariance, design, json_array, json_list, json_number, read_json)
+from .model import (MAX_BRT_S, MAX_HEADWAY_S, ModelSpec, StimulusRegistry, TrainingSet, _integers,
+                    atomic_write_text, check_covariance, design, json_array, json_list, json_number, read_json)
 from .numerics import is_psd  # the benchmark's tracer wraps it
 
 DEFAULT_STIMULI = ("traffic_signal", "lead_car_brake", "pedestrian_crossing")
 REDRAW_ROUNDS = 100  # of a response's noise, while the response exceeds MAX_BRT_S
+_BLOCK_EVENTS = 1 << 10  # events transformed at once; at p = 9 a block's design stays under malloc's mmap threshold
 
 
 @dataclass(eq=False)
@@ -58,9 +61,10 @@ class SimConfig:
         # checks); training is what requires a strictly positive sigma2.
         if self.sigma2_true < 0:
             raise ValueError("sigma2_true must be nonnegative")
+        self.num_drivers = int(_integers(self.num_drivers, "num_drivers"))
         if self.num_drivers < 1:
             raise ValueError("num_drivers must be >= 1")
-        self.obs_per_driver = tuple(int(c) for c in self.obs_per_driver)
+        self.obs_per_driver = tuple(_integers(self.obs_per_driver, "obs_per_driver").tolist())
         if len(self.obs_per_driver) != self.spec.num_stimuli:
             raise ValueError("obs_per_driver needs one count per stimulus")
         if any(c < 0 for c in self.obs_per_driver):
@@ -73,7 +77,7 @@ class SimConfig:
         if not 0 < lo < hi <= MAX_HEADWAY_S:
             raise ValueError(f"headway_range must satisfy 0 < min < max <= {MAX_HEADWAY_S}")
         self.headway_range = (float(lo), float(hi))
-        self.seed = int(self.seed)
+        self.seed = int(self.seed if isinstance(self.seed, (int, np.integer)) else _integers(self.seed, "seed"))
 
 
 # Committed default study parameters. Drivers differ mostly in level
@@ -151,28 +155,30 @@ def _driver_rng(seed, driver_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _standard_normals(rng, count):
-    """Box-Muller transform of uniform pairs; deterministic given rng state."""
-    pairs = (count + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # in (0, 1]: keeps the log finite
-    u2 = rng.random(pairs)
+def _box_muller(u1, u2):
+    """Normals from uniform pairs, u1 in (0, 1] and u2 in [0, 1), each pair's two interleaved on the last axis."""
     radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(2.0 * np.pi * u2)
-    z[1::2] = radius * np.sin(2.0 * np.pi * u2)
-    return z[:count]
+    z = np.empty(u1.shape[:-1] + (2 * u1.shape[-1],))
+    z[..., 0::2] = radius * np.cos(2.0 * np.pi * u2)
+    z[..., 1::2] = radius * np.sin(2.0 * np.pi * u2)
+    return z
+
+
+def _standard_normals(rng, count):
+    """Box-Muller transform of ``rng``'s next uniforms: every pair's u1 = 1 - U, then every pair's u2."""
+    u = rng.random(2 * ((count + 1) // 2))
+    return _box_muller(1.0 - u[: u.size // 2], u[u.size // 2 :])[:count]
 
 
 def generate(config):
     """Draw a full synthetic training set plus its ground truth.
 
-    Per driver d (independently reproducible from (seed, d)), in this
-    order: the study design first (headways for every stimulus type,
-    uniform over the configured range), then the driver's latent offsets
-    ``gamma_d`` through the PSD square root of the population
-    covariance, then the observation noise. Responses are
-    ``brt = exp(x'(beta + gamma_d) + eps)`` with ``eps ~ N(0, sigma2)``, truncated
-    at MAX_BRT_S: the noise of a response above it is drawn again, after all else.
+    Driver d takes its uniforms, laid out as above, in one call on its stream
+    ``_driver_rng(seed, d)``; each run of pairs holds every u1, then every u2.
+    ``gamma_d`` is the PSD square root of the population covariance times the
+    first p normals; ``brt = exp(x'(beta + gamma_d) + eps)``, ``eps ~ N(0, sigma2)``,
+    and the noise of a response above MAX_BRT_S is drawn again, after all else.
+    ``_BLOCK_EVENTS`` events are transformed at once; block ends change no value.
 
     Returns:
         (training_set, truth): the training set's columns are the drivers'
@@ -183,35 +189,39 @@ def generate(config):
         ValueError: naming the driver and stimulus, if a response is still above
             MAX_BRT_S after REDRAW_ROUNDS redraws (the config is unphysical).
     """
-    spec = config.spec
-    root = _psd_sqrt(config.sigma_gamma_true)
-    sigma = math.sqrt(config.sigma2_true)
+    spec, num_drivers = config.spec, config.num_drivers
+    root, sigma = _psd_sqrt(config.sigma_gamma_true), math.sqrt(config.sigma2_true)
     lo, hi = config.headway_range
-    width = len(str(max(config.num_drivers - 1, 1)))
+    width = len(str(max(num_drivers - 1, 1)))
+    ids = [f"driver_{d:0{width}d}" for d in range(num_drivers)]
     stimulus = np.repeat(np.arange(spec.num_stimuli), config.obs_per_driver)
-
-    headways, brts, truth = [], [], {}
-    for d in range(config.num_drivers):
-        rng = _driver_rng(config.seed, d)
-        driver_id = f"driver_{d:0{width}d}"
-        headway = lo + (hi - lo) * rng.random(stimulus.size)
-        gamma = root @ _standard_normals(rng, spec.p)
-        mean_log = design(spec, stimulus, headway) @ (config.beta_true + gamma)
-        brt = np.exp(mean_log + sigma * _standard_normals(rng, stimulus.size))
-        for redraw in range(REDRAW_ROUNDS + 1):
-            over = (brt > MAX_BRT_S).nonzero()[0]
-            if not over.size:
-                break
-            if redraw == REDRAW_ROUNDS:
-                name = config.stimuli.names[stimulus[over[0]]]
-                raise ValueError(f"driver {driver_id!r}, stimulus {name!r}: response still exceeds "
-                                 f"{MAX_BRT_S} s after {REDRAW_ROUNDS} redraws of its noise")
-            brt[over] = np.exp(mean_log[over] + sigma * _standard_normals(rng, over.size))
-        headways.append(headway)
-        brts.append(brt)
-        truth[driver_id] = gamma
-    ts = TrainingSet(spec, config.stimuli, tuple(truth), np.full(config.num_drivers, stimulus.size),
-                     np.tile(stimulus, config.num_drivers), np.concatenate(headways), np.concatenate(brts))
+    n, g, e = stimulus.size, (spec.p + 1) // 2, (stimulus.size + 1) // 2  # events, gamma's pairs, the noise's
+    u1_at = np.r_[n : n + g, n + 2 * g : n + 2 * g + e]  # gamma's u1s, then the noise's, in a driver's block
+    per_block = max(1, _BLOCK_EVENTS // n)
+    headway_s, brt_s, truth = np.empty((num_drivers, n)), np.empty((num_drivers, n)), {}
+    for first in range(0, num_drivers, per_block):
+        headway, brt = headway_s[first : first + per_block], brt_s[first : first + per_block]  # views, filled in place
+        rngs = [_driver_rng(config.seed, d) for d in range(first, first + len(brt))]
+        u = np.array([rng.random(n + 2 * g + 2 * e) for rng in rngs])
+        z = _box_muller(1.0 - u[:, u1_at], u[:, u1_at + np.repeat((g, e), (g, e))])
+        headway[:] = lo + (hi - lo) * u[:, :n]
+        X = design(spec, np.tile(stimulus, len(rngs)), headway.ravel()).reshape(len(rngs), n, spec.p)
+        gammas = [root @ z_d for z_d in z[:, : spec.p]]  # per driver: batched products change the last bits
+        truth.update(zip(ids[first : first + len(rngs)], gammas))
+        mean_log = np.array([X_d @ (config.beta_true + gamma) for X_d, gamma in zip(X, gammas)])
+        np.exp(mean_log + sigma * z[:, 2 * g : 2 * g + n], out=brt)
+        for i in np.flatnonzero((brt > MAX_BRT_S).any(axis=1)):  # from the driver's stream, after all else
+            for redraw in range(REDRAW_ROUNDS + 1):
+                over = (brt[i] > MAX_BRT_S).nonzero()[0]
+                if not over.size:
+                    break
+                if redraw == REDRAW_ROUNDS:
+                    name = config.stimuli.names[stimulus[over[0]]]
+                    raise ValueError(f"driver {ids[first + i]!r}, stimulus {name!r}: response still exceeds "
+                                     f"{MAX_BRT_S} s after {REDRAW_ROUNDS} redraws of its noise")
+                brt[i, over] = np.exp(mean_log[i, over] + sigma * _standard_normals(rngs[i], over.size))
+    ts = TrainingSet(spec, config.stimuli, tuple(ids), np.full(num_drivers, n), np.tile(stimulus, num_drivers),
+                     headway_s.ravel(), brt_s.ravel())
     return ts, truth
 
 

@@ -10,8 +10,10 @@ import math
 import numpy as np
 
 from brakedist.driver import DEFAULT_MAX_HISTORY, DriverState
-from brakedist.model import TrainingSet, UnknownStimulus, build_design, check_brt, check_headway, json_number
+from brakedist.model import (MAX_BRT_S, TrainingSet, UnknownStimulus, build_design, check_brt, check_headway, design,
+                             json_number)
 from brakedist.numerics import spd_solve
+from brakedist.simgen import REDRAW_ROUNDS, _driver_rng, _psd_sqrt
 
 
 def grouped(spec, stimuli, drivers):
@@ -133,3 +135,56 @@ def state_columns_oracle(doc, registry):
     rows = rows[len(rows) - min(len(rows), max_history):]
     return (driver_id, max_history, np.array([r[0] for r in rows], dtype=np.intp),
             np.array([r[1] for r in rows], dtype=float), np.array([r[2] for r in rows], dtype=float))
+
+
+def _standard_normals(rng, count):
+    """Box-Muller transform of uniform pairs; deterministic given rng state."""
+    pairs = (count + 1) // 2
+    u1 = 1.0 - rng.random(pairs)  # in (0, 1]: keeps the log finite
+    u2 = rng.random(pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(2.0 * np.pi * u2)
+    z[1::2] = radius * np.sin(2.0 * np.pi * u2)
+    return z[:count]
+
+
+def first_draws(config, d):
+    """Driver ``d``'s stream and its draws before any redraw, one call on the
+    stream per part in the stream's order (headways, gamma's normals, the
+    noise's normals): (rng, stimulus, headway, gamma, mean_log, brt)."""
+    rng = _driver_rng(config.seed, d)
+    stimulus = np.repeat(np.arange(config.spec.num_stimuli), config.obs_per_driver)
+    lo, hi = config.headway_range
+    headway = lo + (hi - lo) * rng.random(stimulus.size)
+    gamma = _psd_sqrt(config.sigma_gamma_true) @ _standard_normals(rng, config.spec.p)
+    mean_log = design(config.spec, stimulus, headway) @ (config.beta_true + gamma)
+    brt = np.exp(mean_log + math.sqrt(config.sigma2_true) * _standard_normals(rng, stimulus.size))
+    return rng, stimulus, headway, gamma, mean_log, brt
+
+
+def generate_oracle(config):
+    """``simgen.generate`` one driver at a time: each driver's draws, then its
+    redraws, before the next driver's; the same (training_set, truth) and the
+    same refusal."""
+    sigma = math.sqrt(config.sigma2_true)
+    width = len(str(max(config.num_drivers - 1, 1)))
+    headways, brts, truth = [], [], {}
+    for d in range(config.num_drivers):
+        rng, stimulus, headway, gamma, mean_log, brt = first_draws(config, d)
+        driver_id = f"driver_{d:0{width}d}"
+        for redraw in range(REDRAW_ROUNDS + 1):
+            over = (brt > MAX_BRT_S).nonzero()[0]
+            if not over.size:
+                break
+            if redraw == REDRAW_ROUNDS:
+                name = config.stimuli.names[stimulus[over[0]]]
+                raise ValueError(f"driver {driver_id!r}, stimulus {name!r}: response still exceeds "
+                                 f"{MAX_BRT_S} s after {REDRAW_ROUNDS} redraws of its noise")
+            brt[over] = np.exp(mean_log[over] + sigma * _standard_normals(rng, over.size))
+        headways.append(headway)
+        brts.append(brt)
+        truth[driver_id] = gamma
+    ts = TrainingSet(config.spec, config.stimuli, tuple(truth), np.full(config.num_drivers, stimulus.size),
+                     np.tile(stimulus, config.num_drivers), np.concatenate(headways), np.concatenate(brts))
+    return ts, truth

@@ -1,35 +1,20 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import skew
 
-from brakedist.model import MAX_BRT_S, ModelSpec, StimulusRegistry, build_design, design
-from brakedist.simgen import (
-    _driver_rng,
-    _psd_sqrt,
-    _standard_normals,
-    SimConfig,
-    config_from_dict,
-    config_to_dict,
-    default_config,
-    generate,
-)
+from brakedist import simgen
+from brakedist.model import MAX_BRT_S, ModelSpec, StimulusRegistry, build_design
+from brakedist.simgen import SimConfig, config_from_dict, config_to_dict, default_config, generate
+
+from reference import first_draws, generate_oracle
 
 REG1 = StimulusRegistry(["traffic_signal"])
-
-
-def _first_draw_brt(cfg, d):
-    """Driver ``d``'s responses as first drawn, before any redraw: generate's
-    draws in generate's order, from the driver's own stream."""
-    rng = _driver_rng(cfg.seed, d)
-    stimulus = np.repeat(np.arange(cfg.spec.num_stimuli), cfg.obs_per_driver)
-    lo, hi = cfg.headway_range
-    headway = lo + (hi - lo) * rng.random(stimulus.size)
-    gamma = _psd_sqrt(cfg.sigma_gamma_true) @ _standard_normals(rng, cfg.spec.p)
-    mean_log = design(cfg.spec, stimulus, headway) @ (cfg.beta_true + gamma)
-    return np.exp(mean_log + math.sqrt(cfg.sigma2_true) * _standard_normals(rng, stimulus.size)).tolist()
 
 
 def small_config(**overrides):
@@ -192,9 +177,10 @@ class TestGenerate:
         # redrawing the noise cannot bring such a response under 60 s, so the
         # study is refused, naming where, rather than silently emitting garbage.
         cfg = small_config(beta_true=np.array([4.0, 0.1, 0.0]))
-        with pytest.raises(ValueError, match="^driver 'driver_1', stimulus 'traffic_signal': response "
-                                             "still exceeds 60.0 s after 100 redraws of its noise$"):
-            generate(cfg)
+        for draw in (generate, generate_oracle):
+            with pytest.raises(ValueError, match="^driver 'driver_1', stimulus 'traffic_signal': response "
+                                                 "still exceeds 60.0 s after 100 redraws of its noise$"):
+                draw(cfg)
 
     def test_a_response_past_the_bound_is_redrawn_alone(self):
         # This study first draws one response of 74.87 s, which aborted it
@@ -206,9 +192,71 @@ class TestGenerate:
         ts, _ = generate(cfg)
         brt = np.array([o.brt_s for obs in ts.drivers.values() for o in obs])
         assert brt.size == 12_000 and brt.max() <= MAX_BRT_S
-        drawn = np.concatenate([_first_draw_brt(cfg, d) for d in range(cfg.num_drivers)])
+        drawn = np.concatenate([first_draws(cfg, d)[-1] for d in range(cfg.num_drivers)])
         changed = (brt != drawn).nonzero()[0]
         assert changed.size == 1 and drawn[changed[0]] > MAX_BRT_S
+
+
+def assert_same_study(got, want):
+    """Two (training_set, truth) pairs agree bit for bit."""
+    (ts, truth), (ts_want, truth_want) = got, want
+    assert ts.driver_ids == ts_want.driver_ids and list(truth) == list(truth_want)
+    pairs = [(getattr(ts, k), getattr(ts_want, k)) for k in ("headway_s", "brt_s", "stimulus", "counts")]
+    for a, b in pairs + [(truth[d], truth_want[d]) for d in truth]:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def oracle_cases(draw):
+    """A small study and a block size to generate it with: drivers from 1 to
+    one block plus one, degree 0-3, 0-12 events per stimulus, a covariance of
+    any rank, and noise that is absent, the default's, or large enough that
+    responses past MAX_BRT_S are redrawn."""
+    num_stimuli, degree = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    spec = ModelSpec(num_stimuli, degree)
+    counts = draw(st.lists(st.integers(0, 12), min_size=num_stimuli, max_size=num_stimuli).filter(any))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.tile(8.1 ** -np.arange(degree + 1.0), num_stimuli)  # keeps x'gamma small at 8.1 s
+    root = rng.normal(0.0, 0.1, (spec.p, draw(st.integers(0, spec.p)))) * scale[:, None]
+    block_events = draw(st.sampled_from([simgen._BLOCK_EVENTS, 1, 50]))
+    per_block = max(1, block_events // sum(counts))
+    config = SimConfig(
+        spec=spec,
+        stimuli=StimulusRegistry([f"s{i}" for i in range(num_stimuli)]),
+        beta_true=np.tile(np.r_[-0.4, np.zeros(degree)], num_stimuli) + rng.normal(0.0, 0.02, spec.p) * scale,
+        sigma2_true=draw(st.sampled_from([0.0, default_config().sigma2_true, 4.0])),
+        sigma_gamma_true=root @ root.T,
+        num_drivers=draw(st.integers(1, max(per_block + 1, 12))),
+        obs_per_driver=counts,
+        headway_range=(0.31, 8.1),
+        seed=draw(st.one_of(st.sampled_from([0, 2**63]), st.integers(0, 2**64 - 1))),
+    )
+    return config, block_events
+
+
+class TestOracle:
+    """``generate`` transforms many drivers at once; ``reference.generate_oracle``
+    draws one driver at a time, as the simulator did before. Each driver's
+    uniforms come from its own stream in the same order, so the two must agree
+    bit for bit, wherever the blocks end."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(oracle_cases())
+    def test_matches_the_per_driver_oracle(self, case):
+        config, block_events = case
+        with mock.patch.object(simgen, "_BLOCK_EVENTS", block_events):
+            assert_same_study(generate(config), generate_oracle(config))
+
+    @pytest.mark.parametrize("overrides, blocks", [
+        ({}, 6),
+        ({"sigma2_true": 4.0}, 6),  # responses redrawn in every block
+        ({"num_drivers": 400, "seed": 1072}, 12),  # one response redrawn
+        ({"num_drivers": 37, "obs_per_driver": (3, 0, 5), "sigma2_true": 4.0, "seed": 7}, 1),  # 6 of 296 redrawn
+    ], ids=["default", "redraws", "one-redraw", "odd-n-zero-count"])
+    def test_whole_studies_match_the_oracle(self, overrides, blocks):
+        config = dataclasses.replace(default_config(), **overrides)
+        assert math.ceil(config.num_drivers / (simgen._BLOCK_EVENTS // sum(config.obs_per_driver))) == blocks
+        assert_same_study(generate(config), generate_oracle(config))
 
 
 class TestConfigDict:
@@ -245,3 +293,12 @@ class TestConfigDict:
         # Within a model's 1e-8 tolerance, but not a config's 1e-10.
         with pytest.raises(ValueError, match="^sigma_gamma_true is not positive semidefinite$"):
             small_config(sigma_gamma_true=np.diag([0.02, 0.005, -1e-9]))
+        # Counts and seeds are integers, as in config files; none is truncated.
+        with pytest.raises(ValueError, match=r"^obs_per_driver must be an integer, got 2\.5$"):
+            dataclasses.replace(default_config(), obs_per_driver=(2.5, 1, 1))
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.7$"):
+            small_config(seed=1.7)
+        with pytest.raises(ValueError, match=r"^num_drivers must be an integer, got 2\.5$"):
+            small_config(num_drivers=2.5)
+        exact = small_config(num_drivers=3.0, obs_per_driver=(6.0,), seed=2**63)
+        assert (exact.num_drivers, exact.obs_per_driver, exact.seed) == (3, (6,), 2**63)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -498,6 +500,33 @@ class TestFitMetamorphic:
         shift[:: ts.spec.degree + 1] = 0.1  # each stimulus block opens with its intercept
         want = models[block]
         self.assert_fit(fit(scaled, FitOptions(block_diagonal=block)), want, beta=want.beta + shift)
+
+    @pytest.mark.parametrize("block", [True, False], ids=["block-diagonal", "full"])
+    def test_events_in_another_order_within_each_driver_fit_alike(self, plain, block):
+        ts, models = plain
+        rng = np.random.default_rng(14)
+        order = np.lexsort((rng.random(ts.stimulus.size), np.repeat(np.arange(ts.counts.size), ts.counts)))
+        shuffled = TrainingSet(ts.spec, ts.stimuli, ts.driver_ids, ts.counts, ts.stimulus[order],
+                               ts.headway_s[order], ts.brt_s[order])
+        self.assert_fit(fit(shuffled, FitOptions(block_diagonal=block)), models[block])
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))), ids=lambda order: "%d%d%d" % order)
+    @pytest.mark.parametrize("block", [True, False], ids=["block-diagonal", "full"])
+    def test_relabelled_stimuli_permute_the_blocks(self, plain, block, order):
+        # Stimulus k of the relabelled registry is the plain one's stimulus order[k]:
+        # its name and its events move together, and so do its coefficient blocks.
+        # The full fit's path depends on the order (59 to 243 iterations), not its end.
+        ts, models = plain
+        order = np.array(order)
+        relabelled = TrainingSet(ts.spec, StimulusRegistry([ts.stimuli.names[s] for s in order]), ts.driver_ids,
+                                 ts.counts, np.argsort(order)[ts.stimulus], ts.headway_s, ts.brt_s)
+        got = fit(relabelled, FitOptions(block_diagonal=block))
+        k = ts.spec.degree + 1
+        back = np.argsort((order[:, None] * k + np.arange(k)).ravel())  # into the plain fit's coefficient order
+        got = dataclasses.replace(got, stimuli=ts.stimuli, beta=got.beta[back],
+                                  sigma_gamma=got.sigma_gamma[np.ix_(back, back)],
+                                  beta_cov=got.beta_cov[np.ix_(back, back)])
+        self.assert_fit(got, models[block])
 
 
 def dense_mvn_loglik(ts, sigma2, sigma_gamma, beta=None):
