@@ -170,20 +170,18 @@ def build_parser():
     p_upd.add_argument("--event", required=True, help='"stimulus,headway,brt"')
     p_upd.set_defaults(func=cmd_update)
 
-    p_pbrt = sub.add_parser("pbrt", help="print PBRT percentiles as CSV")
-    p_pbrt.add_argument("--model", required=True)
-    p_pbrt.add_argument("--state", default=None)
-    p_pbrt.add_argument("--stimulus", required=True)
-    p_pbrt.add_argument("--t-star", type=_option_type(float), default=None, dest="t_star")
+    estimate = argparse.ArgumentParser(add_help=False)  # the options pbrt and curve share
+    estimate.add_argument("--model", required=True)
+    estimate.add_argument("--state", default=None)
+    estimate.add_argument("--stimulus", required=True)
+    estimate.add_argument("--t-star", type=_option_type(float), default=None, dest="t_star")
+
+    p_pbrt = sub.add_parser("pbrt", parents=[estimate], help="print PBRT percentiles as CSV")
     p_pbrt.add_argument("--percentiles", default="10,50,90")
     p_pbrt.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
     p_pbrt.set_defaults(func=cmd_pbrt)
 
-    p_curve = sub.add_parser("curve", help="write PBRT density curves as CSV")
-    p_curve.add_argument("--model", required=True)
-    p_curve.add_argument("--state", default=None)
-    p_curve.add_argument("--stimulus", required=True)
-    p_curve.add_argument("--t-star", type=_option_type(float), default=None, dest="t_star")
+    p_curve = sub.add_parser("curve", parents=[estimate], help="write PBRT density curves as CSV")
     p_curve.add_argument("--grid", required=True, help='"min,max,steps"')
     p_curve.add_argument("--out", required=True)
     p_curve.set_defaults(func=cmd_curve)

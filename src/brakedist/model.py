@@ -106,6 +106,11 @@ class ModelSpec:
     degree: int = 2
 
     def __post_init__(self):
+        for name, value in (("num_stimuli", self.num_stimuli), ("degree", self.degree)):
+            whole = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+            if type(value) is bool or not whole:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.num_stimuli < 1:
             raise ValueError("num_stimuli must be >= 1")
         if not 0 <= self.degree <= MAX_DEGREE:
@@ -186,6 +191,8 @@ class TrainingSet:
         self.driver_ids, self.counts = tuple(self.driver_ids), _integers(self.counts, "event count")
         self.stimulus, self.headway_s = _integers(self.stimulus, "stimulus id"), np.asarray(self.headway_s, float)
         self.brt_s = np.asarray(self.brt_s, float)
+        if len(self.stimuli) != self.spec.num_stimuli:
+            raise ValueError("registry size does not match spec.num_stimuli")
         if not self.driver_ids:
             raise ValueError("training set has no drivers")
         sizes = {self.counts.sum(), self.stimulus.size, self.headway_s.size, self.brt_s.size}

@@ -90,8 +90,6 @@ def generalized_inverse(a):
     if a.size == 0:
         return np.zeros(a.shape[::-1])
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros(a.shape[::-1])
     cutoff = max(a.shape) * s[0] * RANK_RTOL
     s_inv = np.zeros_like(s)
     keep = s > cutoff

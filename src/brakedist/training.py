@@ -123,8 +123,7 @@ class _PreparedDesigns:
     driver with n_d <= p events, whose rho_d is then 0 (Golub & Van Loan,
     Matrix Computations, 4th ed., sec. 5.3). The QR runs batched over the
     drivers that share an event count, on ``design``'s rows for the training
-    set's columns; where those drivers are consecutive, as in a study with
-    one count, the batch is a reshaped view of their rows, not a copy. With
+    set's columns, gathered into one batch per count. With
     T_d = I + R_x Lambda R_x' = C_d C_d' and
     [Z_x | z_y] = C_d^-1 [R_x | r_y],
 
@@ -144,12 +143,7 @@ class _PreparedDesigns:
         self.r = np.zeros((counts.size, p + 1, p + 1))
         for n in np.unique(counts):
             group = np.flatnonzero(counts == n)
-            first = starts[group[0]]
-            if group[-1] - group[0] + 1 == group.size:  # consecutive drivers
-                rows = xy[first : first + group.size * n].reshape(group.size, n, p + 1)
-            else:
-                rows = xy[starts[group, None] + np.arange(n)]
-            self.r[group, : min(n, p + 1)] = np.linalg.qr(rows, mode="r")
+            self.r[group, : min(n, p + 1)] = np.linalg.qr(xy[starts[group, None] + np.arange(n)], mode="r")
         self.mean_square = np.einsum("ij,ij->j", xy[:, :p], xy[:, :p]) / self.total_n  # diag(X'X / N)
 
     def solve(self, lam):

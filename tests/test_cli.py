@@ -164,6 +164,20 @@ class TestTrain:
         assert captured.err.splitlines() == [f"error: {degree_refusal(degree)}"]
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("degree", [MAX_DEGREE - 1, MAX_DEGREE])
+    def test_degree_whose_start_is_not_finite_is_refused(self, tmp_path, capfd, degree):
+        # On the default study ModelSpec accepts degrees 24 and 25, but a reduced
+        # system T_d fails to factor at the start Lambda; degree 23 starts.
+        data, model_path = tmp_path / "data.csv", tmp_path / "m.json"
+        assert run(["simulate", "--out", str(data)]) == 0
+        capfd.readouterr()
+        assert run(["train", "--data", str(data), "--out", str(model_path), "--degree", str(degree)]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the likelihood is not finite at the start Lambda = diag(X'X / N)^-1"]
+        assert not model_path.exists()
+
     def test_headways_at_the_bound_are_served(self, tmp_path, tiny_sim_config_path):
         # A config whose range ends at the bound, and a CSV row exactly at it.
         # beta_true and sigma_gamma_true have no headway terms here, so the
@@ -592,10 +606,12 @@ class TestPbrt:
          "has the wrong shape: spec.stimuli must be a list, got {'traffic_signal': 0}"),
         (("spec", "degree"), MAX_DEGREE + 1, degree_refusal(MAX_DEGREE + 1)),
         (("t_star",), ABOVE_BOUND, above_bound("t_star", ABOVE_BOUND)),
+        (("sigma2",), 10**400, "sigma2 must be finite"),  # an integer too large for a float
     ], ids=["degree-fraction", "degree-string", "num_stimuli-bool", "sigma2-bool", "t_star-string",
             "loglik-string", "converged-string", "beta-string", "beta-bool", "sigma_gamma-ragged",
             "sigma_gamma-row-number", "beta_cov-short", "beta-missing", "stimuli-bool",
-            "stimuli-string", "stimuli-object", "degree-above-bound", "t_star-above-bound"])
+            "stimuli-string", "stimuli-object", "degree-above-bound", "t_star-above-bound",
+            "sigma2-huge-integer"])
     def test_mistyped_model_field_is_named(self, handmade_model_path, capsys, path, value, message):
         # Read with bare int() and float() these were truncated (degree 1.5,
         # then a misleading beta-shape error) or accepted ("2", true); read
@@ -940,8 +956,9 @@ class TestMalformedJson:
         ("headway_s", ABOVE_BOUND, above_bound("headway_s[1]", ABOVE_BOUND)),
         ("headway_s", math.nan, "headway_s[1] must be positive, got nan"),
         ("brt_s", 61.0, "brt_s[1] 61.0 exceeds sanity bound 60.0"),
+        ("headway_s", 10**400, "headway_s[1] must be finite"),  # an integer too large for a float
     ], ids=["headway-bool", "brt-string", "unknown-stimulus", "brt-short", "headway-above-bound",
-            "headway-nan", "brt-above-bound"])
+            "headway-nan", "brt-above-bound", "headway-huge-integer"])
     def test_bad_state_entry_names_file_and_entry(self, tmp_path, handmade_model_path, capfd,
                                                   column, value, message):
         # The column layout names the entry by its column and index.

@@ -41,6 +41,26 @@ class TestTypes:
                                                            f"got {degree}")):
                 ModelSpec(1, degree)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((2.5, 2), "num_stimuli must be an integer, got 2.5"),
+        ((3, True), "degree must be an integer, got True"),
+        (("2", 2), "num_stimuli must be an integer, got '2'"),
+        ((math.nan, 2), "num_stimuli must be an integer, got nan"),
+        ((3, math.inf), "degree must be an integer, got inf"),
+        ((0, 2), "num_stimuli must be >= 1"),
+    ], ids=["fraction", "bool", "string", "nan", "inf", "no-stimuli"])
+    def test_spec_refusals(self, fields, message):
+        # 2.5 stimuli once gave p = 7.5, and degree True a degree-1 model.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelSpec(*fields)
+
+    @pytest.mark.parametrize("fields", [(3, 2.0), (np.int64(3), np.int32(2)), (3.0, np.float64(2.0))])
+    def test_spec_stores_whole_numbers_as_int(self, fields):
+        # Degree 2.0 was stored as given, and design died with a TypeError.
+        spec = ModelSpec(*fields)
+        assert spec == SPEC and type(spec.num_stimuli) is type(spec.degree) is int
+        assert np.array_equal(design(spec, np.array([1]), np.array([2.0])), [[0, 0, 0, 1, 2, 4, 0, 0, 0]])
+
     def test_registry_lookup(self):
         reg = StimulusRegistry(["traffic_signal", "lead_car_brake"])
         assert reg.id_of("lead_car_brake") == 1
@@ -57,6 +77,10 @@ class TestTypes:
     def test_registry_rejects_duplicates(self):
         with pytest.raises(ValueError):
             StimulusRegistry(["a", "a"])
+
+    def test_registry_rejects_an_empty_list(self):
+        with pytest.raises(ValueError, match="^registry needs at least one stimulus$"):
+            StimulusRegistry([])
 
     def test_observation_validation(self):
         Observation("d1", 0, 1.5, 0.8)
@@ -432,14 +456,16 @@ class TestTrainingSet:
         ({"stimulus": [0, 0.9, 0]}, "stimulus id must be an integer, got 0.9"),
         ({"stimulus": [0, 1, math.nan]}, "stimulus id must be an integer, got nan"),
         ({"counts": [2.5, 0.5]}, "event count must be an integer, got 2.5"),
+        # Once accepted here, and refused only after fit's whole search.
+        ({"stimuli": StimulusRegistry(["s0", "s1"])}, "registry size does not match spec.num_stimuli"),
     ], ids=["no-drivers", "empty-driver", "counts", "columns", "stimulus", "headway", "brt", "first-bad-event",
-            "fractional-stimulus", "nan-stimulus", "fractional-count"])
+            "fractional-stimulus", "nan-stimulus", "fractional-count", "registry-size"])
     def test_refusals(self, change, message):
-        columns = {"driver_ids": ("a", "b"), "counts": [2, 1], "stimulus": [0, 1, 0],
-                   "headway_s": [1.0, 2.0, 3.0], "brt_s": [0.5, 0.6, 0.7]}
-        TrainingSet(SPEC, StimulusRegistry(["s0", "s1", "s2"]), **columns)
+        columns = {"stimuli": StimulusRegistry(["s0", "s1", "s2"]), "driver_ids": ("a", "b"), "counts": [2, 1],
+                   "stimulus": [0, 1, 0], "headway_s": [1.0, 2.0, 3.0], "brt_s": [0.5, 0.6, 0.7]}
+        TrainingSet(SPEC, **columns)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            TrainingSet(SPEC, StimulusRegistry(["s0", "s1", "s2"]), **{**columns, **change})
+            TrainingSet(SPEC, **{**columns, **change})
 
     def test_from_rows_refuses_a_fractional_stimulus_id(self):
         # from_rows hands the ids to the constructor's check as given, not cast to integers.

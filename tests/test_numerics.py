@@ -79,7 +79,9 @@ class TestGeneralizedInverse:
         assert np.allclose(generalized_inverse(np.eye(4)), np.eye(4), atol=1e-12)
 
     def test_zero_matrix(self):
+        # No singular value exceeds a cutoff of 0, so the general path returns zeros.
         assert np.array_equal(generalized_inverse(np.zeros((3, 3))), np.zeros((3, 3)))
+        assert np.array_equal(generalized_inverse(np.zeros((2, 3))), np.zeros((3, 2)))
 
     def test_rank_one(self):
         u = np.array([[1.0], [2.0]])

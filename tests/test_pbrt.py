@@ -161,6 +161,10 @@ class TestEstimateInvariants:
         with pytest.raises(ValueError):
             PbrtEstimate(mu=0.0, var_naive=1.0, var_conservative=0.5, t_star=1.5, stimulus=0)
 
+    def test_var_naive_must_be_positive(self):
+        with pytest.raises(ValueError, match="^var_naive must be positive$"):
+            PbrtEstimate(mu=0.0, var_naive=0.0, var_conservative=0.5, t_star=1.5, stimulus=0)
+
     def test_non_finite_estimate_is_refused(self):
         # w'Pw can overflow where a model file's covariances are huge; the inf
         # or nan it gave was printed as percentiles.

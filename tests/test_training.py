@@ -418,8 +418,7 @@ class TestColumnarStudy:
             (mb.sigma2, mb.fit_info.loglik, mb.fit_info.iterations)
 
     def test_default_study_fits_bit_for_bit_as_observations(self):
-        # The simulator's columns hold one event count, so set-up factors one
-        # group, from a view of the design's rows.
+        # The simulator's columns hold one event count, so set-up factors one group.
         from brakedist.simgen import default_config, generate
 
         columnar, from_objects = self.twins(generate(default_config())[0])
@@ -428,8 +427,8 @@ class TestColumnarStudy:
 
     def test_ragged_study_fits_bit_for_bit_as_observations(self):
         # 1 to 14 events per driver, some repeated apart from each other, so
-        # that some R factors are padded (n_d <= p = 6) and some groups are
-        # gathered rather than viewed; built from columns directly.
+        # that some R factors are padded (n_d <= p = 6) and some groups'
+        # drivers are not consecutive; built from columns directly.
         rng = np.random.default_rng(28)
         spec = ModelSpec(2, 2)
         counts = np.r_[rng.permutation(np.arange(1, 15)), 3, 3, 12, 1]
@@ -509,6 +508,45 @@ class TestFitMetamorphic:
         shuffled = TrainingSet(ts.spec, ts.stimuli, ts.driver_ids, ts.counts, ts.stimulus[order],
                                ts.headway_s[order], ts.brt_s[order])
         self.assert_fit(fit(shuffled, FitOptions(block_diagonal=block)), models[block])
+
+    @pytest.fixture(scope="class")
+    def rescaled(self, plain):
+        """Fits of the default study with its headways divided by c, mapped back
+        to the plain fit's basis, by fit and c. Dividing t by c divides design
+        column t^k by c^k, so beta_k is multiplied by c^k and Sigma_gamma and
+        beta_cov entry (j, k) by c^(j + k); c = 4.704 is the headways' RMS."""
+        ts, _ = plain
+        fits = {}
+        for block, c in itertools.product((True, False), (2.0, 4.704, 0.5)):
+            got = fit(TrainingSet(ts.spec, ts.stimuli, ts.driver_ids, ts.counts, ts.stimulus, ts.headway_s / c,
+                                  ts.brt_s), FitOptions(block_diagonal=block))
+            back = np.tile(c ** -np.arange(ts.spec.degree + 1.0), ts.spec.num_stimuli)
+            fits[block, c] = dataclasses.replace(got, beta=got.beta * back,
+                                                 sigma_gamma=got.sigma_gamma * np.outer(back, back),
+                                                 beta_cov=got.beta_cov * np.outer(back, back))
+        return fits
+
+    @pytest.mark.parametrize("c", [2.0, 4.704, 0.5])
+    @pytest.mark.parametrize("block", [True, False], ids=["block-diagonal", "full"])
+    def test_rescaled_headways_rescale_beta(self, plain, rescaled, block, c):
+        # Iteration counts move (15 to 10-14, 76 to 64-81) and are not asserted.
+        got, want = rescaled[block, c], plain[1][block]
+        self.assert_close(got.fit_info.loglik, want.fit_info.loglik)
+        self.assert_close(got.beta, want.beta)
+        self.assert_close(got.sigma2, want.sigma2)
+        assert got.fit_info.converged
+
+    @pytest.mark.parametrize("c", [2.0, 4.704, 0.5])
+    @pytest.mark.parametrize("block", [
+        pytest.param(True, id="block-diagonal", marks=pytest.mark.xfail(strict=True, reason=(
+            "the block-diagonal search stops with -loglik settled to 1e-15 but Sigma_gamma only to "
+            "1.4e-8-5e-8 relative (FOUND in CHANGES.md; ROADMAP item 2's stop rule)"))),
+        pytest.param(False, id="full"),
+    ])
+    def test_rescaled_headways_rescale_the_covariances(self, plain, rescaled, block, c):
+        got, want = rescaled[block, c], plain[1][block]
+        self.assert_close(got.sigma_gamma, want.sigma_gamma)
+        self.assert_close(got.beta_cov, want.beta_cov)
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))), ids=lambda order: "%d%d%d" % order)
     @pytest.mark.parametrize("block", [True, False], ids=["block-diagonal", "full"])
