@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Observation, UnknownStimulus, check_brt, check_headway, design, json_array, json_list,
-                    json_number, read_json, refuse_outside_domain)
+from .model import (Observation, UnknownStimulus, _integer, check_brt, check_headway, design, json_array,
+                    json_list, json_number, read_json, refuse_outside_domain)
 from .model import build_design  # the benchmark's tracer wraps it
 from .numerics import NotPositiveDefinite
 from .numerics import spd_solve  # the benchmark's tracer wraps it
@@ -60,7 +60,7 @@ class DriverState:
     state; compute_blup only reads it. Distinct drivers are independent.
 
     Raises:
-        ValueError: if max_history is not an integer >= 1.
+        ValueError: if driver_id is not a string, or max_history is not an integer >= 1.
     """
 
     driver_id: str
@@ -70,9 +70,9 @@ class DriverState:
     cached = None
 
     def __post_init__(self):
-        limit = self.max_history
-        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)) or limit < 1:
-            raise ValueError(f"max_history must be an integer >= 1, got {limit!r}")
+        if not isinstance(self.driver_id, str):  # a state file holding it could not be read back
+            raise ValueError(f"driver_id must be a string, got {self.driver_id!r}")
+        self.max_history = _integer(self.max_history, "max_history", 1)
         _keep_window(self, np.empty(0, np.intp), np.empty(0), np.empty(0))
 
     @property
@@ -172,11 +172,9 @@ def state_to_dict(state, registry):
 def state_from_dict(doc, registry):
     """The state a state file's document holds, its columns all absent for no events. A refusal names the entry:
     header, ``observations`` (the older layout, refused), shape, stimulus, headway_s, brt_s, type before domain."""
-    driver_id = doc["driver_id"]
-    if not isinstance(driver_id, str):
-        raise ValueError(f"driver_id must be a string, got {driver_id!r}")
-    state = DriverState(driver_id, json_number(doc, "max_history", integral=True) if "max_history" in doc
-                        else DEFAULT_MAX_HISTORY)
+    state = DriverState(doc["driver_id"])  # the header in order: driver_id is checked before max_history is read
+    if "max_history" in doc:
+        state = DriverState(state.driver_id, json_number(doc, "max_history", integral=True))
     if "observations" in doc:  # the older layout is refused, never read as an empty window that drops its events
         raise TypeError("observations: records are no longer read; a state file holds stimulus, headway_s and brt_s")
     keys = ("stimulus", "headway_s", "brt_s")  # the window, oldest event first

@@ -91,9 +91,7 @@ class Observation:
     brt_s: float
 
     def __post_init__(self):
-        if not isinstance(self.stimulus, (int, np.integer)) or self.stimulus < 0:
-            raise ValueError(f"stimulus id must be a nonnegative integer, got {self.stimulus!r}")
-        object.__setattr__(self, "stimulus", int(self.stimulus))
+        object.__setattr__(self, "stimulus", _integer(self.stimulus, "stimulus id", 0))
         object.__setattr__(self, "headway_s", check_headway(self.headway_s))
         object.__setattr__(self, "brt_s", check_brt(self.brt_s))
 
@@ -106,11 +104,8 @@ class ModelSpec:
     degree: int = 2
 
     def __post_init__(self):
-        for name, value in (("num_stimuli", self.num_stimuli), ("degree", self.degree)):
-            whole = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
-            if type(value) is bool or not whole:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("num_stimuli", "degree"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.num_stimuli < 1:
             raise ValueError("num_stimuli must be >= 1")
         if not 0 <= self.degree <= MAX_DEGREE:
@@ -225,12 +220,21 @@ class TrainingSet:
         return self.brt_s.size
 
 
+def _integer(value, name, low=None):
+    """``value`` as an int if it is an integer or a whole float, not a bool, not below ``low``; else a ValueError."""
+    whole = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+    if type(value) is bool or not whole or low is not None and value < low:
+        raise ValueError(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
+    return int(value)
+
+
 def _integers(values, name):
-    """``values`` as an intp array; the first entry that differs from its cast, such as 0.9, is a ValueError."""
+    """``values`` as an intp array; the first entry unlike its cast (0.9), or of a bool column, is a ValueError.
+    A bool in a list of ints reads as 0 or 1: numpy converts the list before the check sees it."""
     values = np.asarray(values)
     with np.errstate(invalid="ignore"):  # nan, inf and huge floats cast to an integer they differ from
         ints = values.astype(np.intp, copy=False)
-    for value in values[ints != values][:1].tolist():
+    for value in values[(ints != values) | (values.dtype == bool)][:1].tolist():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return ints
 
@@ -480,10 +484,8 @@ def json_number(doc, *path, integral=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         error = TypeError if value is None or isinstance(value, (list, dict)) else ValueError
         raise error(f"{field_name(path)} must be a number, got {value!r}")
-    if integral and not (isinstance(value, int) or value.is_integer()):
-        raise ValueError(f"{field_name(path)} must be an integer, got {value!r}")
     try:
-        return int(value) if integral else float(value)
+        return _integer(value, field_name(path)) if integral else float(value)
     except OverflowError:
         raise ValueError(f"{field_name(path)} must be finite") from None
 

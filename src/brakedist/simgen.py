@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MAX_BRT_S, MAX_HEADWAY_S, ModelSpec, StimulusRegistry, TrainingSet, _integers,
+from .model import (MAX_BRT_S, MAX_HEADWAY_S, ModelSpec, StimulusRegistry, TrainingSet, _integer,
                     atomic_write_text, check_covariance, design, json_array, json_list, json_number, read_json)
 from .numerics import is_psd  # the benchmark's tracer wraps it
 
@@ -61,10 +61,10 @@ class SimConfig:
         # checks); training is what requires a strictly positive sigma2.
         if self.sigma2_true < 0:
             raise ValueError("sigma2_true must be nonnegative")
-        self.num_drivers = int(_integers(self.num_drivers, "num_drivers"))
+        self.num_drivers = _integer(self.num_drivers, "num_drivers")
         if self.num_drivers < 1:
             raise ValueError("num_drivers must be >= 1")
-        self.obs_per_driver = tuple(_integers(self.obs_per_driver, "obs_per_driver").tolist())
+        self.obs_per_driver = tuple(_integer(count, "obs_per_driver") for count in self.obs_per_driver)
         if len(self.obs_per_driver) != self.spec.num_stimuli:
             raise ValueError("obs_per_driver needs one count per stimulus")
         if any(c < 0 for c in self.obs_per_driver):
@@ -77,7 +77,7 @@ class SimConfig:
         if not 0 < lo < hi <= MAX_HEADWAY_S:
             raise ValueError(f"headway_range must satisfy 0 < min < max <= {MAX_HEADWAY_S}")
         self.headway_range = (float(lo), float(hi))
-        self.seed = int(self.seed if isinstance(self.seed, (int, np.integer)) else _integers(self.seed, "seed"))
+        self.seed = _integer(self.seed, "seed")
 
 
 # Committed default study parameters. Drivers differ mostly in level

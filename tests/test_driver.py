@@ -144,6 +144,25 @@ class TestAddObservation:
                                              f"{re.escape(repr(max_history))}$"):
             DriverState(driver_id="a", max_history=max_history)
 
+    @pytest.mark.parametrize("max_history", [np.int64(5), 5.0])
+    def test_max_history_is_stored_as_an_int(self, max_history):
+        # np.int64(5) was kept as given, and json.dumps of the state document raised TypeError.
+        state = DriverState(driver_id="a", max_history=max_history)
+        assert type(state.max_history) is int and state.max_history == 5
+        assert json.loads(json.dumps(state_to_dict(state, StimulusRegistry(["s"]))))["max_history"] == 5
+
+    def test_driver_id_must_be_a_string(self):
+        # DriverState(5) was accepted, and wrote a state file that every reader refused.
+        with pytest.raises(ValueError, match="^driver_id must be a string, got 5$"):
+            DriverState(driver_id=5)
+
+    def test_header_is_checked_in_order(self):
+        # With both header fields bad, the first one, driver_id, is named.
+        with pytest.raises(ValueError, match="^driver_id must be a string, got 5$"):
+            state_from_dict({"driver_id": 5, "max_history": 0}, StimulusRegistry(["s"]))
+        with pytest.raises(ValueError, match="^max_history must be an integer >= 1, got 0$"):
+            state_from_dict({"driver_id": "a", "max_history": 0}, StimulusRegistry(["s"]))
+
     def test_window_of_one_keeps_the_newest_event(self):
         state = DriverState(driver_id="a", max_history=1)
         for i in range(3):
@@ -370,6 +389,26 @@ class TestWindowMetamorphic:
             # empty window's is Sigma_gamma alone, without beta_cov's share.
             if n:
                 assert rel_err(got.pred_err_cov[block, block], want.pred_err_cov[block, block]) <= 1e-8
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 60), st.integers(1, 80))
+    def test_json_round_trip_changes_nothing(self, seed, n, max_history):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, beta_cov_scale=0.02)
+        state = DriverState("d", max_history)
+        for event in self.events(rng, model, n):
+            add_observation(state, Observation("d", *event))
+        back = state_from_dict(json.loads(json.dumps(state_to_dict(state, model.stimuli))), model.stimuli)
+        assert back.max_history == max_history
+        for column in ("stimulus", "headway_s", "brt_s"):
+            want = getattr(state, column)
+            assert getattr(back, column).dtype == want.dtype
+            assert getattr(back, column).tobytes() == want.tobytes()
+        want, got = compute_blup(state, model), compute_blup(back, model)
+        assert np.array_equal(got.gamma_hat, want.gamma_hat)
+        assert np.array_equal(got.pred_err_cov, want.pred_err_cov)
+        assert np.array_equal(self.percentiles(model, got), self.percentiles(model, want))
 
 
 class TestDenseOracle:

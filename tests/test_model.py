@@ -96,6 +96,42 @@ class TestTypes:
         with pytest.raises(ValueError):
             Observation("d1", -1, 1.5, 0.8)
 
+    @pytest.mark.parametrize("stimulus", [True, -1, 0.5, "1", None])
+    def test_observation_refuses_a_stimulus_id_that_is_not_an_integer(self, stimulus):
+        # True was accepted as stimulus 1.
+        message = f"stimulus id must be an integer >= 0, got {stimulus!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Observation("a", stimulus, 1.2, 0.8)
+
+    @pytest.mark.parametrize("stimulus", [1.0, np.int64(1), np.float64(1.0)])
+    def test_observation_stores_a_whole_stimulus_id_as_int(self, stimulus):
+        # 1.0 was refused, though TrainingSet's column reads it as 1.
+        assert type(Observation("a", stimulus, 1.2, 0.8).stimulus) is int
+        assert Observation("a", stimulus, 1.2, 0.8).stimulus == 1
+
+    @pytest.mark.parametrize("value, low, want", [
+        (3, None, 3), (np.int32(3), None, 3), (np.uint64(2**64 - 1), None, 2**64 - 1), (3.0, None, 3),
+        (2.0**63, None, 2**63), (2**70, None, 2**70), (0, 0, 0), (-4, None, -4),
+    ])
+    def test_integer_rule_accepts_whole_numbers(self, value, low, want):
+        got = model_mod._integer(value, "x", low)
+        assert type(got) is int and got == want
+
+    @pytest.mark.parametrize("value, low, message", [
+        (True, None, "x must be an integer, got True"),
+        (np.bool_(False), None, f"x must be an integer, got {np.bool_(False)!r}"),
+        ("3", None, "x must be an integer, got '3'"),
+        (2.5, None, "x must be an integer, got 2.5"),
+        (math.nan, None, "x must be an integer, got nan"),
+        (-math.inf, None, "x must be an integer, got -inf"),
+        (None, None, "x must be an integer, got None"),
+        (-1, 0, "x must be an integer >= 0, got -1"),
+        (0.5, 1, "x must be an integer >= 1, got 0.5"),
+    ])
+    def test_integer_rule_refusals(self, value, low, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_mod._integer(value, "x", low)
+
     def test_trained_model_validation(self):
         reg = StimulusRegistry(["a", "b", "c"])
         model = TrainedModel(
@@ -456,10 +492,14 @@ class TestTrainingSet:
         ({"stimulus": [0, 0.9, 0]}, "stimulus id must be an integer, got 0.9"),
         ({"stimulus": [0, 1, math.nan]}, "stimulus id must be an integer, got nan"),
         ({"counts": [2.5, 0.5]}, "event count must be an integer, got 2.5"),
+        # A bool column is refused as its first entry, not read as 0 and 1.
+        ({"counts": [True, True]}, "event count must be an integer, got True"),
+        ({"stimulus": [False, True, False]}, "stimulus id must be an integer, got False"),
         # Once accepted here, and refused only after fit's whole search.
         ({"stimuli": StimulusRegistry(["s0", "s1"])}, "registry size does not match spec.num_stimuli"),
     ], ids=["no-drivers", "empty-driver", "counts", "columns", "stimulus", "headway", "brt", "first-bad-event",
-            "fractional-stimulus", "nan-stimulus", "fractional-count", "registry-size"])
+            "fractional-stimulus", "nan-stimulus", "fractional-count", "bool-count", "bool-stimulus",
+            "registry-size"])
     def test_refusals(self, change, message):
         columns = {"stimuli": StimulusRegistry(["s0", "s1", "s2"]), "driver_ids": ("a", "b"), "counts": [2, 1],
                    "stimulus": [0, 1, 0], "headway_s": [1.0, 2.0, 3.0], "brt_s": [0.5, 0.6, 0.7]}

@@ -73,6 +73,10 @@ class TestSpdSolve:
         with pytest.raises(ValueError):
             spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
 
+    def test_rejects_rhs_of_the_wrong_row_count(self):
+        with pytest.raises(ValueError, match=r"^rhs has 2 rows, matrix is 3x3$"):
+            spd_solve(np.eye(3), np.ones(2))
+
 
 class TestGeneralizedInverse:
     def test_identity(self):
@@ -82,6 +86,13 @@ class TestGeneralizedInverse:
         # No singular value exceeds a cutoff of 0, so the general path returns zeros.
         assert np.array_equal(generalized_inverse(np.zeros((3, 3))), np.zeros((3, 3)))
         assert np.array_equal(generalized_inverse(np.zeros((2, 3))), np.zeros((3, 2)))
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="^expected a matrix, got ndim=1$"):
+            generalized_inverse(np.ones(3))
+
+    def test_empty_matrix_gives_the_transposed_empty_shape(self):
+        assert generalized_inverse(np.zeros((0, 3))).shape == (3, 0)
 
     def test_rank_one(self):
         u = np.array([[1.0], [2.0]])
@@ -150,6 +161,10 @@ class TestCheckSymmetric:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             check_symmetric(np.ones((2, 3)))
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="^matrix dimension must be >= 1$"):
+            check_symmetric(np.zeros((0, 0)))
 
     def test_accepts_tiny_asymmetry(self):
         a = np.eye(2)

@@ -302,3 +302,14 @@ class TestConfigDict:
             small_config(num_drivers=2.5)
         exact = small_config(num_drivers=3.0, obs_per_driver=(6.0,), seed=2**63)
         assert (exact.num_drivers, exact.obs_per_driver, exact.seed) == (3, (6,), 2**63)
+
+    def test_a_whole_float_seed_is_the_same_seed(self):
+        # 2.0**63 was refused, since its intp cast overflows; 2**63 was accepted.
+        assert small_config(seed=2.0**63).seed == small_config(seed=2**63).seed == 2**63
+
+    @pytest.mark.parametrize("field, value", [("num_drivers", True), ("obs_per_driver", (True, 2, 3)),
+                                              ("seed", True)])
+    def test_bools_are_not_counts_or_seeds(self, field, value):
+        # Each was read as 1: a one-driver study, (1, 2, 3) events, seed 1.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got True$"):
+            dataclasses.replace(default_config(), **{field: value})

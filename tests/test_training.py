@@ -105,6 +105,10 @@ class TestMarginalCov:
                 naive[i, j] = acc + (0.07 if i == j else 0.0)
         assert np.allclose(V, naive, atol=1e-10)
 
+    def test_rejects_a_design_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="^X_d must have 9 columns$"):
+            marginal_cov(ModelSpec(3, 2), np.ones((4, 8)), 1.0, np.eye(9))
+
 
 class TestGlsBeta:
     def test_identity_covariance_reduces_to_ols(self):
@@ -121,6 +125,10 @@ class TestGlsBeta:
         beta, cov = gls_beta(X, np.array([2.0, 4.0]), [np.eye(2)])
         assert beta[0] == pytest.approx(3.0, abs=1e-14)
         assert cov[0, 0] == pytest.approx(0.5, abs=1e-14)
+
+    def test_rejects_blocks_that_do_not_span_the_rows(self):
+        with pytest.raises(ValueError, match="^covariance blocks do not span all rows$"):
+            gls_beta(np.ones((3, 1)), np.ones(3), [np.eye(2)])
 
     def test_matches_dense_whole_matrix_oracle(self):
         rng = np.random.default_rng(7)
