@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Observation, UnknownStimulus, _integer, check_brt, check_headway, design, json_array,
+from .model import (Observation, UnknownStimulus, _integer, _lookup, check_brt, check_headway, design, json_array,
                     json_list, json_number, read_json, refuse_outside_domain)
 from .model import build_design  # the benchmark's tracer wraps it
 from .numerics import NotPositiveDefinite
@@ -172,7 +172,7 @@ def state_to_dict(state, registry):
 def state_from_dict(doc, registry):
     """The state a state file's document holds, its columns all absent for no events. A refusal names the entry:
     header, ``observations`` (the older layout, refused), shape, stimulus, headway_s, brt_s, type before domain."""
-    state = DriverState(doc["driver_id"])  # the header in order: driver_id is checked before max_history is read
+    state = DriverState(_lookup(doc, ("driver_id",)))  # the header in order: driver_id before max_history
     if "max_history" in doc:
         state = DriverState(state.driver_id, json_number(doc, "max_history", integral=True))
     if "observations" in doc:  # the older layout is refused, never read as an empty window that drops its events

@@ -35,44 +35,35 @@ class UnknownStimulus(ValueError):
     """Raised for a stimulus id or name not present in the registry."""
 
 
+@dataclass(frozen=True)
 class StimulusRegistry:
     """Ordered set of stimulus names; ids are contiguous positions."""
 
-    def __init__(self, names):
-        names = tuple(names)
-        for name in names:
+    names: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+        for name in self.names:
             if not isinstance(name, str):
                 raise ValueError(f"stimulus names must be strings, got {name!r}")
-        if not names:
+        if not self.names:
             raise ValueError("registry needs at least one stimulus")
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("stimulus names must be unique")
-        self._names = names
-        self._ids = {name: i for i, name in enumerate(names)}
-
-    @property
-    def names(self):
-        return self._names
 
     def id_of(self, name):
         try:
-            return self._ids[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise UnknownStimulus(f"unknown stimulus name {name!r}") from None
 
     def name_of(self, stimulus_id):
-        if not 0 <= stimulus_id < len(self._names):
+        if not 0 <= stimulus_id < len(self.names):
             raise UnknownStimulus(f"stimulus id {stimulus_id} out of range")
-        return self._names[stimulus_id]
+        return self.names[stimulus_id]
 
     def __len__(self):
-        return len(self._names)
-
-    def __eq__(self, other):
-        return isinstance(other, StimulusRegistry) and self._names == other._names
-
-    def __repr__(self):
-        return f"StimulusRegistry({list(self._names)!r})"
+        return len(self.names)
 
 
 @dataclass(frozen=True)
@@ -91,6 +82,8 @@ class Observation:
     brt_s: float
 
     def __post_init__(self):
+        if not isinstance(self.driver_id, str):  # as DriverState refuses it: ids 5 and "5" are one driver in a CSV
+            raise ValueError(f"driver_id must be a string, got {self.driver_id!r}")
         object.__setattr__(self, "stimulus", _integer(self.stimulus, "stimulus id", 0))
         object.__setattr__(self, "headway_s", check_headway(self.headway_s))
         object.__setattr__(self, "brt_s", check_brt(self.brt_s))
@@ -164,14 +157,13 @@ class TrainedModel:
 class TrainingSet:
     """Multi-driver study used to fit the population model, held as columns.
 
-    ``driver_ids`` lists the drivers in order of first appearance and
-    ``counts`` their event counts; the event columns ``stimulus`` (ids),
-    ``headway_s`` and ``brt_s`` hold each driver's rows in turn, in input
-    order. ``drivers`` derives a dict of ``Observation`` lists from them on
-    each read, for the benchmark and the tests; nothing that simulates,
-    reads or fits a study reads it. A driver with no events is refused, and
-    so is the first event with a stimulus id, headway or response outside
-    its domain, with ``feature_row``'s or ``check_brt``'s error.
+    ``driver_ids`` lists the drivers, distinct strings, in order of first appearance and ``counts``
+    their event counts; the event columns ``stimulus`` (ids), ``headway_s`` and ``brt_s`` hold each
+    driver's rows in turn, in input order. ``drivers`` derives a dict of ``Observation`` lists from them on
+    each read, for the benchmark and the tests; nothing that simulates, reads or fits a study reads it. A
+    driver id that is not a string or is listed twice is refused, and so is a driver with no events and
+    the first event with a stimulus id, headway or response outside its domain, with ``feature_row``'s
+    or ``check_brt``'s error. A CSV could not tell ids 5 and "5", or two drivers "a", apart.
     """
 
     spec: ModelSpec
@@ -190,6 +182,13 @@ class TrainingSet:
             raise ValueError("registry size does not match spec.num_stimuli")
         if not self.driver_ids:
             raise ValueError("training set has no drivers")
+        seen = set()
+        for d in self.driver_ids:
+            if not isinstance(d, str):
+                raise ValueError(f"driver_id must be a string, got {d!r}")
+            if d in seen:
+                raise ValueError(f"driver {d!r} is listed twice")
+            seen.add(d)
         sizes = {self.counts.sum(), self.stimulus.size, self.headway_s.size, self.brt_s.size}
         if len(self.driver_ids) != self.counts.size or len(sizes) > 1:
             raise ValueError("driver ids, counts and event columns disagree in length")
@@ -473,14 +472,24 @@ def field_name(path):
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).removeprefix(".")
 
 
+def _lookup(doc, path):
+    """The value at ``path`` (keys and list indices) in ``doc``; every reader walks a document here. A step by key
+    into anything but an object, or by index into anything but a list, is a TypeError naming the field."""
+    value = doc
+    for i, key in enumerate(path):
+        if type(value) is not (list if type(key) is int else dict):
+            kind = "a list" if type(key) is int else "an object"
+            raise TypeError(f"{field_name(path[:i]) or 'the document'} must be {kind}, got {value!r}")
+        value = value[key]
+    return value
+
+
 def json_number(doc, *path, integral=False):
     """The JSON number at ``path`` (keys and list indices) in ``doc``, as a
     float, or an int if ``integral``. A bool, a string or a fraction where
     an integer belongs is a ValueError naming the field; null, a list or an
     object is a TypeError, which ``read_json`` reports as the wrong shape."""
-    value = doc
-    for key in path:
-        value = value[key]
+    value = _lookup(doc, path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         error = TypeError if value is None or isinstance(value, (list, dict)) else ValueError
         raise error(f"{field_name(path)} must be a number, got {value!r}")
@@ -496,15 +505,13 @@ def json_array(doc, *path, shape):
     accepts. A list of the wrong length is a ValueError naming the field
     and index; anything else where a list belongs is a TypeError, which
     ``read_json`` reports as the wrong shape."""
-    return np.array(_checked_list(doc, path, json_list(doc, *path), shape), dtype=float)
+    return np.array(_checked_list(doc, path, _lookup(doc, path), shape), dtype=float)
 
 
 def json_list(doc, *path):
     """The JSON list at ``path`` in ``doc``; anything else is a TypeError,
     which ``read_json`` reports as the wrong shape."""
-    value = doc
-    for key in path:
-        value = value[key]
+    value = _lookup(doc, path)
     if type(value) is not list:
         raise TypeError(f"{field_name(path)} must be a list, got {value!r}")
     return value
@@ -521,25 +528,20 @@ def _checked_list(doc, path, value, shape):
 
 
 def read_json(path, from_dict, kind):
-    """``from_dict`` of the JSON document in the ``kind`` file at ``path``.
-
-    A file that is not UTF-8 or not JSON, a document of the wrong shape
-    (``from_dict`` raises TypeError: a list where an object belongs, null
-    where a number does), one nested too deeply for the parser, a missing
-    field (KeyError) and every other ValueError of ``from_dict`` (a bad
-    field) is a ValueError naming the file.
-    """
+    """``from_dict`` of the JSON document in the ``kind`` file at ``path``. A file that is not UTF-8 or not
+    JSON, one nested too deeply to parse, a document of the wrong shape (``from_dict`` raises TypeError: a
+    list where an object belongs, null where a number does), a missing field (KeyError) and every other
+    ValueError, of the parser (an integer past Python's digit limit) or of ``from_dict`` (a bad field), is a
+    ValueError naming the file."""
     data = Path(path).read_bytes()
     try:
-        doc = json.loads(data.decode("utf-8"))
+        return from_dict(json.loads(data.decode("utf-8")))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{kind} {path} is {_not_utf8(data, exc)}") from None
     except RecursionError:
         raise ValueError(f"{kind} {path} is nested too deeply to read") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{kind} {path} is not JSON: {exc}") from None
-    try:
-        return from_dict(doc)
     except TypeError as exc:
         raise ValueError(f"{kind} {path} has the wrong shape: {exc}") from None
     except KeyError as exc:

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MAX_BRT_S, MAX_HEADWAY_S, ModelSpec, StimulusRegistry, TrainingSet, _integer,
+from .model import (MAX_BRT_S, MAX_HEADWAY_S, ModelSpec, StimulusRegistry, TrainingSet, _integer, _lookup,
                     atomic_write_text, check_covariance, design, json_array, json_list, json_number, read_json)
 from .numerics import is_psd  # the benchmark's tracer wraps it
 
 DEFAULT_STIMULI = ("traffic_signal", "lead_car_brake", "pedestrian_crossing")
 REDRAW_ROUNDS = 100  # of a response's noise, while the response exceeds MAX_BRT_S
+MAX_STUDY_EVENTS = 10**6  # num_drivers x sum(obs_per_driver): 166 default studies, about 65 MB of CSV
 _BLOCK_EVENTS = 1 << 10  # events transformed at once; at p = 9 a block's design stays under malloc's mmap threshold
 
 
@@ -71,6 +72,9 @@ class SimConfig:
             raise ValueError("observation counts must be >= 0")
         if not any(self.obs_per_driver):
             raise ValueError("obs_per_driver needs at least one positive count")
+        if self.num_drivers * sum(self.obs_per_driver) > MAX_STUDY_EVENTS:
+            raise ValueError(f"num_drivers x sum(obs_per_driver) = {self.num_drivers} x {sum(self.obs_per_driver)} "
+                             f"exceeds MAX_STUDY_EVENTS = {MAX_STUDY_EVENTS}")
         if len(self.headway_range) != 2:
             raise ValueError("headway_range must be [min, max]")
         lo, hi = self.headway_range
@@ -170,6 +174,7 @@ def _standard_normals(rng, count):
     return _box_muller(1.0 - u[: u.size // 2], u[u.size // 2 :])[:count]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing response is redrawn, then refused, not warned of
 def generate(config):
     """Draw a full synthetic training set plus its ground truth.
 
@@ -186,8 +191,8 @@ def generate(config):
         built; truth maps driver_id to its drawn gamma vector.
 
     Raises:
-        ValueError: naming the driver and stimulus, if a response is still above
-            MAX_BRT_S after REDRAW_ROUNDS redraws (the config is unphysical).
+        ValueError: naming the driver and stimulus, if a response is still above MAX_BRT_S
+            after REDRAW_ROUNDS redraws, or TrainingSet's, if one underflows to 0 (the config is unphysical).
     """
     spec, num_drivers = config.spec, config.num_drivers
     root, sigma = _psd_sqrt(config.sigma_gamma_true), math.sqrt(config.sigma2_true)
@@ -243,11 +248,11 @@ def config_to_dict(config):
 def config_from_dict(doc):
     spec = ModelSpec(num_stimuli=json_number(doc, "num_stimuli", integral=True),
                      degree=json_number(doc, "degree", integral=True))
-    counts = doc["obs_per_driver"]
+    counts = _lookup(doc, ("obs_per_driver",))
     if isinstance(counts, list):
         counts = [json_number(doc, "obs_per_driver", i, integral=True) for i in range(len(counts))]
     else:
-        counts = [json_number(doc, "obs_per_driver", integral=True)] * spec.num_stimuli
+        counts = [json_number(doc, "obs_per_driver", integral=True)] * len(json_list(doc, "stimuli"))
     bounds = json_list(doc, "headway_range")
     return SimConfig(
         spec=spec,

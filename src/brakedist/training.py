@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, atomic_write_text, check_covariance,
-                    design, json_array, json_list, json_number, read_json)
+from .model import (FitInfo, ModelSpec, StimulusRegistry, TrainedModel, _lookup, atomic_write_text,
+                    check_covariance, design, json_array, json_list, json_number, read_json)
 from .model import build_design  # the benchmark's tracer wraps it
 from .numerics import NotPositiveDefinite, generalized_inverse, spd_solve
 
@@ -458,7 +458,7 @@ def model_from_dict(doc):
     registry = StimulusRegistry(json_list(doc, "spec", "stimuli"))
     fit_info = None
     if doc.get("fit_info") is not None:
-        converged = doc["fit_info"]["converged"]
+        converged = _lookup(doc, ("fit_info", "converged"))
         if not isinstance(converged, bool):
             raise ValueError(f"fit_info.converged must be true or false, got {converged!r}")
         fit_info = FitInfo(

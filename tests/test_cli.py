@@ -607,11 +607,13 @@ class TestPbrt:
         (("spec", "degree"), MAX_DEGREE + 1, degree_refusal(MAX_DEGREE + 1)),
         (("t_star",), ABOVE_BOUND, above_bound("t_star", ABOVE_BOUND)),
         (("sigma2",), 10**400, "sigma2 must be finite"),  # an integer too large for a float
+        (("spec",), [2, 2], "has the wrong shape: spec must be an object, got [2, 2]"),
+        (("fit_info",), [True], "has the wrong shape: fit_info must be an object, got [True]"),
     ], ids=["degree-fraction", "degree-string", "num_stimuli-bool", "sigma2-bool", "t_star-string",
             "loglik-string", "converged-string", "beta-string", "beta-bool", "sigma_gamma-ragged",
             "sigma_gamma-row-number", "beta_cov-short", "beta-missing", "stimuli-bool",
             "stimuli-string", "stimuli-object", "degree-above-bound", "t_star-above-bound",
-            "sigma2-huge-integer"])
+            "sigma2-huge-integer", "spec-list", "fit_info-list"])
     def test_mistyped_model_field_is_named(self, handmade_model_path, capsys, path, value, message):
         # Read with bare int() and float() these were truncated (degree 1.5,
         # then a misleading beta-shape error) or accepted ("2", true); read
@@ -634,6 +636,17 @@ class TestPbrt:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [refusal("model file", handmade_model_path, message)]
+
+    def test_an_integer_past_the_digit_limit_names_the_file(self, handmade_model_path, capsys):
+        # The parser's own ValueError was printed without the file's name.
+        text = handmade_model_path.read_text()
+        assert '"t_star": 1.5' in text
+        handmade_model_path.write_text(text.replace('"t_star": 1.5', '"t_star": ' + "9" * 5000))
+        assert run(["pbrt", "--model", str(handmade_model_path), "--stimulus", "traffic_signal"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()  # the rest is Python's: "Exceeds the limit (4300 digits) ..."
+        assert line.startswith(f"error: model file {handmade_model_path}: ")
 
     def test_fit_info_seed_of_an_older_model_file_is_ignored(self, handmade_model_path, capsys):
         # Model files once recorded the unused search seed in fit_info.
@@ -823,14 +836,14 @@ COLUMNS = {"driver_id": "x", "stimulus": ["traffic_signal"] * 2, "headway_s": [1
 
 class TestMalformedJson:
     @pytest.mark.parametrize("kind, doc, detail", [
-        ("model", [], None),
+        ("model", [], "the document must be an object, got []"),
         ("model", {"spec": {"num_stimuli": 2, "degree": 2, "stimuli": None}},
          "spec.stimuli must be a list, got None"),
-        ("state", [], None),
+        ("state", [], "the document must be an object, got []"),
         # A file in the older record layout is refused whole, whatever its records hold.
         ("state", {"driver_id": "x", "observations": 5}, RECORD_REFUSAL),
         ("state", {"driver_id": "x", "observations": [{**EVENT, "headway_s": None}]}, RECORD_REFUSAL),
-        ("config", [], None),
+        ("config", [], "the document must be an object, got []"),
         # These four were served as an empty history, or refused naming no field.
         ("state", {"driver_id": "x", "observations": {}}, RECORD_REFUSAL),
         ("state", {"driver_id": "x", "observations": ""}, RECORD_REFUSAL),
@@ -840,14 +853,20 @@ class TestMalformedJson:
         ("state", {**COLUMNS, "headway_s": 5}, "headway_s must be a list, got 5"),
         ("state", {**COLUMNS, "stimulus": {"a": 1}}, "stimulus must be a list, got {'a': 1}"),
         ("state", {**COLUMNS, "brt_s": [0.8, None]}, "brt_s[1] must be a number, got None"),
+        # These quoted Python's own text: "'int' object is not subscriptable", "string indices must be integers".
+        ("model", {"spec": 5}, "spec must be an object, got 5"),
+        ("state", "abc", "the document must be an object, got 'abc'"),
+        ("config", 7, "the document must be an object, got 7"),
     ], ids=["model-list", "model-null-stimuli", "state-list", "state-int-observations",
             "state-null-headway", "config-list", "state-object-observations",
             "state-empty-string-observations", "state-string-observations",
             "state-keyed-object-observations", "state-number-record", "state-int-column",
-            "state-object-column", "state-null-response"])
+            "state-object-column", "state-null-response", "model-number-spec", "state-string",
+            "config-number"])
     def test_wrong_shape_is_a_validation_error(self, tmp_path, handmade_model_path, capfd,
                                                kind, doc, detail):
-        # detail is None where the message is Python's own (a list indexed by a key).
+        # The three documents that are lists were refused in Python's own words
+        # ("list indices must be integers or slices, not str").
         bad = tmp_path / f"bad-{kind}.json"
         bad.write_text(json.dumps(doc))
         if kind == "config":
@@ -861,9 +880,7 @@ class TestMalformedJson:
         captured = capfd.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert line.startswith(f"error: {kind} file {bad} has the wrong shape: ")
-        if detail is not None:
-            assert line == f"error: {kind} file {bad} has the wrong shape: {detail}"
+        assert line == f"error: {kind} file {bad} has the wrong shape: {detail}"
 
     def test_state_without_observations_is_an_empty_history(self, tmp_path, handmade_model_path,
                                                             capfd):
@@ -1063,13 +1080,16 @@ class TestMalformedJson:
         ("obs_per_driver", [-1], "observation counts must be >= 0"),
         ("sigma2_true", -0.04, "sigma2_true must be nonnegative"),
         ("stimuli", ["a", "b"], "registry size does not match spec.num_stimuli"),
+        # Accepted, and generate exhausted memory listing 10**18 driver ids.
+        ("num_drivers", 1e18, "num_drivers x sum(obs_per_driver) = 1000000000000000000 x 6 exceeds "
+                              "MAX_STUDY_EVENTS = 1000000"),
     ], ids=["degree-fraction", "num_stimuli-bool", "num_drivers-string", "count-fraction",
             "count-bool", "sigma2-string", "headway-string", "headway-three", "seed-fraction",
             "beta_true-string", "beta_true-bool", "sigma_gamma_true-ragged", "seed-missing",
             "stimuli-bool", "sigma2-infinite", "beta_true-infinite", "headway-infinite",
             "sigma_gamma_true-nan", "headway-overflows", "stimuli-string", "stimuli-object",
             "headway-above-bound", "degree-above-bound", "count-all-zero", "count-scalar-zero",
-            "count-negative", "sigma2-negative", "stimuli-size-mismatch"])
+            "count-negative", "sigma2-negative", "stimuli-size-mismatch", "study-too-large"])
     def test_bad_config_field_names_file_and_field(self, tmp_path, tiny_sim_config_path, capfd,
                                                    field, value, message):
         # Read with bare int(), "degree": 1.5 was truncated to 1 and failed

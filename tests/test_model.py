@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 
@@ -82,6 +83,24 @@ class TestTypes:
         with pytest.raises(ValueError, match="^registry needs at least one stimulus$"):
             StimulusRegistry([])
 
+    def test_registry_is_a_frozen_value(self):
+        # A hand-written class once held the names beside a derived name -> id dict.
+        reg = StimulusRegistry(["a", "b"])
+        assert [f.name for f in dataclasses.fields(reg)] == ["names"]
+        assert reg.names == ("a", "b") and reg == StimulusRegistry(("a", "b")) != StimulusRegistry(["b", "a"])
+        assert hash(reg) == hash(StimulusRegistry(["a", "b"]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reg.names = ("c",)
+        assert [reg.id_of(name) for name in reg.names] == [0, 1]
+
+    @pytest.mark.parametrize("lookup, arg, message", [
+        ("id_of", "c", "unknown stimulus name 'c'"), ("id_of", ["a"], "unknown stimulus name ['a']"),
+        ("name_of", 2, "stimulus id 2 out of range"), ("name_of", -1, "stimulus id -1 out of range"),
+    ])
+    def test_registry_lookup_refusals(self, lookup, arg, message):
+        with pytest.raises(UnknownStimulus, match=f"^{re.escape(message)}$"):
+            getattr(StimulusRegistry(["a", "b"]), lookup)(arg)
+
     def test_observation_validation(self):
         Observation("d1", 0, 1.5, 0.8)
         assert Observation("d1", 0, MAX_HEADWAY_S, 0.8).headway_s == MAX_HEADWAY_S
@@ -95,6 +114,12 @@ class TestTypes:
             Observation("d1", 0, 1.5, 61.0)  # beyond the sensor sanity bound
         with pytest.raises(ValueError):
             Observation("d1", -1, 1.5, 0.8)
+
+    @pytest.mark.parametrize("driver_id", [5, None, b"a", ("a",)])
+    def test_observation_refuses_a_driver_id_that_is_not_a_string(self, driver_id):
+        # 5 was accepted, and written to a CSV as the driver "5".
+        with pytest.raises(ValueError, match=f"^{re.escape(f'driver_id must be a string, got {driver_id!r}')}$"):
+            Observation(driver_id, 0, 1.2, 0.8)
 
     @pytest.mark.parametrize("stimulus", [True, -1, 0.5, "1", None])
     def test_observation_refuses_a_stimulus_id_that_is_not_an_integer(self, stimulus):
@@ -497,9 +522,13 @@ class TestTrainingSet:
         ({"stimulus": [False, True, False]}, "stimulus id must be an integer, got False"),
         # Once accepted here, and refused only after fit's whole search.
         ({"stimuli": StimulusRegistry(["s0", "s1"])}, "registry size does not match spec.num_stimuli"),
+        # Each was accepted, and a CSV round trip (or ``drivers``, for "a" twice) merged the two drivers.
+        ({"driver_ids": ("a", "a")}, "driver 'a' is listed twice"),
+        ({"driver_ids": (5, "5")}, "driver_id must be a string, got 5"),
+        ({"driver_ids": ("a", None)}, "driver_id must be a string, got None"),
     ], ids=["no-drivers", "empty-driver", "counts", "columns", "stimulus", "headway", "brt", "first-bad-event",
             "fractional-stimulus", "nan-stimulus", "fractional-count", "bool-count", "bool-stimulus",
-            "registry-size"])
+            "registry-size", "repeated-id", "int-id", "none-id"])
     def test_refusals(self, change, message):
         columns = {"stimuli": StimulusRegistry(["s0", "s1", "s2"]), "driver_ids": ("a", "b"), "counts": [2, 1],
                    "stimulus": [0, 1, 0], "headway_s": [1.0, 2.0, 3.0], "brt_s": [0.5, 0.6, 0.7]}
@@ -507,8 +536,39 @@ class TestTrainingSet:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrainingSet(SPEC, **{**columns, **change})
 
+    def test_a_valid_study_survives_a_csv_round_trip(self, tmp_path):
+        # Ids that differ only in ways a careless reader could fold together stay distinct drivers.
+        ids = ["5", "05", " 5", "a,b", 'q"uote', "line\nbreak", "é"]
+        rng = np.random.default_rng(3)
+        rows = [(d, int(rng.integers(3)), float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.3, 2.0)))
+                for _ in range(4) for d in ids]
+        ts = TrainingSet.from_rows(SPEC, StimulusRegistry(["s0", "s1", "s2"]), *zip(*rows))
+        path = tmp_path / "obs.csv"
+        write_observations_csv(path, ts)
+        back = read_observations_csv(path)
+        assert back.driver_ids == ts.driver_ids == tuple(ids)
+        assert back.counts.tolist() == ts.counts.tolist() == [4] * len(ids)
+        names = [ts.stimuli.names[s] for s in ts.stimulus]
+        assert [back.stimuli.names[s] for s in back.stimulus] == names
+        assert np.array_equal(back.headway_s, ts.headway_s) and np.array_equal(back.brt_s, ts.brt_s)
+
     def test_from_rows_refuses_a_fractional_stimulus_id(self):
         # from_rows hands the ids to the constructor's check as given, not cast to integers.
         with pytest.raises(ValueError, match=r"^stimulus id must be an integer, got 0\.9$"):
             TrainingSet.from_rows(ModelSpec(2, 1), StimulusRegistry(["a", "b"]), ["d", "d"], [0.9, 1.7],
                                   [1.0, 2.0], [0.5, 0.6])
+
+
+class TestDocumentWalk:
+    @pytest.mark.parametrize("doc, path, message", [
+        ([], ("spec", "degree"), "the document must be an object, got []"),
+        ({"spec": 5}, ("spec", "degree"), "spec must be an object, got 5"),
+        ({"spec": {"stimuli": "abc"}}, ("spec", "stimuli", 0), "spec.stimuli must be a list, got 'abc'"),
+        ({"beta": {"0": 1.0}}, ("beta", 0), "beta must be a list, got {'0': 1.0}"),
+        ({"beta": [[1.0]]}, ("beta", 0, "x"), "beta[0] must be an object, got [1.0]"),
+    ], ids=["list-document", "number-object", "string-list", "object-list", "list-object"])
+    def test_a_step_into_the_wrong_container_names_the_field(self, doc, path, message):
+        # Python's own text was the message: "'int' object is not subscriptable",
+        # "list indices must be integers or slices, not str".
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            model_mod._lookup(doc, path)

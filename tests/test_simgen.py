@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -182,6 +184,20 @@ class TestGenerate:
                                                  "still exceeds 60.0 s after 100 redraws of its noise$"):
                 draw(cfg)
 
+    @pytest.mark.parametrize("field, value, message", [
+        # exp underflows to 0 for some responses and overflows for others, which are redrawn.
+        ("sigma2_true", 1e5, "brt_s must be positive and finite, got 0.0"),
+        ("beta_true", np.r_[0.0, 1e308, np.zeros(7)],
+         "driver 'driver_0', stimulus 'traffic_signal': response still exceeds 60.0 s after 100 redraws of its noise"),
+    ], ids=["huge-noise", "huge-slope"])
+    def test_an_overflowing_config_is_refused_not_warned_of(self, field, value, message):
+        # Each raised numpy's RuntimeWarning (overflow in exp, in matmul) under the suite's filter.
+        cfg = dataclasses.replace(default_config(), num_drivers=3, **{field: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                generate(cfg)
+
     def test_a_response_past_the_bound_is_redrawn_alone(self):
         # This study first draws one response of 74.87 s, which aborted it
         # (and with it any benchmark run at seed 72). Each driver's stream is
@@ -276,6 +292,13 @@ class TestConfigDict:
         cfg = config_from_dict(doc)
         assert cfg.obs_per_driver == (5, 5, 5)
 
+    @pytest.mark.parametrize("num_stimuli", [10**18, 10**30])
+    def test_a_scalar_count_is_repeated_per_named_stimulus(self, num_stimuli):
+        # It was repeated num_stimuli times: MemoryError or OverflowError, uncaught.
+        doc = {**config_to_dict(default_config()), "num_stimuli": num_stimuli, "obs_per_driver": 5}
+        with pytest.raises(ValueError, match=f"^beta_true must have {3 * num_stimuli} entries, got 9$"):
+            config_from_dict(doc)
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             small_config(headway_range=(0.0, 5.0))
@@ -306,6 +329,18 @@ class TestConfigDict:
     def test_a_whole_float_seed_is_the_same_seed(self):
         # 2.0**63 was refused, since its intp cast overflows; 2**63 was accepted.
         assert small_config(seed=2.0**63).seed == small_config(seed=2**63).seed == 2**63
+
+    @pytest.mark.parametrize("num_drivers", [10**18, 10**30, 10**5 + 1])
+    def test_a_study_past_the_event_bound_is_refused(self, num_drivers):
+        # 10**18 drivers were accepted, and generate exhausted memory listing their ids. Never generated here.
+        message = (f"num_drivers x sum(obs_per_driver) = {num_drivers} x 10 exceeds MAX_STUDY_EVENTS = "
+                   f"{simgen.MAX_STUDY_EVENTS}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(default_config(), num_drivers=num_drivers, obs_per_driver=(4, 3, 3))
+
+    def test_a_study_at_the_event_bound_is_accepted(self):
+        cfg = dataclasses.replace(default_config(), num_drivers=10**5, obs_per_driver=(4, 3, 3))
+        assert cfg.num_drivers * sum(cfg.obs_per_driver) == simgen.MAX_STUDY_EVENTS == 10**6
 
     @pytest.mark.parametrize("field, value", [("num_drivers", True), ("obs_per_driver", (True, 2, 3)),
                                               ("seed", True)])
